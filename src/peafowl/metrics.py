@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["ConfusionCounts", "MetricsReport", "compute_metrics", "METRIC_FIELDS"]
 
 METRIC_FIELDS = ("accuracy", "detection_rate", "fpr", "tnr", "fnr", "precision", "f1")
@@ -26,6 +28,19 @@ class ConfusionCounts:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+
+    @classmethod
+    def from_predictions(cls, preds, actual) -> "ConfusionCounts":
+        """Tally 0/1 predictions against 0/1 labels, 1 being attack."""
+        preds, actual = np.asarray(preds), np.asarray(actual)
+        if preds.shape != actual.shape:
+            raise ValueError(f"{preds.shape} predictions for {actual.shape} labels")
+        return cls(
+            tp=int(np.sum((preds == 1) & (actual == 1))),
+            tn=int(np.sum((preds == 0) & (actual == 0))),
+            fp=int(np.sum((preds == 1) & (actual == 0))),
+            fn=int(np.sum((preds == 0) & (actual == 1))),
+        )
 
     @property
     def total(self) -> int:

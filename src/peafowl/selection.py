@@ -4,6 +4,12 @@ The optimizer searches bit masks over the feature columns; a mask's fitness
 is the holdout accuracy of a k-nearest-neighbor classifier restricted to the
 masked columns.  KNN is deterministic: distance ties prefer the lower
 training-row index and even-vote ties predict the attack class.
+
+Neighbors are ranked by the exact sum of squared differences,
+``((q - t) ** 2).sum()``, over the masked columns.  The BLAS Gram form
+``|q|^2 - 2 q.t + |t|^2`` only shortlists: every row within a proven rounding
+bound of the k-th smallest Gram value is re-ranked by the exact sum, so
+rounding in the Gram form never decides a neighbor.
 """
 
 from __future__ import annotations
@@ -93,29 +99,56 @@ class WrapperFitnessSpec:
         return self
 
 
+_BLOCK_CELLS = 1_000_000  # query x training-row cells per block of Gram distances (8 MB)
+
+
 def _knn_predict(train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_train = train_x.shape[0]
+    n_train, width = train_x.shape
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
+    train_sq = np.einsum("ij,ij->i", train_x, train_x)
     preds = np.empty(query_x.shape[0], dtype=int)
-    # Bound the broadcast distance block to a few million elements.
-    block = max(1, int(4_000_000 // max(1, n_train * max(1, train_x.shape[1]))))
+    block = max(1, _BLOCK_CELLS // n_train)
     for start in range(0, query_x.shape[0], block):
         q = query_x[start : start + block]
-        d2 = ((q[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        for j in range(q.shape[0]):
-            row = d2[j]
-            closer = row < kth[j]
-            n_closer = int(closer.sum())
-            ones = int(train_y[closer].sum())
-            short = k - n_closer
-            if short > 0:
-                tied = np.flatnonzero(row == kth[j])[:short]
-                ones += int(train_y[tied].sum())
-            preds[start + j] = 1 if 2 * ones >= k else 0
+        q_sq = np.einsum("ij,ij->i", q, q)
+        gram = q @ train_x.T  # becomes |q|^2 - 2q.t + |t|^2 in place
+        gram *= -2.0
+        gram += q_sq[:, None]
+        gram += train_sq
+        kth = np.partition(gram, k - 1, axis=1)[:, k - 1].copy()  # lets the partitioned copy go
+        # Shortlist slack.  Let u = eps/2, w = width, S = |q|^2 + max|t|^2 and
+        # D = |q - t|^2 <= 2S the true distance.  In any summation order:
+        # - exact (one rounding per subtraction, square and addition) is
+        #   within (w + 2)u.D <= (w + 2)eps.S of D;
+        # - gram has norms and dot product within w.u of their sums of
+        #   absolute terms, w.eps.S together, plus two additions rounded at
+        #   magnitudes below 2S: within (w + 2)eps.S of D as well.
+        # So |gram - exact| <= E = 2(w + 2)eps.S for every row, the k-th
+        # smallest of each differ by at most E, and any row whose exact
+        # distance is at most the exact k-th one has gram <= kth + 2E.  Using
+        # w + 3 for w + 2 leaves a 4eps.S margin for second-order terms and
+        # for rounding S and kth + slack: c = 4.
+        slack = 4.0 * (width + 3) * np.finfo(float).eps * (q_sq + train_sq.max())
+        # "not greater" also keeps rows whose terms overflowed to inf or NaN
+        rows, cols = np.nonzero(~(gram > (kth + slack)[:, None]))
+        # Exact distances in slices of at most _BLOCK_CELLS differences, so a
+        # shortlist swollen by ties (identical rows) keeps memory bounded.
+        pieces = 1 + rows.size * width // _BLOCK_CELLS
+        exact = np.concatenate(
+            [
+                ((q[r] - train_x[c]) ** 2).sum(axis=1)
+                for r, c in zip(np.array_split(rows, pieces), np.array_split(cols, pieces))
+            ]
+        )
+        # Per query by exact distance, lower training row first on ties.
+        order = np.lexsort((cols, exact, rows))
+        rows, cols = rows[order], cols[order]
+        nearest = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+        ones = np.bincount(rows[nearest], weights=train_y[cols[nearest]], minlength=q.shape[0])
+        preds[start : start + q.shape[0]] = 2 * ones >= k
     return preds
 
 
@@ -124,8 +157,12 @@ def knn_classify(
 ) -> np.ndarray:
     """Majority label among the k nearest training rows on masked columns.
 
-    ``mask=None`` means all columns.  Distances are Euclidean; ties are
-    broken deterministically (lower row index; even votes go to class 1).
+    ``mask=None`` means all columns.  Distances are the exact sum of squared
+    differences over those columns (Euclidean order); a Gram-form matrix
+    product only shortlists candidates for it.  Ties are broken
+    deterministically: lower training-row index first, and even votes go to
+    class 1.  A NaN or infinite value in a used column of the training or
+    query rows raises :class:`DataError` naming its row and feature (1-based).
     """
     query_rows = np.atleast_2d(np.asarray(query_rows, dtype=float))
     if query_rows.shape[1] != train.n_features:
@@ -138,7 +175,15 @@ def knn_classify(
         if mask.mask.size != train.n_features:
             raise ValueError("mask length does not match the feature count")
         cols = mask.columns
-    return _knn_predict(train.features[:, cols], train.labels, query_rows[:, cols], k)
+    train_x, query_x = train.features[:, cols], query_rows[:, cols]
+    for side, values in (("training", train_x), ("query", query_x)):
+        if not np.isfinite(values).all():
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            feature = np.arange(train.n_features)[cols][col] + 1
+            raise DataError(
+                f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
+            )
+    return _knn_predict(train_x, train.labels, query_x, k)
 
 
 def _holdout_split(labels: np.ndarray, fraction: float, seed: int):
@@ -232,13 +277,7 @@ def evaluate_subset(
     ):
         raise DataError("train and test datasets come from different transforms")
     preds = knn_classify(train, test.features, k, mask)
-    actual = test.labels
-    return ConfusionCounts(
-        tp=int(np.sum((preds == 1) & (actual == 1))),
-        tn=int(np.sum((preds == 0) & (actual == 0))),
-        fp=int(np.sum((preds == 1) & (actual == 0))),
-        fn=int(np.sum((preds == 0) & (actual == 1))),
-    )
+    return ConfusionCounts.from_predictions(preds, test.labels)
 
 
 def cross_validate(
@@ -255,15 +294,7 @@ def cross_validate(
         if np.unique(train_part.labels).size < 2:
             warnings.warn(f"fold {fold}: training portion has a single class")
         preds = knn_classify(train_part, data.features[test_idx], k, mask)
-        actual = data.labels[test_idx]
-        per_fold.append(
-            ConfusionCounts(
-                tp=int(np.sum((preds == 1) & (actual == 1))),
-                tn=int(np.sum((preds == 0) & (actual == 0))),
-                fp=int(np.sum((preds == 1) & (actual == 0))),
-                fn=int(np.sum((preds == 0) & (actual == 1))),
-            )
-        )
+        per_fold.append(ConfusionCounts.from_predictions(preds, data.labels[test_idx]))
     pooled = ConfusionCounts()
     for counts in per_fold:
         pooled = pooled + counts

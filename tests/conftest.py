@@ -63,6 +63,16 @@ def knn_oracle(train_x, train_y, query_x, k):
     return np.asarray(preds, dtype=int)
 
 
+def knn_exact_reference(train_x, train_y, query_x, k):
+    """Per-query KNN on the exact sum of squared differences: a stable sort
+    keeps the lower row on distance ties, even votes predict class 1."""
+    preds = []
+    for q in np.asarray(query_x, dtype=float):
+        nearest = np.argsort(((train_x - q) ** 2).sum(axis=1), kind="stable")[:k]
+        preds.append(1 if 2 * int(train_y[nearest].sum()) >= k else 0)
+    return np.asarray(preds, dtype=int)
+
+
 def confusion_oracle(preds, actual):
     tp = tn = fp = fn = 0
     for p, a in zip(preds, actual):

@@ -3,6 +3,8 @@ import pytest
 
 from peafowl import ConfusionCounts, compute_metrics
 
+from conftest import confusion_oracle
+
 
 class TestWorkedExamples:
     def test_perfect_classifier(self):
@@ -35,6 +37,19 @@ class TestWorkedExamples:
     def test_all_zero_counts_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics(ConfusionCounts())
+
+
+class TestFromPredictions:
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 200):
+            preds, actual = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            counts = ConfusionCounts.from_predictions(preds, actual)
+            assert (counts.tp, counts.tn, counts.fp, counts.fn) == confusion_oracle(preds, actual)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="predictions"):
+            ConfusionCounts.from_predictions([1, 0], [1, 0, 1])
 
 
 class TestValidation:

@@ -15,9 +15,10 @@ from peafowl import (
     subset_fitness,
     top_subsets,
 )
+from peafowl import selection
 from peafowl.optimizer import Peafowl
 
-from conftest import confusion_oracle, knn_oracle, two_cluster_dataset
+from conftest import confusion_oracle, knn_exact_reference, knn_oracle, two_cluster_dataset
 
 
 class TestFeatureSubset:
@@ -102,6 +103,101 @@ class TestKnnClassify:
         assert np.array_equal(
             knn_classify(train, queries, 3), knn_classify(train, queries, 3, mask=full)
         )
+
+    def test_non_finite_training_value_rejected(self):
+        train = Dataset.from_arrays([[0.0, 0.0], [1.0, np.nan], [0.5, 0.5]], [0, 1, 1])
+        with pytest.raises(DataError, match="training row 2, feature 2 is not finite"):
+            knn_classify(train, [[0.0, 0.0]], k=1)
+        # a column the mask leaves out takes no part in any distance
+        only_first = FeatureSubset(np.array([1.0, 0.0]))
+        assert knn_classify(train, [[0.9, 0.0]], k=1, mask=only_first).tolist() == [1]
+
+    def test_non_finite_query_value_rejected(self):
+        train = Dataset.from_arrays([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0, 1])
+        with pytest.raises(DataError, match="query row 1, feature 1 is not finite"):
+            knn_classify(train, [[np.nan, 0.0, 0.0]], k=1)
+        last_two = FeatureSubset(np.array([0.0, 1.0, 1.0]))
+        with pytest.raises(DataError, match="query row 2, feature 3 is not finite"):
+            knn_classify(train, [[0.0, 0.0, 0.0], [0.0, 0.0, np.inf]], k=1, mask=last_two)
+
+
+def _exactness_case(name, seed=0, n=60, m=40, width=6):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, n)
+    if name == "duplicates":
+        base = rng.random((n // 3, width))
+        queries = np.vstack([base[:5], rng.random((m, width))])
+        return base[rng.integers(0, n // 3, n)], labels, queries
+    if name in ("grid4", "grid3"):
+        g = 4 if name == "grid4" else 3
+        grid = rng.integers(0, g + 1, (n + m, width)) / g
+        return grid[:n], labels, grid[n:]
+    if name == "offset":
+        return 1e7 + rng.random((n, width)), labels, 1e7 + rng.random((m, width))
+    # mirrored: each query is the midpoint of two rows of opposite labels, so
+    # the pair ties in exact arithmetic
+    queries, base = rng.random((m, width)), rng.random((m, width))
+    train = np.empty((2 * m, width))
+    train[0::2], train[1::2] = base, 2 * queries - base
+    return train, np.arange(2 * m) % 2, queries
+
+
+def _gram_only(train_x, train_y, query_x, k):
+    gram = (query_x**2).sum(axis=1)[:, None] - 2.0 * query_x @ train_x.T + (train_x**2).sum(axis=1)
+    nearest = np.argsort(gram, axis=1, kind="stable")[:, :k]
+    return (2 * train_y[nearest].sum(axis=1) >= k).astype(int)
+
+
+class TestKnnExactness:
+    """Predictions equal a per-query ranking by the exact sum of squared
+    differences, including where a Gram-form ranking alone goes wrong."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    @pytest.mark.parametrize("name", ["duplicates", "grid4", "grid3", "offset", "mirrored"])
+    def test_matches_exact_reference(self, name, k):
+        train_x, train_y, queries = _exactness_case(name)
+        expected = knn_exact_reference(train_x, train_y, queries, k)
+        train = Dataset.from_arrays(train_x, train_y)
+        assert np.array_equal(knn_classify(train, queries, k), expected)
+
+    def test_cases_defeat_gram_only_ranking(self):
+        # the offset data would catch a regression to a plain Gram ranking
+        train_x, train_y, queries = _exactness_case("offset")
+        wrong = [
+            _gram_only(train_x, train_y, queries, k)
+            != knn_exact_reference(train_x, train_y, queries, k)
+            for k in (1, 2, 4, 5)
+        ]
+        assert np.any(wrong)
+
+
+class TestKnnBlocks:
+    """The per-block cell budget changes how queries are grouped, never the answer."""
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(4)
+        features = np.vstack([rng.integers(0, 4, (90, 5)) / 3, 1e6 + rng.random((30, 5))])
+        ds = Dataset.from_arrays(features, rng.integers(0, 2, 120))
+        return ds.take(np.arange(0, 120, 2)), ds.take(np.arange(1, 120, 2)), ds
+
+    def _answers(self, data):
+        train, test, whole = data
+        mask = FeatureSubset.from_indices([1, 3, 4], 5)
+        return (
+            knn_classify(train, test.features, 3).tolist(),
+            knn_classify(train, test.features, 4, mask).tolist(),
+            evaluate_subset(mask, train, test, k=5),
+            cross_validate(None, whole, make_folds(whole.n_rows, 4, seed=2), k=3),
+        )
+
+    def test_block_size_does_not_change_answers(self, data, monkeypatch):
+        default = self._answers(data)
+        monkeypatch.setattr(selection, "_BLOCK_CELLS", 1)  # one query per block
+        one_query = self._answers(data)
+        monkeypatch.setattr(selection, "_BLOCK_CELLS", 10**12)  # all queries in one block
+        one_block = self._answers(data)
+        assert one_query == default and one_block == default
 
 
 class TestSubsetFitness:
