@@ -2,10 +2,14 @@
 
 Four commands: ``bench`` (benchmark campaign), ``select`` (wrapper feature
 selection), ``eval`` (train/test metrics for a feature set) and ``cv``
-(k-fold cross validation).  A YAML config file may supply any flag value;
-explicit flags win.  Results are written to files only (logs go to stderr)
-and every output directory receives a manifest echoing the effective
-configuration, so a run can be reproduced byte-for-byte from it.
+(k-fold cross validation).  Each setting takes the first value found among
+explicit flags, the YAML config file given by ``--config``, and the defaults
+of ``PfmParams`` and ``WrapperFitnessSpec`` (or of the CLI, for settings the
+library does not hold).  ``dedup`` is set only in the config file; left
+unset, the schema's ``drop_duplicates`` decides.  Results are written to
+files only (logs go to stderr) and every output directory receives a
+manifest echoing the effective configuration, so a run can be reproduced
+byte-for-byte from it.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 runtime error.
 """
@@ -13,21 +17,24 @@ Exit codes: 0 success, 2 usage/config error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import __version__
 from .benchmarks import benchmark_names, get_benchmark, run_campaign
 from .data import TableSchema, load_dataset, make_folds
 from .errors import ConfigError, DataError, EvaluationError
-from .metrics import METRIC_FIELDS, compute_metrics
+from .metrics import METRIC_FIELDS, ConfusionCounts, MetricsReport, compute_metrics
 from .optimizer import PfmParams
 from .selection import (
     FeatureSubset,
@@ -40,69 +47,48 @@ from .selection import (
 
 log = logging.getLogger("peafowl")
 
-_CONFIG_KEYS = {
-    "seed",
-    "runs",
-    "functions",
-    "population",
-    "iterations",
-    "seasons",
-    "alpha",
-    "gamma1",
-    "gamma2",
-    "i0",
-    "c0",
-    "r_min",
-    "r_max",
-    "k_neighbors",
-    "features",
-    "folds",
-    "train",
-    "test",
-    "schema",
-    "out",
-    "holdout_fraction",
-    "top_subsets",
-    "baseline",
-    "dedup",
+# The settings the library holds: CLI key -> (class, field, end), where `end`
+# picks r_min and r_max out of the PfmParams.r_range pair.  Each key's
+# default and value type are those of the field in `class()`.
+_LIBRARY = {
+    "seed": (PfmParams, "seed", None),
+    "population": (PfmParams, "population_size", None),
+    "iterations": (PfmParams, "max_iterations", None),
+    "seasons": (PfmParams, "seasons_per_iteration", None),
+    "alpha": (PfmParams, "dominance_factor", None),
+    "gamma1": (PfmParams, "gamma1", None),
+    "gamma2": (PfmParams, "gamma2", None),
+    "i0": (PfmParams, "call_intensity", None),
+    "c0": (PfmParams, "colorfulness", None),
+    "r_min": (PfmParams, "r_range", 0),
+    "r_max": (PfmParams, "r_range", 1),
+    "k_neighbors": (WrapperFitnessSpec, "k_neighbors", None),
+    "holdout_fraction": (WrapperFitnessSpec, "holdout_fraction", None),
 }
+_PFM_FLAGS = [key for key, (cls, _, _) in _LIBRARY.items() if cls is PfmParams]
 
 _DEFAULTS = {
-    "seed": 0,
-    "runs": 30,
-    "functions": "all",
-    "population": 30,
-    "iterations": 500,
-    "seasons": 3,
-    "alpha": 0.8,
-    "gamma1": 1.0,
-    "gamma2": 1.0,
-    "i0": 0.1,
-    "c0": 0.1,
-    "r_min": 0.4,
-    "r_max": 0.6,
-    "k_neighbors": 5,
-    "features": "all",
-    "folds": 10,
-    "holdout_fraction": 0.2,
-    "top_subsets": 3,
-    "baseline": False,
-    "dedup": False,
+    key: getattr(cls(), field) if end is None else getattr(cls(), field)[end]
+    for key, (cls, field, end) in _LIBRARY.items()
 }
+_DEFAULTS.update(  # the settings with no library counterpart
+    runs=30,
+    functions="all",
+    features="all",
+    folds=10,
+    top_subsets=3,
+    baseline=False,
+    dedup=None,  # unset: the schema decides
+)
+_CONFIG_KEYS = set(_DEFAULTS) | {"train", "test", "schema", "out"}
+
+_METRIC_HEADER = [*(f.name for f in dataclasses.fields(ConfusionCounts)), *METRIC_FIELDS]
 
 
-def _add_param_flags(sub):
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--population", type=int)
-    sub.add_argument("--iterations", type=int)
-    sub.add_argument("--seasons", type=int)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--gamma1", type=float)
-    sub.add_argument("--gamma2", type=float)
-    sub.add_argument("--i0", type=float)
-    sub.add_argument("--c0", type=float)
-    sub.add_argument("--r-min", type=float, dest="r_min")
-    sub.add_argument("--r-max", type=float, dest="r_max")
+def _add_flags(sub, *keys):
+    """One flag per key, typed like the key's default."""
+    for key in keys:
+        sub.add_argument("--" + key.replace("_", "-"), type=type(_DEFAULTS[key]), dest=key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,17 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser("bench", help="run the benchmark campaign")
     bench.add_argument("--config")
     bench.add_argument("--functions", help="comma-separated ids (F1..F23) or 'all'")
-    bench.add_argument("--runs", type=int)
+    _add_flags(bench, "runs")
     bench.add_argument("--out")
-    _add_param_flags(bench)
+    _add_flags(bench, *_PFM_FLAGS)
 
     select = commands.add_parser("select", help="wrapper feature selection on a dataset")
     select.add_argument("--config")
     select.add_argument("--train")
     select.add_argument("--schema")
-    select.add_argument("--k-neighbors", type=int, dest="k_neighbors")
+    _add_flags(select, "k_neighbors")
     select.add_argument("--out")
-    _add_param_flags(select)
+    _add_flags(select, *_PFM_FLAGS)
 
     evalp = commands.add_parser("eval", help="train/test metrics for a feature set")
     evalp.add_argument("--config")
@@ -133,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--features", help="comma-separated 1-based indices or 'all'")
     evalp.add_argument("--baseline", action="store_const", const=True, default=None,
                        help="also report the all-features row")
-    evalp.add_argument("--k-neighbors", type=int, dest="k_neighbors")
+    _add_flags(evalp, "k_neighbors")
     evalp.add_argument("--out")
 
     cv = commands.add_parser("cv", help="k-fold cross validation")
@@ -141,9 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--train")
     cv.add_argument("--schema")
     cv.add_argument("--features")
-    cv.add_argument("--folds", type=int)
-    cv.add_argument("--k-neighbors", type=int, dest="k_neighbors")
-    cv.add_argument("--seed", type=int)
+    _add_flags(cv, "folds", "k_neighbors", "seed")
     cv.add_argument("--out")
 
     return parser
@@ -178,22 +162,26 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _params_from(config: dict) -> PfmParams:
+@contextmanager
+def _config_errors():
+    """Report the library's ValueError for a bad setting as a ConfigError."""
     try:
-        return PfmParams(
-            population_size=int(config["population"]),
-            max_iterations=int(config["iterations"]),
-            seasons_per_iteration=int(config["seasons"]),
-            call_intensity=float(config["i0"]),
-            colorfulness=float(config["c0"]),
-            gamma1=float(config["gamma1"]),
-            gamma2=float(config["gamma2"]),
-            dominance_factor=float(config["alpha"]),
-            r_range=(float(config["r_min"]), float(config["r_max"])),
-            seed=int(config["seed"]),
-        ).validate()
+        yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _from_config(cls, config: dict):
+    """A validated ``cls`` (PfmParams or WrapperFitnessSpec) from its config keys."""
+    fields = {}
+    with _config_errors():
+        for key, (owner, field, end) in _LIBRARY.items():
+            if owner is cls:
+                value = type(_DEFAULTS[key])(config[key])
+                if end is not None:  # r_min, then r_max, extends the r_range pair
+                    value = (*fields.get(field, ()), value)
+                fields[field] = value
+        return cls(**fields).validate()
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -203,10 +191,11 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(cell) for cell in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomic(path, buffer.getvalue())
 
 
 def _write_json(path: Path, payload) -> None:
@@ -220,7 +209,8 @@ def _file_sha256(path) -> str:
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
     manifest = {
         "command": command,
-        "config": config,
+        # dedup is still unset only where no table was read, so none was deduplicated
+        "config": {**config, "dedup": bool(config["dedup"])},
         "inputs": inputs,
         "package_version": __version__,
     }
@@ -252,18 +242,21 @@ def _parse_feature_list(spec_text: str, n_features: int):
         raise ConfigError(f"cannot parse feature list {spec_text!r}") from None
     if not indices:
         raise ConfigError("feature list is empty")
-    try:
+    with _config_errors():
         return FeatureSubset.from_indices(indices, n_features)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
-def _metric_row(counts) -> dict:
-    report = compute_metrics(counts)
-    pct = report.as_percentages()
-    row = {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn}
-    row.update({name: pct[name] for name in METRIC_FIELDS})
-    return row
+def _metrics_entry(counts: ConfusionCounts, report: MetricsReport) -> dict:
+    return {
+        "counts": dataclasses.asdict(counts),
+        "fractions": report.as_fractions(),
+        "percentages": report.as_percentages(),
+    }
+
+
+def _metric_cells(entry: dict) -> list:
+    """The cells under _METRIC_HEADER for one metrics entry."""
+    return [*entry["counts"].values(), *entry["percentages"].values()]
 
 
 def cmd_bench(config: dict) -> int:
@@ -277,34 +270,20 @@ def cmd_bench(config: dict) -> int:
         names = list(requested)
     for name in names:
         get_benchmark(name)
-    params = _params_from(config)
-    runs = int(config["runs"])
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
+    params = _from_config(PfmParams, config)
 
-    log.info("bench: %d functions x %d runs (seed %d)", len(names), runs, params.seed)
-    results = run_campaign(names, params, runs)
+    log.info("bench: %d functions x %s runs (seed %d)", len(names), config["runs"], params.seed)
+    with _config_errors():
+        results = run_campaign(names, params, int(config["runs"]))
 
+    summaries = []
+    for r in results:
+        summary = dataclasses.asdict(r)
+        del summary["traces"], summary["wall_ms"]  # in convergence.csv and timings.csv
+        summaries.append(summary)
     header = ["function", "dimension", "runs", "avg", "std", "best", "worst"]
-    rows = [[r.function, r.dimension, r.runs, r.avg, r.std, r.best, r.worst] for r in results]
-    _write_csv(out / "results.csv", header, rows)
-    _write_json(
-        out / "results.json",
-        [
-            {
-                "function": r.function,
-                "dimension": r.dimension,
-                "runs": r.runs,
-                "avg": r.avg,
-                "std": r.std,
-                "best": r.best,
-                "worst": r.worst,
-                "per_run_best": r.per_run_best,
-                "params": r.params,
-            }
-            for r in results
-        ],
-    )
+    _write_csv(out / "results.csv", header, [[s[name] for name in header] for s in summaries])
+    _write_json(out / "results.json", summaries)
     conv_rows = []
     for r in results:
         for run_idx, trace in enumerate(r.traces):
@@ -320,7 +299,9 @@ def cmd_bench(config: dict) -> int:
 
 def _load_train(config: dict):
     schema = TableSchema.from_yaml(config["schema"])
-    train = load_dataset(config["train"], schema, dedup=bool(config["dedup"]))
+    if config["dedup"] is None:
+        config["dedup"] = schema.drop_duplicates
+    train = load_dataset(config["train"], schema, dedup=config["dedup"])
     inputs = {
         "schema": {"path": str(config["schema"]), "fingerprint": schema.fingerprint()},
         "train": {"path": str(config["train"]), "sha256": _file_sha256(config["train"])},
@@ -332,23 +313,23 @@ def cmd_select(config: dict) -> int:
     _require(config, "train", "schema")
     out = _out_dir(config)
     _, train, inputs = _load_train(config)
-    params = _params_from(config)
-    spec = WrapperFitnessSpec(
-        k_neighbors=int(config["k_neighbors"]),
-        holdout_fraction=float(config["holdout_fraction"]),
-    )
+    params = _from_config(PfmParams, config)
+    spec = _from_config(WrapperFitnessSpec, config)
     log.info(
         "select: %d rows x %d features, pop %d, %d iterations",
         train.n_rows, train.n_features, params.population_size, params.max_iterations,
     )
     best, trace = select_features(train, params, spec)
     tops = top_subsets(trace.final_population, n=int(config["top_subsets"]))
-
-    rows = [
-        [f"FSs{i + 1}", subset.cardinality, '"' + ",".join(map(str, subset.indices)) + '"', fitness]
-        for i, (subset, fitness) in enumerate(tops)
+    subsets = [
+        {"subset_id": f"FSs{i + 1}", "n_features": s.cardinality, "features": s.indices, "fitness": fitness}
+        for i, (s, fitness) in enumerate(tops)
     ]
-    _write_csv(out / "results.csv", ["subset_id", "n_features", "features", "fitness"], rows)
+    _write_csv(
+        out / "results.csv",
+        ["subset_id", "n_features", "features", "fitness"],
+        [[s["subset_id"], s["n_features"], ",".join(map(str, s["features"])), s["fitness"]] for s in subsets],
+    )
     _write_json(
         out / "results.json",
         {
@@ -357,11 +338,7 @@ def cmd_select(config: dict) -> int:
                 "features": best.indices,
                 "fitness": trace.best_solution.fitness,
             },
-            "subsets": [
-                {"subset_id": f"FSs{i + 1}", "n_features": s.cardinality,
-                 "features": s.indices, "fitness": fitness}
-                for i, (s, fitness) in enumerate(tops)
-            ],
+            "subsets": subsets,
             "evaluations": trace.evaluations,
             "seed": trace.seed,
         },
@@ -380,39 +357,29 @@ def cmd_eval(config: dict) -> int:
     _require(config, "train", "test", "schema")
     out = _out_dir(config)
     schema, train, inputs = _load_train(config)
-    test = load_dataset(config["test"], schema, fit_from=train, dedup=bool(config["dedup"]))
+    test = load_dataset(config["test"], schema, fit_from=train, dedup=config["dedup"])
     inputs["test"] = {"path": str(config["test"]), "sha256": _file_sha256(config["test"])}
-    k = int(config["k_neighbors"])
+    k = _from_config(WrapperFitnessSpec, config).k_neighbors
 
     mask = _parse_feature_list(str(config["features"]), train.n_features)
     requested = [("selected", mask)]
     if config["baseline"] and mask is not None:
         requested.append(("all_features", None))
 
-    json_rows = []
-    csv_rows = []
+    entries = []
     for label, row_mask in requested:
         counts = evaluate_subset(row_mask, train, test, k)
-        row = _metric_row(counts)
-        features_text = "all" if row_mask is None else ",".join(map(str, row_mask.indices))
-        csv_rows.append(
-            [label, '"' + features_text + '"', k, row["tp"], row["tn"], row["fp"], row["fn"]]
-            + [row[name] for name in METRIC_FIELDS]
+        features = "all" if row_mask is None else ",".join(map(str, row_mask.indices))
+        entries.append(
+            {"label": label, "features": features, "k_neighbors": k,
+             **_metrics_entry(counts, compute_metrics(counts))}
         )
-        report = compute_metrics(counts)
-        json_rows.append(
-            {
-                "label": label,
-                "features": features_text,
-                "k_neighbors": k,
-                "counts": {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
-                "fractions": report.as_fractions(),
-                "percentages": report.as_percentages(),
-            }
-        )
-    header = ["label", "features", "k"] + ["tp", "tn", "fp", "fn"] + list(METRIC_FIELDS)
-    _write_csv(out / "results.csv", header, csv_rows)
-    _write_json(out / "results.json", json_rows)
+    _write_csv(
+        out / "results.csv",
+        ["label", "features", "k", *_METRIC_HEADER],
+        [[e["label"], e["features"], e["k_neighbors"], *_metric_cells(e)] for e in entries],
+    )
+    _write_json(out / "results.json", entries)
     _write_manifest(out, "eval", config, inputs)
     return 0
 
@@ -421,40 +388,23 @@ def cmd_cv(config: dict) -> int:
     _require(config, "train", "schema")
     out = _out_dir(config)
     _, data, inputs = _load_train(config)
-    k = int(config["k_neighbors"])
-    n_folds = int(config["folds"])
-    if n_folds < 2:
-        raise ConfigError("folds must be >= 2")
+    k = _from_config(WrapperFitnessSpec, config).k_neighbors
     mask = _parse_feature_list(str(config["features"]), data.n_features)
-    folds = make_folds(data.n_rows, n_folds, int(config["seed"]))
-    log.info("cv: %d folds over %d rows", n_folds, data.n_rows)
+    with _config_errors():
+        folds = make_folds(data.n_rows, int(config["folds"]), int(config["seed"]))
+    log.info("cv: %d folds over %d rows", folds.k, data.n_rows)
     per_fold, pooled_report = cross_validate(mask, data, folds, k)
 
-    csv_rows = []
-    json_folds = []
-    for fold, counts in enumerate(per_fold):
-        row = _metric_row(counts)
-        csv_rows.append([fold, row["tp"], row["tn"], row["fp"], row["fn"]]
-                        + [row[name] for name in METRIC_FIELDS])
-        json_folds.append({"fold": fold, "counts": {"tp": counts.tp, "tn": counts.tn,
-                                                    "fp": counts.fp, "fn": counts.fn}})
-    pooled = per_fold[0]
-    for counts in per_fold[1:]:
-        pooled = pooled + counts
-    pooled_row = _metric_row(pooled)
-    csv_rows.append(["pooled", pooled_row["tp"], pooled_row["tn"], pooled_row["fp"], pooled_row["fn"]]
-                    + [pooled_row[name] for name in METRIC_FIELDS])
-    header = ["fold", "tp", "tn", "fp", "fn"] + list(METRIC_FIELDS)
-    _write_csv(out / "results.csv", header, csv_rows)
+    fold_entries = [_metrics_entry(counts, compute_metrics(counts)) for counts in per_fold]
+    pooled = _metrics_entry(sum(per_fold, ConfusionCounts()), pooled_report)
+    csv_rows = [[fold, *_metric_cells(entry)] for fold, entry in enumerate(fold_entries)]
+    csv_rows.append(["pooled", *_metric_cells(pooled)])
+    _write_csv(out / "results.csv", ["fold", *_METRIC_HEADER], csv_rows)
     _write_json(
         out / "results.json",
         {
-            "folds": json_folds,
-            "pooled": {
-                "counts": {"tp": pooled.tp, "tn": pooled.tn, "fp": pooled.fp, "fn": pooled.fn},
-                "fractions": pooled_report.as_fractions(),
-                "percentages": pooled_report.as_percentages(),
-            },
+            "folds": [{"fold": fold, "counts": entry["counts"]} for fold, entry in enumerate(fold_entries)],
+            "pooled": pooled,
         },
     )
     _write_manifest(out, "cv", config, inputs)

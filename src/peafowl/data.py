@@ -33,8 +33,6 @@ __all__ = [
     "build_dataset",
     "load_dataset",
     "make_folds",
-    "save_dataset_cache",
-    "load_dataset_cache",
 ]
 
 _SCHEMA_KEYS = {
@@ -151,9 +149,6 @@ class TableSchema:
 class RawTable:
     rows: list[list[str]]
     column_count: int
-
-    def __len__(self):
-        return len(self.rows)
 
 
 @dataclass
@@ -377,40 +372,3 @@ def make_folds(n_rows: int, k: int, seed: int) -> FoldPlan:
     assignments[perm] = np.arange(n_rows) % k
     return FoldPlan(k=k, assignments=assignments, seed=seed)
 
-
-def save_dataset_cache(dataset: Dataset, out_dir) -> None:
-    """Columnar cache: features.npz plus a JSON manifest of the transform."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if dataset.normalization_bounds is None:
-        raise DataError("dataset has no normalization bounds to cache")
-    mins, maxs = dataset.normalization_bounds
-    np.savez(out_dir / "features.npz", features=dataset.features, labels=dataset.labels)
-    manifest = {
-        "feature_names": dataset.feature_names,
-        "encoding_map": {str(k): v for k, v in dataset.encoding_map.items()},
-        "bounds_min": mins.tolist(),
-        "bounds_max": maxs.tolist(),
-        "provenance": dataset.provenance,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
-
-
-def load_dataset_cache(cache_dir) -> Dataset:
-    cache_dir = Path(cache_dir)
-    try:
-        arrays = np.load(cache_dir / "features.npz")
-        manifest = json.loads((cache_dir / "manifest.json").read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read dataset cache in {cache_dir}: {exc}") from exc
-    return Dataset(
-        features=arrays["features"],
-        labels=arrays["labels"],
-        feature_names=list(manifest["feature_names"]),
-        encoding_map={int(k): v for k, v in manifest["encoding_map"].items()},
-        normalization_bounds=(
-            np.asarray(manifest["bounds_min"], dtype=float),
-            np.asarray(manifest["bounds_max"], dtype=float),
-        ),
-        provenance=manifest["provenance"],
-    )

@@ -295,7 +295,4 @@ def cross_validate(
             warnings.warn(f"fold {fold}: training portion has a single class")
         preds = knn_classify(train_part, data.features[test_idx], k, mask)
         per_fold.append(ConfusionCounts.from_predictions(preds, data.labels[test_idx]))
-    pooled = ConfusionCounts()
-    for counts in per_fold:
-        pooled = pooled + counts
-    return per_fold, compute_metrics(pooled)
+    return per_fold, compute_metrics(sum(per_fold, ConfusionCounts()))

@@ -1,0 +1,206 @@
+"""Golden tests for the command-line front end, run in-process on the toy fixture."""
+
+import csv
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from peafowl import PfmParams, WrapperFitnessSpec, cli, run_campaign
+
+from conftest import TOY_SCHEMA_YAML, write_toy_csv
+
+BENCH = ["bench", "--functions", "F1,F10", "--runs", "2", "--iterations", "4", "--population", "6"]
+PRIMARY = ("results.csv", "results.json", "convergence.csv", "manifest.json")
+
+
+@pytest.fixture
+def files(toy_csv, tmp_path):
+    train, schema = toy_csv
+    test = tmp_path / "toy_test.csv"
+    write_toy_csv(test, seed=11)
+    return {"train": str(train), "schema": str(schema), "test": str(test), "tmp": tmp_path}
+
+
+def run(*argv, out):
+    return cli.main([*argv, "--out", str(out)])
+
+
+def primary_bytes(out):
+    return {name: (out / name).read_bytes() for name in PRIMARY if (out / name).exists()}
+
+
+def manifest_config(out):
+    return json.loads((out / "manifest.json").read_text())["config"]
+
+
+def command_argv(files):
+    data = ["--train", files["train"], "--schema", files["schema"]]
+    return {
+        "bench": BENCH,
+        "select": ["select", *data, "--iterations", "4", "--population", "8"],
+        "eval": ["eval", *data, "--test", files["test"], "--features", "2,3", "--baseline"],
+        "cv": ["cv", *data, "--features", "2,3", "--folds", "5"],
+    }
+
+
+@pytest.mark.parametrize("command", ["bench", "select", "eval", "cv"])
+def test_rerun_is_byte_identical(files, command):
+    out = files["tmp"] / command
+    argv = command_argv(files)[command]
+    assert run(*argv, out=out) == 0
+    first = primary_bytes(out)
+    expected = {"results.csv", "results.json", "manifest.json"}
+    if command in ("bench", "select"):
+        expected.add("convergence.csv")
+    assert set(first) == expected
+    assert run(*argv, out=out) == 0
+    assert primary_bytes(out) == first
+
+
+def test_eval_results_csv(files):
+    out = files["tmp"] / "eval"
+    argv = ["eval", "--train", files["train"], "--test", files["test"], "--schema", files["schema"]]
+    assert run(*argv, "--features", "2,3", "--k-neighbors", "3", out=out) == 0
+    assert (out / "results.csv").read_text() == (
+        "label,features,k,tp,tn,fp,fn,accuracy,detection_rate,fpr,tnr,fnr,precision,f1\n"
+        'selected,"2,3",3,8,13,17,22,35.000,26.667,56.667,43.333,73.333,32.000,29.091\n'
+    )
+
+
+def test_eval_baseline_rows_parse(files):
+    out = files["tmp"] / "eval"
+    argv = ["eval", "--train", files["train"], "--test", files["test"], "--schema", files["schema"]]
+    assert run(*argv, "--features", "1", "--baseline", out=out) == 0
+    with open(out / "results.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [row[:7] for row in rows[1:]] == [
+        ["selected", "1", "5", "30", "30", "0", "0"],
+        ["all_features", "all", "5", "30", "30", "0", "0"],
+    ]
+
+
+def test_cv_results_csv(files):
+    out = files["tmp"] / "cv"
+    assert run(*command_argv(files)["cv"], out=out) == 0
+    assert (out / "results.csv").read_text() == (
+        "fold,tp,tn,fp,fn,accuracy,detection_rate,fpr,tnr,fnr,precision,f1\n"
+        "0,4,1,4,3,41.667,57.143,80.000,20.000,42.857,50.000,53.333\n"
+        "1,0,4,3,5,33.333,0.000,42.857,57.143,100.000,0.000,0.000\n"
+        "2,3,1,5,3,33.333,50.000,83.333,16.667,50.000,37.500,42.857\n"
+        "3,3,3,4,2,50.000,60.000,57.143,42.857,40.000,42.857,50.000\n"
+        "4,4,2,3,3,50.000,57.143,60.000,40.000,42.857,57.143,57.143\n"
+        "pooled,14,11,19,16,41.667,46.667,63.333,36.667,53.333,42.424,44.444\n"
+    )
+    pooled = json.loads((out / "results.json").read_text())["pooled"]["counts"]
+    assert pooled == {"tp": 14, "tn": 11, "fp": 19, "fn": 16}
+
+
+def test_bench_results_json_matches_run_campaign(files):
+    out = files["tmp"] / "bench"
+    assert run(*BENCH, out=out) == 0
+    params = PfmParams(population_size=6, max_iterations=4)
+    expected = []
+    for result in run_campaign(["F1", "F10"], params, 2):
+        row = dataclasses.asdict(result)
+        del row["traces"], row["wall_ms"]
+        expected.append(row)
+    assert json.loads((out / "results.json").read_text()) == json.loads(json.dumps(expected))
+
+
+def write_config(files, text):
+    path = files["tmp"] / "config.yaml"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--functions", "F99"],
+        ["bench", "--functions", "F1", "--runs", "0"],
+        ["cv", "--folds", "1"],
+        ["select", "--k-neighbors", "0"],
+        ["eval", "--k-neighbors", "0"],
+        ["cv", "--k-neighbors", "0"],
+    ],
+    ids=["unknown-function", "runs-0", "folds-1", "select-k-0", "eval-k-0", "cv-k-0"],
+)
+def test_config_errors_exit_2(files, argv):
+    if argv[0] != "bench":
+        argv = [*argv, "--train", files["train"], "--schema", files["schema"]]
+    if argv[0] == "eval":
+        argv += ["--test", files["test"]]
+    assert run(*argv, out=files["tmp"] / "out") == 2
+
+
+def test_missing_out_exits_2():
+    assert cli.main(["bench", "--functions", "F1", "--runs", "1"]) == 2
+
+
+@pytest.mark.parametrize("text", ["bogus: 1\n", "seed: [1,\n"], ids=["unknown-key", "invalid-yaml"])
+def test_bad_config_file_exits_2(files, text):
+    config = write_config(files, text)
+    assert run("bench", "--config", config, "--functions", "F1", out=files["tmp"] / "out") == 2
+
+
+def test_missing_train_file_exits_3(files):
+    missing = str(files["tmp"] / "missing.csv")
+    assert run("cv", "--train", missing, "--schema", files["schema"], out=files["tmp"] / "out") == 3
+
+
+def test_k_beyond_training_rows_exits_4(files):
+    argv = ["eval", "--train", files["train"], "--test", files["test"], "--schema", files["schema"]]
+    assert run(*argv, "--k-neighbors", "1000", out=files["tmp"] / "out") == 4
+
+
+def test_defaults_then_config_file_then_flags(files):
+    config = write_config(files, "seed: 4\npopulation: 6\niterations: 3\nruns: 1\n")
+    out = files["tmp"] / "bench"
+    assert run("bench", "--config", config, "--functions", "F1", "--seed", "9", out=out) == 0
+    effective = manifest_config(out)
+    assert effective["seed"] == 9  # flag over config file
+    assert (effective["population"], effective["iterations"], effective["runs"]) == (6, 3, 1)
+    defaults = PfmParams()
+    assert effective["alpha"] == defaults.dominance_factor
+    assert [effective["r_min"], effective["r_max"]] == list(defaults.r_range)
+    assert effective["k_neighbors"] == WrapperFitnessSpec().k_neighbors
+    assert effective["dedup"] is False
+
+
+def test_bare_bench_params_are_library_defaults():
+    args = cli.build_parser().parse_args(["bench"])
+    config = cli._resolve_config(args)
+    assert cli._from_config(PfmParams, config) == PfmParams()
+    assert cli._from_config(WrapperFitnessSpec, config) == WrapperFitnessSpec()
+
+
+def pooled_rows(out):
+    pooled = json.loads((out / "results.json").read_text())["pooled"]["counts"]
+    return sum(pooled.values())
+
+
+@pytest.mark.parametrize(
+    "schema_extra, config_text, rows, dedup",
+    [
+        ("", "", 70, False),
+        ("drop_duplicates: true\n", "", 60, True),
+        ("drop_duplicates: true\n", "dedup: false\n", 70, False),
+        ("", "dedup: true\n", 60, True),
+    ],
+    ids=["schema-keeps", "schema-drops", "config-keeps", "config-drops"],
+)
+def test_dedup_defers_to_schema(files, schema_extra, config_text, rows, dedup):
+    lines = Path(files["train"]).read_text().splitlines()
+    train = files["tmp"] / "dup.csv"
+    train.write_text("\n".join(lines + lines[:10]) + "\n")
+    schema = files["tmp"] / "dedup_schema.yaml"
+    schema.write_text(TOY_SCHEMA_YAML + schema_extra)
+    argv = ["cv", "--train", str(train), "--schema", str(schema), "--folds", "5"]
+    if config_text:
+        argv += ["--config", write_config(files, config_text)]
+    out = files["tmp"] / "cv"
+    assert run(*argv, out=out) == 0
+    assert pooled_rows(out) == rows
+    assert manifest_config(out)["dedup"] is dedup

@@ -13,7 +13,7 @@ from peafowl import (
     make_folds,
     min_max_normalize,
 )
-from peafowl.data import binarize_labels, load_dataset_cache, save_dataset_cache
+from peafowl.data import binarize_labels
 
 from conftest import NSL_SCHEMA_YAML, write_nsl_fixture
 
@@ -29,7 +29,7 @@ class TestLoadCsv:
         path = tmp_path / "t.csv"
         path.write_text("1,tcp,2,3,normal\n4,udp,5,6,attack\n7,tcp,8,9,normal\n")
         table = load_csv(path, simple_schema(normal_labels=("normal",), attack_labels=("attack",)))
-        assert len(table) == 3
+        assert len(table.rows) == 3
         assert table.rows[1][1] == "udp"
 
     def test_ragged_row_names_line(self, tmp_path):
@@ -178,17 +178,6 @@ class TestBuildDataset:
         rows = [["1", "a", "2", "3", "normal"]] * 3 + [["4", "b", "5", "6", "smurf"]]
         ds = build_dataset(RawTable(rows=rows, column_count=5), schema, dedup=True)
         assert ds.n_rows == 2
-
-    def test_cache_round_trip(self, tmp_path):
-        schema = simple_schema()
-        rows = [["1", "a", "2", "3", "normal"], ["4", "b", "5", "6", "smurf"]]
-        ds = build_dataset(RawTable(rows=rows, column_count=5), schema)
-        save_dataset_cache(ds, tmp_path / "cache")
-        loaded = load_dataset_cache(tmp_path / "cache")
-        assert np.array_equal(loaded.features, ds.features)
-        assert np.array_equal(loaded.labels, ds.labels)
-        assert loaded.provenance == ds.provenance
-        assert loaded.feature_names == ds.feature_names
 
 
 class TestFolds:
