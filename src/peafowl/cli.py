@@ -5,11 +5,11 @@ selection), ``eval`` (train/test metrics for a feature set) and ``cv``
 (k-fold cross validation).  Each setting takes the first value found among
 explicit flags, the YAML config file given by ``--config``, and the defaults
 of ``PfmParams`` and ``WrapperFitnessSpec`` (or of the CLI, for settings the
-library does not hold).  ``dedup`` is set only in the config file; left
-unset, the schema's ``drop_duplicates`` decides.  Results are written to
-files only (logs go to stderr) and every output directory receives a
+library does not hold).  ``dedup`` is set only in the config file and,
+when set, replaces the schema's ``drop_duplicates``.  Results are written
+to files only (logs go to stderr) and every output directory receives a
 manifest echoing the effective configuration, so a run can be reproduced
-byte-for-byte from it.
+byte-for-byte from it; ``bench`` echoes only the settings it reads.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 runtime error.
 """
@@ -66,6 +66,7 @@ _LIBRARY = {
     "holdout_fraction": (WrapperFitnessSpec, "holdout_fraction", None),
 }
 _PFM_FLAGS = [key for key, (cls, _, _) in _LIBRARY.items() if cls is PfmParams]
+_BENCH_KEYS = ("functions", "runs", "out", *_PFM_FLAGS)
 
 _DEFAULTS = {
     key: getattr(cls(), field) if end is None else getattr(cls(), field)[end]
@@ -78,7 +79,7 @@ _DEFAULTS.update(  # the settings with no library counterpart
     folds=10,
     top_subsets=3,
     baseline=False,
-    dedup=None,  # unset: the schema decides
+    dedup=None,  # unset: the schema's drop_duplicates stands
 )
 _CONFIG_KEYS = set(_DEFAULTS) | {"train", "test", "schema", "out"}
 
@@ -209,8 +210,7 @@ def _file_sha256(path) -> str:
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
     manifest = {
         "command": command,
-        # dedup is still unset only where no table was read, so none was deduplicated
-        "config": {**config, "dedup": bool(config["dedup"])},
+        "config": config,
         "inputs": inputs,
         "package_version": __version__,
     }
@@ -292,16 +292,17 @@ def cmd_bench(config: dict) -> int:
     _write_csv(out / "convergence.csv", ["function", "run", "iteration", "best"], conv_rows)
     # Wall times vary between runs; kept apart so primary files stay reproducible.
     _write_csv(out / "timings.csv", ["function", "wall_ms"], [[r.function, r.wall_ms] for r in results])
-    _write_manifest(out, "bench", config, {})
+    _write_manifest(out, "bench", {key: config[key] for key in _BENCH_KEYS}, {})
     log.info("bench: wrote %s", out / "results.csv")
     return 0
 
 
 def _load_train(config: dict):
     schema = TableSchema.from_yaml(config["schema"])
-    if config["dedup"] is None:
-        config["dedup"] = schema.drop_duplicates
-    train = load_dataset(config["train"], schema, dedup=config["dedup"])
+    if config["dedup"] is not None:
+        schema = dataclasses.replace(schema, drop_duplicates=bool(config["dedup"]))
+    config["dedup"] = schema.drop_duplicates
+    train = load_dataset(config["train"], schema)
     inputs = {
         "schema": {"path": str(config["schema"]), "fingerprint": schema.fingerprint()},
         "train": {"path": str(config["train"]), "sha256": _file_sha256(config["train"])},
@@ -357,7 +358,7 @@ def cmd_eval(config: dict) -> int:
     _require(config, "train", "test", "schema")
     out = _out_dir(config)
     schema, train, inputs = _load_train(config)
-    test = load_dataset(config["test"], schema, fit_from=train, dedup=config["dedup"])
+    test = load_dataset(config["test"], schema, fit_from=train)
     inputs["test"] = {"path": str(config["test"]), "sha256": _file_sha256(config["test"])}
     k = _from_config(WrapperFitnessSpec, config).k_neighbors
 

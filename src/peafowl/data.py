@@ -1,10 +1,13 @@
 """CSV ingestion for labeled intrusion-detection-style tables.
 
-Categorical feature values are replaced by their occurrence counts in the
-training table, every column is min-max scaled into [0, 1], and labels are
-binarized to 0 = normal, 1 = anomaly/attack.  Encoding maps and scaling
-bounds are fit on training data only and reused verbatim at test time; a
-provenance hash ties train/test datasets to one transform.
+A raw table is held as columns of string cells.  The schema picks feature
+columns by reference and each is transformed in one pass: categorical
+values are replaced by their occurrence counts in the training table, other
+cells are parsed with ``float``.  Every feature is then min-max scaled into
+[0, 1], and labels are binarized to 0 = normal, 1 = anomaly/attack.
+Encoding maps and scaling bounds are fit on training data only and reused
+verbatim at test time; a provenance hash ties train/test datasets to one
+transform.  The schema alone decides whether repeated rows are dropped.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -147,8 +151,10 @@ class TableSchema:
 
 @dataclass
 class RawTable:
-    rows: list[list[str]]
-    column_count: int
+    """Stripped string cells by column, ``columns[c][row]``; tables built
+    from this one (feature columns) share these tuples, copying no cell."""
+
+    columns: list[tuple[str, ...]]
 
 
 @dataclass
@@ -203,13 +209,13 @@ class Dataset:
 
 
 def load_csv(path, schema: TableSchema) -> RawTable:
-    """Parse a headerless CSV into string cells, enforcing a uniform width."""
+    """Parse a headerless CSV into columns of string cells, enforcing a uniform width."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = []
+    columns = [[] for _ in range(schema.column_count)]
     for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
         if not row:
             continue
@@ -217,40 +223,45 @@ def load_csv(path, schema: TableSchema) -> RawTable:
             raise DataError(
                 f"{path}: row {lineno} has {len(row)} columns, expected {schema.column_count}"
             )
-        rows.append([cell.strip() for cell in row])
-    if not rows:
+        for column, cell in zip(columns, row):
+            column.append(cell.strip())
+    if not columns[0]:
         raise DataError(f"{path}: no data rows")
-    return RawTable(rows=rows, column_count=schema.column_count)
+    return RawTable(columns=[tuple(column) for column in columns])
 
 
 def frequency_encode(table: RawTable, categorical_columns, encoding: Optional[dict] = None):
     """Replace categories by occurrence counts; parse the rest as floats.
 
-    Fitting (``encoding=None``) counts occurrences in this table.  With a
-    supplied encoding (test time) unseen categories map to 0.
-    Returns ``(matrix, encoding)`` where encoding maps column index to a
-    {category: count} dict.
+    Fitting (``encoding=None``) counts occurrences in this table, as floats
+    in first-seen order.  With a supplied encoding (test time) unseen
+    categories map to 0.  Returns ``(matrix, encoding)`` where encoding maps
+    column index to a {category: count} dict.
     """
-    categorical = set(categorical_columns)
     if encoding is None:
-        encoding = {}
-        for c in categorical:
-            counts: dict[str, float] = {}
-            for row in table.rows:
-                counts[row[c]] = counts.get(row[c], 0.0) + 1.0
-            encoding[c] = counts
-    matrix = np.empty((len(table.rows), table.column_count), dtype=float)
-    for i, row in enumerate(table.rows):
-        for c, cell in enumerate(row):
-            if c in categorical:
-                matrix[i, c] = encoding[c].get(cell, 0.0)
-            else:
+        encoding = {
+            c: {cell: float(n) for cell, n in Counter(table.columns[c]).items()}
+            for c in categorical_columns
+        }
+    categorical = set(categorical_columns)
+    n_rows = len(table.columns[0])
+    matrix = np.empty((n_rows, len(table.columns)), dtype=float)
+    for c, column in enumerate(table.columns):
+        if c in categorical:
+            counts = encoding[c]
+            matrix[:, c] = [counts.get(cell, 0.0) for cell in column]
+            continue
+        try:
+            matrix[:, c] = np.fromiter(map(float, column), dtype=float, count=n_rows)
+        except ValueError:  # rare path: name the first cell float() rejects
+            for i, cell in enumerate(column):
                 try:
-                    matrix[i, c] = float(cell)
+                    float(cell)
                 except ValueError:
                     raise DataError(
-                        f"row {i + 1}, column {c + 1}: cannot parse {cell!r} as a number"
+                        f"row {i + 1}, feature {c + 1}: cannot parse {cell!r} as a number"
                     ) from None
+            raise
     return matrix, encoding
 
 
@@ -263,7 +274,7 @@ def min_max_normalize(matrix, bounds=None):
     matrix = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(matrix)):
         bad = np.argwhere(~np.isfinite(matrix))[0]
-        raise DataError(f"non-finite value at row {bad[0] + 1}, column {bad[1] + 1}")
+        raise DataError(f"non-finite value at row {bad[0] + 1}, feature {bad[1] + 1}")
     fitted = bounds is None
     if fitted:
         bounds = (matrix.min(axis=0), matrix.max(axis=0))
@@ -293,14 +304,9 @@ def binarize_labels(raw_labels, schema: TableSchema) -> np.ndarray:
 
 
 def _dedup(table: RawTable) -> RawTable:
-    seen = set()
-    rows = []
-    for row in table.rows:
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            rows.append(row)
-    return RawTable(rows=rows, column_count=table.column_count)
+    """The table without repeated rows, keeping each row's first occurrence."""
+    unique_rows = dict.fromkeys(zip(*table.columns))
+    return RawTable(columns=list(zip(*unique_rows)))
 
 
 def _provenance(schema: TableSchema, encoding: dict, bounds) -> str:
@@ -312,52 +318,39 @@ def _provenance(schema: TableSchema, encoding: dict, bounds) -> str:
     return digest.hexdigest()
 
 
-def build_dataset(
-    table: RawTable,
-    schema: TableSchema,
-    fit_from: Optional[Dataset] = None,
-    dedup: Optional[bool] = None,
-) -> Dataset:
+def build_dataset(table: RawTable, schema: TableSchema, fit_from: Optional[Dataset] = None) -> Dataset:
     """Full transform of a raw table into a Dataset.
 
     ``fit_from`` supplies a training dataset whose encoding maps and scaling
-    bounds are reused (test-time path); otherwise both are fit here.
+    bounds are reused (test-time path); otherwise both are fit here.  Rows
+    repeated in ``table`` are dropped first when the schema asks for it.
     """
-    if dedup is None:
-        dedup = schema.drop_duplicates
-    if dedup:
+    if fit_from is None:
+        encoding = bounds = None
+    elif fit_from.normalization_bounds is None:
+        raise DataError("fit_from dataset carries no normalization bounds")
+    else:
+        encoding, bounds = fit_from.encoding_map, fit_from.normalization_bounds
+    if schema.drop_duplicates:
         table = _dedup(table)
     feature_cols = schema.feature_columns
-    feature_rows = [[row[c] for c in feature_cols] for row in table.rows]
-    features_table = RawTable(rows=feature_rows, column_count=len(feature_cols))
-    col_to_feature = {c: i for i, c in enumerate(feature_cols)}
-    categorical = [col_to_feature[c] for c in schema.categorical_columns]
-
-    if fit_from is None:
-        numeric, encoding = frequency_encode(features_table, categorical)
-        scaled, bounds = min_max_normalize(numeric)
-    else:
-        if fit_from.normalization_bounds is None:
-            raise DataError("fit_from dataset carries no normalization bounds")
-        numeric, encoding = frequency_encode(features_table, categorical, fit_from.encoding_map)
-        scaled, bounds = min_max_normalize(numeric, fit_from.normalization_bounds)
-
-    labels = binarize_labels([row[schema.label_column] for row in table.rows], schema)
-    provenance = (
-        fit_from.provenance if fit_from is not None else _provenance(schema, encoding, bounds)
-    )
+    features = RawTable(columns=[table.columns[c] for c in feature_cols])
+    categorical = [i for i, c in enumerate(feature_cols) if c in schema.categorical_columns]
+    numeric, encoding = frequency_encode(features, categorical, encoding)
+    scaled, bounds = min_max_normalize(numeric, bounds)
+    labels = binarize_labels(table.columns[schema.label_column], schema)
     return Dataset(
         features=scaled,
         labels=labels,
         feature_names=schema.resolved_feature_names(),
         encoding_map=encoding,
         normalization_bounds=bounds,
-        provenance=provenance,
+        provenance=_provenance(schema, encoding, bounds) if fit_from is None else fit_from.provenance,
     )
 
 
-def load_dataset(path, schema: TableSchema, fit_from: Optional[Dataset] = None, dedup=None) -> Dataset:
-    return build_dataset(load_csv(path, schema), schema, fit_from=fit_from, dedup=dedup)
+def load_dataset(path, schema: TableSchema, fit_from: Optional[Dataset] = None) -> Dataset:
+    return build_dataset(load_csv(path, schema), schema, fit_from=fit_from)
 
 
 def make_folds(n_rows: int, k: int, seed: int) -> FoldPlan:

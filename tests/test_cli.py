@@ -156,7 +156,7 @@ def test_k_beyond_training_rows_exits_4(files):
 
 
 def test_defaults_then_config_file_then_flags(files):
-    config = write_config(files, "seed: 4\npopulation: 6\niterations: 3\nruns: 1\n")
+    config = write_config(files, "seed: 4\npopulation: 6\niterations: 3\nruns: 1\nfolds: 3\n")
     out = files["tmp"] / "bench"
     assert run("bench", "--config", config, "--functions", "F1", "--seed", "9", out=out) == 0
     effective = manifest_config(out)
@@ -165,6 +165,16 @@ def test_defaults_then_config_file_then_flags(files):
     defaults = PfmParams()
     assert effective["alpha"] == defaults.dominance_factor
     assert [effective["r_min"], effective["r_max"]] == list(defaults.r_range)
+    assert set(effective) == {  # only the settings bench reads
+        "functions", "runs", "out", "seed", "population", "iterations", "seasons",
+        "alpha", "gamma1", "gamma2", "i0", "c0", "r_min", "r_max",
+    }
+
+    out = files["tmp"] / "cv"
+    argv = ["cv", "--train", files["train"], "--schema", files["schema"], "--features", "1"]
+    assert run(*argv, "--config", config, "--seed", "9", out=out) == 0
+    effective = manifest_config(out)
+    assert (effective["seed"], effective["folds"]) == (9, 3)
     assert effective["k_neighbors"] == WrapperFitnessSpec().k_neighbors
     assert effective["dedup"] is False
 

@@ -29,8 +29,8 @@ class TestLoadCsv:
         path = tmp_path / "t.csv"
         path.write_text("1,tcp,2,3,normal\n4,udp,5,6,attack\n7,tcp,8,9,normal\n")
         table = load_csv(path, simple_schema(normal_labels=("normal",), attack_labels=("attack",)))
-        assert len(table.rows) == 3
-        assert table.rows[1][1] == "udp"
+        assert len(table.columns) == 5 and len(table.columns[0]) == 3
+        assert table.columns[1][1] == "udp"
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -45,35 +45,40 @@ class TestLoadCsv:
 
 class TestFrequencyEncode:
     def test_counts_occurrences(self):
-        table = RawTable(rows=[["tcp"], ["udp"], ["tcp"]], column_count=1)
+        table = RawTable(columns=[("tcp", "udp", "tcp")])
         matrix, encoding = frequency_encode(table, [0])
         assert matrix[:, 0].tolist() == [2.0, 1.0, 2.0]
         assert encoding[0] == {"tcp": 2.0, "udp": 1.0}
 
     def test_single_category(self):
-        table = RawTable(rows=[["icmp"]], column_count=1)
+        table = RawTable(columns=[("icmp",)])
         matrix, encoding = frequency_encode(table, [0])
         assert matrix[0, 0] == 1.0
         assert encoding[0] == {"icmp": 1.0}
 
     def test_unseen_category_maps_to_zero(self):
-        fit_table = RawTable(rows=[["tcp"], ["udp"]], column_count=1)
+        fit_table = RawTable(columns=[("tcp", "udp")])
         _, encoding = frequency_encode(fit_table, [0])
-        test_table = RawTable(rows=[["sctp"]], column_count=1)
+        test_table = RawTable(columns=[("sctp",)])
         matrix, _ = frequency_encode(test_table, [0], encoding)
         assert matrix[0, 0] == 0.0
 
     def test_round_trips_on_training_table(self):
-        rows = [["a", "1"], ["b", "2"], ["a", "3"], ["c", "4"], ["b", "5"]]
-        table = RawTable(rows=rows, column_count=2)
+        table = RawTable(columns=[("a", "b", "a", "c", "b"), ("1", "2", "3", "4", "5")])
         matrix, encoding = frequency_encode(table, [0])
         again, _ = frequency_encode(table, [0], encoding)
         assert np.array_equal(matrix, again)
 
     def test_bad_numeric_cell(self):
-        table = RawTable(rows=[["1", "x"]], column_count=2)
-        with pytest.raises(DataError, match="row 1, column 2"):
+        table = RawTable(columns=[("1",), ("x",)])
+        with pytest.raises(DataError, match="row 1, feature 2"):
             frequency_encode(table, [0])
+
+    def test_bad_cell_named_by_feature_not_csv_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("normal,1,2\nattack,3,x\n")
+        with pytest.raises(DataError, match=r"row 2, feature 2: cannot parse 'x'"):
+            load_dataset(path, TableSchema(column_count=3, label_column=0))
 
 
 class TestMinMaxNormalize:
@@ -99,7 +104,7 @@ class TestMinMaxNormalize:
         assert np.allclose(scaled, again, atol=1e-12)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match="row 2, feature 1"):
             min_max_normalize(np.array([[1.0], [np.inf]]))
 
 
@@ -174,10 +179,51 @@ class TestBuildDataset:
         assert test.features[0, 3] == 0.0
 
     def test_dedup_pass(self):
-        schema = simple_schema()
+        schema = simple_schema(drop_duplicates=True)
         rows = [["1", "a", "2", "3", "normal"]] * 3 + [["4", "b", "5", "6", "smurf"]]
-        ds = build_dataset(RawTable(rows=rows, column_count=5), schema, dedup=True)
+        ds = build_dataset(RawTable(columns=list(zip(*rows))), schema)
         assert ds.n_rows == 2
+
+    def test_column_layout_fit_and_apply(self, tmp_path):
+        # label first, an ignored column in the middle, two categorical columns;
+        # features are then columns 1, 3 and 4 (feature indices 0, 1, 2)
+        schema = TableSchema(
+            column_count=5,
+            label_column=0,
+            categorical_columns=(3, 1),
+            ignored_columns=(2,),
+            drop_duplicates=True,
+        )
+        train_path = tmp_path / "train.csv"
+        train_path.write_text(
+            "normal,tcp,9,http,1\n"
+            "attack,udp,8,ftp,3\n"
+            "\n"
+            "normal,tcp,9,http,1\n"  # repeats row 1: dropped
+            "attack,tcp,7,http,5\n"
+            "normal,tcp,6,http,1\n"  # differs from row 1 only in the ignored column: kept
+        )
+        train = load_dataset(train_path, schema)
+        assert train.encoding_map == {0: {"tcp": 3.0, "udp": 1.0}, 1: {"http": 3.0, "ftp": 1.0}}
+        assert train.labels.tolist() == [0, 1, 1, 0]
+        # encoded: [3, 3, 1], [1, 1, 3], [3, 3, 5], [3, 3, 1]; mins [1, 1, 1], maxs [3, 3, 5]
+        assert train.features.tolist() == [
+            [1.0, 1.0, 0.0],
+            [0.0, 0.0, 0.5],
+            [1.0, 1.0, 1.0],
+            [1.0, 1.0, 0.0],
+        ]
+        mins, maxs = train.normalization_bounds
+        assert mins.tolist() == [1.0, 1.0, 1.0] and maxs.tolist() == [3.0, 3.0, 5.0]
+
+        test_path = tmp_path / "test.csv"
+        test_path.write_text("attack,sctp,0,ftp,9\nnormal,udp,0,http,2\nnormal,udp,0,http,2\n")
+        test = load_dataset(test_path, schema, fit_from=train)
+        # sctp is unseen (count 0, clipped to 0); 9 is beyond the training max of 5
+        assert test.features.tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.25]]
+        assert test.labels.tolist() == [1, 0]
+        assert test.encoding_map is train.encoding_map
+        assert test.provenance == train.provenance
 
 
 class TestFolds:
