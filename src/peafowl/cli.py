@@ -8,8 +8,8 @@ of ``PfmParams`` and ``WrapperFitnessSpec`` (or of the CLI, for settings the
 library does not hold).  ``dedup`` is set only in the config file and,
 when set, replaces the schema's ``drop_duplicates``.  Results are written
 to files only (logs go to stderr) and every output directory receives a
-manifest echoing the effective configuration, so a run can be reproduced
-byte-for-byte from it; ``bench`` echoes only the settings it reads.
+manifest echoing the effective value of each setting the command reads, so
+a run can be reproduced byte-for-byte from it.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 runtime error.
 """
@@ -66,7 +66,15 @@ _LIBRARY = {
     "holdout_fraction": (WrapperFitnessSpec, "holdout_fraction", None),
 }
 _PFM_FLAGS = [key for key, (cls, _, _) in _LIBRARY.items() if cls is PfmParams]
-_BENCH_KEYS = ("functions", "runs", "out", *_PFM_FLAGS)
+_SPEC_KEYS = [key for key, (cls, _, _) in _LIBRARY.items() if cls is WrapperFitnessSpec]
+_DATA_KEYS = ("train", "schema", "dedup", "out")
+# The settings each command reads: the only ones its manifest echoes.
+_COMMAND_KEYS = {
+    "bench": ("functions", "runs", "out", *_PFM_FLAGS),
+    "select": (*_DATA_KEYS, *_PFM_FLAGS, *_SPEC_KEYS, "top_subsets"),
+    "eval": (*_DATA_KEYS, "test", *_SPEC_KEYS, "features", "baseline"),
+    "cv": (*_DATA_KEYS, *_SPEC_KEYS, "features", "folds", "seed"),
+}
 
 _DEFAULTS = {
     key: getattr(cls(), field) if end is None else getattr(cls(), field)[end]
@@ -210,7 +218,7 @@ def _file_sha256(path) -> str:
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
     manifest = {
         "command": command,
-        "config": config,
+        "config": {key: config[key] for key in _COMMAND_KEYS[command]},
         "inputs": inputs,
         "package_version": __version__,
     }
@@ -292,7 +300,7 @@ def cmd_bench(config: dict) -> int:
     _write_csv(out / "convergence.csv", ["function", "run", "iteration", "best"], conv_rows)
     # Wall times vary between runs; kept apart so primary files stay reproducible.
     _write_csv(out / "timings.csv", ["function", "wall_ms"], [[r.function, r.wall_ms] for r in results])
-    _write_manifest(out, "bench", {key: config[key] for key in _BENCH_KEYS}, {})
+    _write_manifest(out, "bench", config, {})
     log.info("bench: wrote %s", out / "results.csv")
     return 0
 

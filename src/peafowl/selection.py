@@ -6,10 +6,14 @@ masked columns.  KNN is deterministic: distance ties prefer the lower
 training-row index and even-vote ties predict the attack class.
 
 Neighbors are ranked by the exact sum of squared differences,
-``((q - t) ** 2).sum()``, over the masked columns.  The BLAS Gram form
-``|q|^2 - 2 q.t + |t|^2`` only shortlists: every row within a proven rounding
-bound of the k-th smallest Gram value is re-ranked by the exact sum, so
-rounding in the Gram form never decides a neighbor.
+``((q - t) ** 2).sum()``, over the masked columns.  One BLAS product of
+``[-2q, 1]`` with ``[t, |t|^2]`` gives the key ``|t|^2 - 2 q.t``, which is
+``|q - t|^2`` less a constant per query, and it only shortlists.  An upper
+bound on each query's k-th smallest key comes from the minima of column
+groups, and every row within a rounding slack, derived for this key, of that
+bound is re-ranked by the exact sum, so rounding in the key never decides a
+neighbor.  :func:`select_features` splits the table into fit and holdout rows
+once per run and scores every mask on that split.
 """
 
 from __future__ import annotations
@@ -99,7 +103,8 @@ class WrapperFitnessSpec:
         return self
 
 
-_BLOCK_CELLS = 1_000_000  # query x training-row cells per block of Gram distances (8 MB)
+_BLOCK_CELLS = 1_000_000  # query x training-row cells per block of Gram keys (8 MB)
+_SLABS = 16  # column slabs whose elementwise minimum bounds each row's k-th smallest key
 
 
 def _knn_predict(train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: int) -> np.ndarray:
@@ -109,31 +114,45 @@ def _knn_predict(train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, 
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
     train_sq = np.einsum("ij,ij->i", train_x, train_x)
+    aug = np.empty((n_train, width + 1))  # [t, |t|^2]
+    aug[:, :width] = train_x
+    aug[:, width] = train_sq
+    slabs = max(1, min(_SLABS, n_train // k))
+    span = slabs * (n_train // slabs)  # columns in whole slabs; the rest stand alone
     preds = np.empty(query_x.shape[0], dtype=int)
     block = max(1, _BLOCK_CELLS // n_train)
     for start in range(0, query_x.shape[0], block):
         q = query_x[start : start + block]
-        q_sq = np.einsum("ij,ij->i", q, q)
-        gram = q @ train_x.T  # becomes |q|^2 - 2q.t + |t|^2 in place
-        gram *= -2.0
-        gram += q_sq[:, None]
-        gram += train_sq
-        kth = np.partition(gram, k - 1, axis=1)[:, k - 1].copy()  # lets the partitioned copy go
+        qa = np.empty((q.shape[0], width + 1))  # [-2q, 1]
+        np.multiply(q, -2.0, out=qa[:, :width])
+        qa[:, width] = 1.0
+        key = qa @ aug.T  # |t|^2 - 2q.t, which is |q - t|^2 less the row-constant |q|^2
+        # Upper bound on each row's k-th smallest key: split the row into
+        # `slabs` equal slabs and take their elementwise minimum, each
+        # remainder column a group of its own.  The groups are disjoint and
+        # there are at least k of them, so the k smallest group minima are k
+        # distinct cells of the row, all at most the k-th of them.
+        groups = key[:, :span].reshape(q.shape[0], slabs, -1).min(axis=1)
+        if span < n_train:
+            groups = np.concatenate([groups, key[:, span:]], axis=1)
+        bound = np.partition(groups, k - 1, axis=1)[:, k - 1].copy()  # lets the partitioned copy go
         # Shortlist slack.  Let u = eps/2, w = width, S = |q|^2 + max|t|^2 and
         # D = |q - t|^2 <= 2S the true distance.  In any summation order:
         # - exact (one rounding per subtraction, square and addition) is
         #   within (w + 2)u.D <= (w + 2)eps.S of D;
-        # - gram has norms and dot product within w.u of their sums of
-        #   absolute terms, w.eps.S together, plus two additions rounded at
-        #   magnitudes below 2S: within (w + 2)eps.S of D as well.
-        # So |gram - exact| <= E = 2(w + 2)eps.S for every row, the k-th
-        # smallest of each differ by at most E, and any row whose exact
-        # distance is at most the exact k-th one has gram <= kth + 2E.  Using
-        # w + 3 for w + 2 leaves a 4eps.S margin for second-order terms and
-        # for rounding S and kth + slack: c = 4.
-        slack = 4.0 * (width + 3) * np.finfo(float).eps * (q_sq + train_sq.max())
+        # - |t|^2 is within w.u.S of its sum, and key, a (w + 1)-term dot
+        #   product whose absolute terms sum to sum|2q_i.t_i| + |t|^2 <=
+        #   |q|^2 + 2|t|^2 <= 2S, is within (w + 1)eps.S more: key + |q|^2 is
+        #   within (1.5w + 1)eps.S of D.
+        # So |key + |q|^2 - exact| <= E = (2.5w + 3)eps.S for every row, the
+        # k-th smallest of each differ by at most E, bound is at least the
+        # k-th smallest key, and any row whose exact distance is at most the
+        # exact k-th one has key <= bound + 2E.  Using 5(w + 2) for 5w + 6
+        # leaves a 4eps.S margin for second-order terms and for rounding S and
+        # bound + slack (both below 2S in magnitude): c = 5.
+        slack = 5.0 * (width + 2) * np.finfo(float).eps * (np.einsum("ij,ij->i", q, q) + train_sq.max())
         # "not greater" also keeps rows whose terms overflowed to inf or NaN
-        rows, cols = np.nonzero(~(gram > (kth + slack)[:, None]))
+        rows, cols = np.divmod(np.flatnonzero(~(key > (bound + slack)[:, None])), n_train)
         # Exact distances in slices of at most _BLOCK_CELLS differences, so a
         # shortlist swollen by ties (identical rows) keeps memory bounded.
         pieces = 1 + rows.size * width // _BLOCK_CELLS
@@ -186,29 +205,40 @@ def knn_classify(
     return _knn_predict(train_x, train.labels, query_x, k)
 
 
-def _holdout_split(labels: np.ndarray, fraction: float, seed: int):
-    rng = np.random.default_rng(seed)
+@dataclass(frozen=True)
+class _Holdout:
+    """A training table split into the rows KNN fits on and the held-out rows it scores."""
+
+    fit: Dataset
+    held: Dataset
+
+
+def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
+    rng = np.random.default_rng(0 if spec.split_seed is None else spec.split_seed)
     held = []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
+    for cls in np.unique(train.labels):
+        idx = np.flatnonzero(train.labels == cls)
         perm = rng.permutation(idx)
-        held.append(perm[: max(1, int(round(fraction * idx.size)))])
+        held.append(perm[: max(1, int(round(spec.holdout_fraction * idx.size)))])
     held = np.sort(np.concatenate(held))
-    keep = np.ones(labels.size, dtype=bool)
+    keep = np.ones(train.n_rows, dtype=bool)
     keep[held] = False
     fit = np.flatnonzero(keep)
     if fit.size == 0 or held.size == 0:
         raise ValueError("degenerate holdout split: one side is empty")
-    return fit, held
+    return _Holdout(train.take(fit), train.take(held))
 
 
-def subset_fitness(mask: FeatureSubset, train: Dataset, spec: WrapperFitnessSpec) -> float:
-    """Holdout accuracy in [0, 1] of KNN restricted to the masked columns."""
+def subset_fitness(mask: FeatureSubset, train: Dataset | _Holdout, spec: WrapperFitnessSpec) -> float:
+    """Holdout accuracy in [0, 1] of KNN restricted to the masked columns.
+
+    ``train`` is a :class:`Dataset`, split by ``spec``, or the split that
+    :func:`select_features` makes once per run.
+    """
     spec.validate()
-    seed = 0 if spec.split_seed is None else spec.split_seed
-    fit_idx, held_idx = _holdout_split(train.labels, spec.holdout_fraction, seed)
-    preds = knn_classify(train.take(fit_idx), train.features[held_idx], spec.k_neighbors, mask)
-    return float(np.mean(preds == train.labels[held_idx]))
+    split = train if isinstance(train, _Holdout) else _holdout_split(train, spec)
+    preds = knn_classify(split.fit, split.held.features, spec.k_neighbors, mask)
+    return float(np.mean(preds == split.held.labels))
 
 
 def _repair_empty_mask(position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -230,9 +260,10 @@ def select_features(
     if np.unique(train.labels).size < 2:
         raise DataError("training data contains a single class")
     resolved = spec if spec.split_seed is not None else replace(spec, split_seed=params.seed)
+    split = _holdout_split(train, resolved)  # every evaluation scores the same split
 
     def objective(position):
-        return subset_fitness(FeatureSubset(position), train, resolved)
+        return subset_fitness(FeatureSubset(position), split, resolved)
 
     problem = Problem(
         dimension=train.n_features,

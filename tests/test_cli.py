@@ -177,6 +177,23 @@ def test_defaults_then_config_file_then_flags(files):
     assert (effective["seed"], effective["folds"]) == (9, 3)
     assert effective["k_neighbors"] == WrapperFitnessSpec().k_neighbors
     assert effective["dedup"] is False
+    data = {"train", "schema", "dedup", "out", "k_neighbors", "holdout_fraction"}
+    assert set(effective) == data | {"features", "folds", "seed"}
+
+    out = files["tmp"] / "select"
+    argv = ["select", "--train", files["train"], "--schema", files["schema"]]
+    assert run(*argv, "--config", config, "--iterations", "2", out=out) == 0
+    effective = manifest_config(out)
+    assert (effective["seed"], effective["population"], effective["iterations"]) == (4, 6, 2)
+    assert set(effective) == data | {
+        "seed", "population", "iterations", "seasons", "alpha", "gamma1", "gamma2",
+        "i0", "c0", "r_min", "r_max", "top_subsets",
+    }
+
+    out = files["tmp"] / "eval"
+    argv = ["eval", "--train", files["train"], "--test", files["test"], "--schema", files["schema"]]
+    assert run(*argv, "--config", config, out=out) == 0
+    assert set(manifest_config(out)) == data | {"test", "features", "baseline"}
 
 
 def test_bare_bench_params_are_library_defaults():

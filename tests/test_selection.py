@@ -171,33 +171,65 @@ class TestKnnExactness:
         assert np.any(wrong)
 
 
+@pytest.fixture
+def knn_data():
+    rng = np.random.default_rng(4)
+    features = np.vstack([rng.integers(0, 4, (90, 5)) / 3, 1e6 + rng.random((30, 5))])
+    ds = Dataset.from_arrays(features, rng.integers(0, 2, 120))
+    return ds.take(np.arange(0, 120, 2)), ds.take(np.arange(1, 120, 2)), ds
+
+
+def _knn_answers(data):
+    train, test, whole = data
+    mask = FeatureSubset.from_indices([1, 3, 4], 5)
+    return (
+        knn_classify(train, test.features, 3).tolist(),
+        knn_classify(train, test.features, 4, mask).tolist(),
+        evaluate_subset(mask, train, test, k=5),
+        cross_validate(None, whole, make_folds(whole.n_rows, 4, seed=2), k=3),
+    )
+
+
 class TestKnnBlocks:
     """The per-block cell budget changes how queries are grouped, never the answer."""
 
-    @pytest.fixture
-    def data(self):
-        rng = np.random.default_rng(4)
-        features = np.vstack([rng.integers(0, 4, (90, 5)) / 3, 1e6 + rng.random((30, 5))])
-        ds = Dataset.from_arrays(features, rng.integers(0, 2, 120))
-        return ds.take(np.arange(0, 120, 2)), ds.take(np.arange(1, 120, 2)), ds
-
-    def _answers(self, data):
-        train, test, whole = data
-        mask = FeatureSubset.from_indices([1, 3, 4], 5)
-        return (
-            knn_classify(train, test.features, 3).tolist(),
-            knn_classify(train, test.features, 4, mask).tolist(),
-            evaluate_subset(mask, train, test, k=5),
-            cross_validate(None, whole, make_folds(whole.n_rows, 4, seed=2), k=3),
-        )
-
-    def test_block_size_does_not_change_answers(self, data, monkeypatch):
-        default = self._answers(data)
+    def test_block_size_does_not_change_answers(self, knn_data, monkeypatch):
+        default = _knn_answers(knn_data)
         monkeypatch.setattr(selection, "_BLOCK_CELLS", 1)  # one query per block
-        one_query = self._answers(data)
+        one_query = _knn_answers(knn_data)
         monkeypatch.setattr(selection, "_BLOCK_CELLS", 10**12)  # all queries in one block
-        one_block = self._answers(data)
+        one_block = _knn_answers(knn_data)
         assert one_query == default and one_block == default
+
+
+class TestKnnSlabs:
+    """The slab count changes how loose the shortlist bound is, never the answer."""
+
+    def test_slab_count_does_not_change_answers(self, knn_data, monkeypatch):
+        default = _knn_answers(knn_data)
+        monkeypatch.setattr(selection, "_SLABS", 1)  # the row's own k-th smallest key
+        one_slab = _knn_answers(knn_data)
+        monkeypatch.setattr(selection, "_SLABS", 10**6)  # as many slabs as n_train // k allows
+        most_slabs = _knn_answers(knn_data)
+        assert one_slab == default and most_slabs == default
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shape", ["k-groups", "remainder", "overflow"])
+    def test_matches_exact_reference(self, shape, k):
+        rng = np.random.default_rng(k)
+        # k-groups: _SLABS slabs of k columns, so exactly k groups and the
+        # bound is their largest minimum; otherwise 7 columns are left over
+        n = selection._SLABS * k + (0 if shape == "k-groups" else 7)
+        if shape == "overflow":  # squares and differences overflow to inf
+            points = rng.choice([-1.0, 1.0], (n + 30, 3)) * 10.0 ** rng.uniform(154, 300, (n + 30, 3))
+            points[n + 20 :] = points[rng.integers(0, n, 10)]  # queries with a copy in train
+        else:
+            points = rng.integers(0, 4, (n + 30, 3)) / 3  # a coarse grid: many ties
+        train_x, train_y, queries = points[:n], rng.integers(0, 2, n), points[n:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = knn_exact_reference(train_x, train_y, queries, k)
+            got = knn_classify(Dataset.from_arrays(train_x, train_y), queries, k)
+        assert np.array_equal(got, expected)
 
 
 class TestSubsetFitness:
