@@ -1,21 +1,26 @@
 """CSV ingestion for labeled intrusion-detection-style tables.
 
-A raw table is held as columns of string cells.  The schema picks feature
-columns by reference and each is transformed in one pass: categorical
-values are replaced by their occurrence counts in the training table, other
-cells are parsed with ``float``.  Every feature is then min-max scaled into
-[0, 1], and labels are binarized to 0 = normal, 1 = anomaly/attack.
-Encoding maps and scaling bounds are fit on training data only and reused
-verbatim at test time; a provenance hash ties train/test datasets to one
-transform.  The schema alone decides whether repeated rows are dropped.
+Each file is parsed once by NumPy's C reader.  A raw table is held by
+column: a numeric feature column as the float64 array that reader parsed, a
+categorical, label or ignored column as a tuple of its stripped cells, and
+each row keeps its 1-based line in the file so that every error names it.
+The schema picks feature columns by reference and each is transformed in one
+pass: categorical values are replaced by their occurrence counts in the
+training table, numeric values pass through.  Every feature is then min-max
+scaled into [0, 1], and labels are binarized to 0 = normal, 1 =
+anomaly/attack.  Encoding maps and scaling bounds are fit on training data
+only and reused verbatim at test time; a provenance hash ties train/test
+datasets to one transform.  The schema alone decides whether repeated rows,
+equal in every parsed value and stripped cell, are dropped.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -151,10 +156,17 @@ class TableSchema:
 
 @dataclass
 class RawTable:
-    """Stripped string cells by column, ``columns[c][row]``; tables built
-    from this one (feature columns) share these tuples, copying no cell."""
+    """Cells by column, ``columns[c][row]``.
 
-    columns: list[tuple[str, ...]]
+    A numeric feature column is a float64 array; a categorical, label or
+    ignored column is a tuple of stripped cells.  ``lines[row]`` is the
+    row's 1-based line in its file; ``None`` numbers the rows from 1.
+    Tables built from this one (feature columns) share its columns, copying
+    no cell.
+    """
+
+    columns: list
+    lines: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -209,29 +221,101 @@ class Dataset:
 
 
 def load_csv(path, schema: TableSchema) -> RawTable:
-    """Parse a headerless CSV into columns of string cells, enforcing a uniform width."""
+    """Parse a headerless CSV in one pass of NumPy's C reader.
+
+    Numeric feature cells are parsed to float64 in C, with no Python string
+    per cell; categorical, label and ignored cells are stripped.  Blank lines
+    are skipped and every other row must be ``schema.column_count`` wide.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    columns = [[] for _ in range(schema.column_count)]
-    for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if not row:
-            continue
-        if len(row) != schema.column_count:
-            raise DataError(
-                f"{path}: row {lineno} has {len(row)} columns, expected {schema.column_count}"
-            )
-        for column, cell in zip(columns, row):
-            column.append(cell.strip())
-    if not columns[0]:
+    text_lines = text.splitlines()
+    lines = np.flatnonzero(np.fromiter(map(bool, text_lines), dtype=bool, count=len(text_lines))) + 1
+    if lines.size == 0:
         raise DataError(f"{path}: no data rows")
-    return RawTable(columns=[tuple(column) for column in columns])
+    # Label, categorical and ignored cells become first-seen codes through a C-level
+    # dict lookup; each distinct cell is stripped once, after the read.
+    string_columns = (schema.label_column, *schema.categorical_columns, *schema.ignored_columns)
+    vocabularies = {c: defaultdict(itertools.count().__next__) for c in string_columns}
+    try:
+        matrix = np.loadtxt(
+            text_lines,
+            dtype=float,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=2,
+            converters={c: vocab.__getitem__ for c, vocab in vocabularies.items()},
+        )
+    except ValueError as exc:
+        raise _rejected_cell(path, text_lines, schema) or DataError(f"{path}: {exc}") from exc
+    if matrix.shape[1] != schema.column_count:
+        raise _width_error(path, lines[0], matrix.shape[1], schema)
+    if matrix.shape[0] != lines.size:  # a quoted cell spans lines
+        lines = np.array([line for line, _ in _records(text_lines)])
+    columns = list(matrix.T)
+    for c, vocab in vocabularies.items():
+        stripped = {}  # equal stripped cells share one string object
+        cells = [stripped.setdefault(cell, cell) for cell in map(str.strip, vocab)]
+        columns[c] = tuple(map(cells.__getitem__, matrix[:, c].astype(np.intp).tolist()))
+    return RawTable(columns=columns, lines=lines)
+
+
+def _records(text_lines):
+    """``(first line, cells)`` of each non-empty CSV record, read by ``csv``."""
+    reader = csv.reader(text_lines)
+    line = 1
+    for row in reader:
+        if row:
+            yield line, row
+        line = reader.line_num + 1
+
+
+def _width_error(path, line, width, schema: TableSchema) -> DataError:
+    return DataError(f"{path}: row {line} has {width} columns, expected {schema.column_count}")
+
+
+def _parses_as_number(cell: str) -> bool:
+    """Whether NumPy's reader takes a stripped cell as a float64.
+
+    It accepts what ``float`` accepts, less digit-group underscores and
+    non-ASCII digits.
+    """
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _rejected_cell(path, text_lines, schema: TableSchema) -> Optional[DataError]:
+    """The error for the first row, in file order, that the reader rejected.
+
+    Only called once the reader has failed; ``None`` if this rescan finds no
+    fault.
+    """
+    numeric = [
+        (c, feature)
+        for feature, c in enumerate(schema.feature_columns, start=1)
+        if c not in schema.categorical_columns
+    ]
+    for line, row in _records(text_lines):
+        if len(row) != schema.column_count:
+            return _width_error(path, line, len(row), schema)
+        for c, feature in numeric:
+            cell = row[c].strip()
+            if not _parses_as_number(cell):
+                return DataError(f"{path}: row {line}, feature {feature}: cannot parse {cell!r} as a number")
+    return None
 
 
 def frequency_encode(table: RawTable, categorical_columns, encoding: Optional[dict] = None):
-    """Replace categories by occurrence counts; parse the rest as floats.
+    """Replace categories by occurrence counts; numeric columns pass through.
 
     Fitting (``encoding=None``) counts occurrences in this table, as floats
     in first-seen order.  With a supplied encoding (test time) unseen
@@ -244,37 +328,28 @@ def frequency_encode(table: RawTable, categorical_columns, encoding: Optional[di
             for c in categorical_columns
         }
     categorical = set(categorical_columns)
-    n_rows = len(table.columns[0])
-    matrix = np.empty((n_rows, len(table.columns)), dtype=float)
+    matrix = np.empty((len(table.columns[0]), len(table.columns)), dtype=float)
     for c, column in enumerate(table.columns):
         if c in categorical:
             counts = encoding[c]
             matrix[:, c] = [counts.get(cell, 0.0) for cell in column]
-            continue
-        try:
-            matrix[:, c] = np.fromiter(map(float, column), dtype=float, count=n_rows)
-        except ValueError:  # rare path: name the first cell float() rejects
-            for i, cell in enumerate(column):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"row {i + 1}, feature {c + 1}: cannot parse {cell!r} as a number"
-                    ) from None
-            raise
+        else:
+            matrix[:, c] = column
     return matrix, encoding
 
 
-def min_max_normalize(matrix, bounds=None):
+def min_max_normalize(matrix, bounds=None, lines=None):
     """Scale each column into [0, 1]; constant columns map to 0.
 
     With precomputed ``bounds`` (training-time minima/maxima) values are
-    transformed and then clipped into [0, 1].  Returns ``(scaled, bounds)``.
+    transformed and then clipped into [0, 1].  ``lines`` gives each row's
+    file line for errors (default: rows numbered from 1).  Returns
+    ``(scaled, bounds)``.
     """
     matrix = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(matrix)):
-        bad = np.argwhere(~np.isfinite(matrix))[0]
-        raise DataError(f"non-finite value at row {bad[0] + 1}, feature {bad[1] + 1}")
+        row, feature = np.argwhere(~np.isfinite(matrix))[0]
+        raise DataError(f"non-finite value at row {_line(lines, row)}, feature {feature + 1}")
     fitted = bounds is None
     if fitted:
         bounds = (matrix.min(axis=0), matrix.max(axis=0))
@@ -288,8 +363,12 @@ def min_max_normalize(matrix, bounds=None):
     return scaled, (np.asarray(mins, dtype=float), np.asarray(maxs, dtype=float))
 
 
-def binarize_labels(raw_labels, schema: TableSchema) -> np.ndarray:
-    """0 for normal labels, 1 for attacks, per the schema's label rule."""
+def binarize_labels(raw_labels, schema: TableSchema, lines=None) -> np.ndarray:
+    """0 for normal labels, 1 for attacks, per the schema's label rule.
+
+    ``lines`` gives each label's file line for errors, as in
+    :func:`min_max_normalize`.
+    """
     normal = set(schema.normal_labels)
     attack = None if schema.attack_labels is None else set(schema.attack_labels)
     out = np.empty(len(raw_labels), dtype=int)
@@ -299,14 +378,31 @@ def binarize_labels(raw_labels, schema: TableSchema) -> np.ndarray:
         elif attack is None or label in attack:
             out[i] = 1
         else:
-            raise DataError(f"row {i + 1}: label {label!r} matches neither label set")
+            raise DataError(f"row {_line(lines, i)}: label {label!r} matches neither label set")
     return out
 
 
+def _line(lines, row) -> int:
+    return row + 1 if lines is None else lines[row]
+
+
 def _dedup(table: RawTable) -> RawTable:
-    """The table without repeated rows, keeping each row's first occurrence."""
-    unique_rows = dict.fromkeys(zip(*table.columns))
-    return RawTable(columns=list(zip(*unique_rows)))
+    """The table without repeated rows, keeping each row's first occurrence.
+
+    Rows repeat when every parsed number and stripped cell is equal, so
+    ``1``, ``1.0`` and ``1e0`` are one value, as are ``-0`` and ``0``.
+    """
+    numeric = [c for c in table.columns if isinstance(c, np.ndarray)]
+    strings = [c for c in table.columns if not isinstance(c, np.ndarray)]
+    values = np.zeros((len(table.columns[0]), len(numeric)))
+    for j, column in enumerate(numeric):
+        values[:, j] = column
+    values += 0.0  # -0.0 becomes 0.0, so equal rows have equal bytes
+    first = {}
+    keep = [i for i, row in enumerate(zip(map(bytes, values), *strings)) if first.setdefault(row, i) == i]
+    rows = np.array(keep)
+    columns = [c[rows] if isinstance(c, np.ndarray) else tuple(map(c.__getitem__, keep)) for c in table.columns]
+    return RawTable(columns=columns, lines=None if table.lines is None else table.lines[rows])
 
 
 def _provenance(schema: TableSchema, encoding: dict, bounds) -> str:
@@ -337,8 +433,8 @@ def build_dataset(table: RawTable, schema: TableSchema, fit_from: Optional[Datas
     features = RawTable(columns=[table.columns[c] for c in feature_cols])
     categorical = [i for i, c in enumerate(feature_cols) if c in schema.categorical_columns]
     numeric, encoding = frequency_encode(features, categorical, encoding)
-    scaled, bounds = min_max_normalize(numeric, bounds)
-    labels = binarize_labels(table.columns[schema.label_column], schema)
+    scaled, bounds = min_max_normalize(numeric, bounds, table.lines)
+    labels = binarize_labels(table.columns[schema.label_column], schema, table.lines)
     return Dataset(
         features=scaled,
         labels=labels,

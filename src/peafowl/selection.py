@@ -107,16 +107,15 @@ _BLOCK_CELLS = 1_000_000  # query x training-row cells per block of Gram keys (8
 _SLABS = 16  # column slabs whose elementwise minimum bounds each row's k-th smallest key
 
 
-def _knn_predict(train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: int) -> np.ndarray:
+def _knn_predict(aug: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: int) -> np.ndarray:
+    """KNN votes; ``aug`` holds the training rows t and one more column, set here to |t|^2."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_train, width = train_x.shape
+    n_train, width = aug.shape[0], aug.shape[1] - 1
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
-    train_sq = np.einsum("ij,ij->i", train_x, train_x)
-    aug = np.empty((n_train, width + 1))  # [t, |t|^2]
-    aug[:, :width] = train_x
-    aug[:, width] = train_sq
+    train_x = aug[:, :width]
+    aug[:, width] = train_sq = np.einsum("ij,ij->i", train_x, train_x)
     slabs = max(1, min(_SLABS, n_train // k))
     span = slabs * (n_train // slabs)  # columns in whole slabs; the rest stand alone
     preds = np.empty(query_x.shape[0], dtype=int)
@@ -194,15 +193,20 @@ def knn_classify(
         if mask.mask.size != train.n_features:
             raise ValueError("mask length does not match the feature count")
         cols = mask.columns
-    train_x, query_x = train.features[:, cols], query_rows[:, cols]
-    for side, values in (("training", train_x), ("query", query_x)):
+    width = train.n_features if mask is None else cols.size
+    aug = np.empty((train.n_rows, width + 1))  # [t, |t|^2]
+    block = max(1, _BLOCK_CELLS // max(1, width))  # gathered in row blocks: no second full copy of t
+    for start in range(0, train.n_rows, block):
+        aug[start : start + block, :width] = train.features[start : start + block, cols]
+    query_x = query_rows[:, cols]
+    for side, values in (("training", aug[:, :width]), ("query", query_x)):
         if not np.isfinite(values).all():
             row, col = np.argwhere(~np.isfinite(values))[0]
             feature = np.arange(train.n_features)[cols][col] + 1
             raise DataError(
                 f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
             )
-    return _knn_predict(train_x, train.labels, query_x, k)
+    return _knn_predict(aug, train.labels, query_x, k)
 
 
 @dataclass(frozen=True)

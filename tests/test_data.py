@@ -1,3 +1,8 @@
+import csv
+import dataclasses
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +48,144 @@ class TestLoadCsv:
             load_csv(tmp_path / "nope.csv", simple_schema())
 
 
+# label, numeric, categorical, numeric, ignored, numeric: features 1-4 are CSV columns 1, 2, 3 and 5
+EDGE_SCHEMA = TableSchema(column_count=6, label_column=0, categorical_columns=(2,), ignored_columns=(4,))
+
+
+def reference_table(path, schema):
+    """The reader ``load_csv`` replaced, as an oracle: ``csv`` rows, stripped
+    string cells and one ``float`` per numeric cell."""
+    strings = {schema.label_column, *schema.categorical_columns, *schema.ignored_columns}
+    rows, lines = [], []
+    reader = csv.reader(path.read_text().splitlines())
+    for row in reader:
+        if row:
+            rows.append([cell.strip() if c in strings else float(cell) for c, cell in enumerate(row)])
+            lines.append(reader.line_num)
+    columns = [tuple(cells) if c in strings else np.array(cells) for c, cells in enumerate(zip(*rows))]
+    return RawTable(columns=columns, lines=np.array(lines))
+
+
+def edge_case_csv(rng, n_rows):
+    """Seeded CSV text for EDGE_SCHEMA that mixes quoting, spacing, line endings and number forms."""
+    def number():
+        x = rng.choice([rng.randint(-5, 5), rng.uniform(-1e3, 1e3), rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30)])
+        text = rng.choice([repr(float(x)), str(int(x)), f"{x:.3e}", f"{x:E}", f"{x:.2f}", "-0", "+5", ".5", "5."])
+        return rng.choice([text, f" {text} ", f"\t{text}", f'"{text}"', f'" {text} "'])
+
+    def word(vocab):
+        return rng.choice([*vocab, '"a,b"', '"say ""hi"""', " tcp ", "#x", '"#y"'])
+
+    def row():
+        label = rng.choice(["normal", "attack", " normal ", "#attack", '"normal"', "smurf"])
+        return [label, number(), word(["tcp", "udp"]), number(), word(["", "1", "x y"]), number()]
+
+    rows = [row() for _ in range(n_rows)]
+    rows += [rng.choice(rows) for _ in range(n_rows // 4)]  # repeats, for dedup
+    out = []
+    for cells in rows:
+        out.append("\n" * rng.choice([0, 0, 0, 1, 2]))  # blank lines
+        out.append(",".join(cells) + rng.choice(["\n", "\r\n"]))
+    text = "".join(out)
+    return text.rstrip("\r\n") if rng.random() < 0.5 else text  # missing final newline
+
+
+class TestReader:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_matches_csv_and_float(self, tmp_path, seed, dedup):
+        rng = random.Random(seed)
+        schema = dataclasses.replace(EDGE_SCHEMA, drop_duplicates=dedup)
+        train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
+        train_path.write_text(edge_case_csv(rng, 40), newline="")
+        test_path.write_text(edge_case_csv(rng, 15), newline="")
+        got = build_dataset(load_csv(train_path, schema), schema)
+        want = build_dataset(reference_table(train_path, schema), schema)
+        got_test = build_dataset(load_csv(test_path, schema), schema, fit_from=got)
+        want_test = build_dataset(reference_table(test_path, schema), schema, fit_from=want)
+        for a, b in ((got, want), (got_test, want_test)):
+            assert a.features.tobytes() == b.features.tobytes() and a.features.shape == b.features.shape
+            assert a.labels.tolist() == b.labels.tolist()
+            assert repr(a.encoding_map) == repr(b.encoding_map)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a.normalization_bounds, b.normalization_bounds))
+            assert a.provenance == b.provenance
+
+    def test_hash_cells_are_data(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("#normal,1,#tcp,2,#,3\nnormal,4,tcp,5,x,6\n")
+        table = load_csv(path, EDGE_SCHEMA)
+        assert table.columns[0] == ("#normal", "normal") and table.columns[2] == ("#tcp", "tcp")
+        assert table.columns[1].tolist() == [1.0, 4.0]
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+    def test_non_finite_named_as_before(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"normal,1,tcp,2,x,3\r\n\r\nattack,4,udp,{cell},y,5\r\n")
+        with pytest.raises(DataError, match=r"non-finite value at row 3, feature 3") as got:
+            build_dataset(load_csv(path, EDGE_SCHEMA), EDGE_SCHEMA)
+        with pytest.raises(DataError) as want:
+            build_dataset(reference_table(path, EDGE_SCHEMA), EDGE_SCHEMA)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11"])
+    def test_float_accepts_but_reader_rejects(self, tmp_path, cell):
+        # float() takes digit-group underscores and non-ASCII digits; NumPy's reader does not
+        float(cell)
+        path = tmp_path / "t.csv"
+        path.write_text(f"normal,1,tcp,2,x,3\n\nattack,4,udp,{cell},y,5\n")
+        with pytest.raises(DataError, match=rf"row 3, feature 3: cannot parse {cell!r} as a number"):
+            load_csv(path, EDGE_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "last_row, message",
+        [
+            ("attack,x", r"row 5, feature 1: cannot parse 'x'"),
+            ("bogus,3", r"row 5: label 'bogus' matches neither"),
+            ("attack,inf", r"non-finite value at row 5, feature 1"),
+        ],
+        ids=["parse", "label", "non-finite"],
+    )
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_errors_name_the_file_line(self, tmp_path, last_row, message, dedup):
+        # line 2 repeats line 1 (dropped under dedup) and line 3 is blank
+        schema = TableSchema(column_count=2, label_column=0, attack_labels=("attack",), drop_duplicates=dedup)
+        path = tmp_path / "t.csv"
+        path.write_text(f"normal,1\nnormal,1\n\nnormal,2\n{last_row}\n")
+        with pytest.raises(DataError, match=message):
+            load_dataset(path, schema)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\r\n\n"])
+    def test_empty_file(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows"):
+                load_csv(path, EDGE_SCHEMA)
+
+    def test_width_must_match_schema(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\nnormal,1,tcp,2,x,3,4\nnormal,1,tcp,2,x,3,4\n")
+        with pytest.raises(DataError, match="row 2 has 7 columns, expected 6"):
+            load_csv(path, EDGE_SCHEMA)
+
+    def test_first_rejected_row_wins(self, tmp_path):
+        # a bad number on line 1 comes before a short row on line 2
+        path = tmp_path / "t.csv"
+        path.write_text("normal,1,tcp,2,x,oops\nnormal,1,tcp\n")
+        with pytest.raises(DataError, match="row 1, feature 4: cannot parse 'oops'"):
+            load_csv(path, EDGE_SCHEMA)
+
+    def test_quoted_cell_across_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('normal,1,"tc\np",2,x,3\nbogus,4,udp,5,y,6\n')
+        schema = dataclasses.replace(EDGE_SCHEMA, attack_labels=("attack",))
+        table = load_csv(path, schema)
+        assert table.columns[2] == ("tcp", "udp") and table.lines.tolist() == [1, 3]
+        with pytest.raises(DataError, match="row 3: label 'bogus'"):
+            build_dataset(table, schema)
+
+
 class TestFrequencyEncode:
     def test_counts_occurrences(self):
         table = RawTable(columns=[("tcp", "udp", "tcp")])
@@ -63,16 +206,22 @@ class TestFrequencyEncode:
         matrix, _ = frequency_encode(test_table, [0], encoding)
         assert matrix[0, 0] == 0.0
 
-    def test_round_trips_on_training_table(self):
-        table = RawTable(columns=[("a", "b", "a", "c", "b"), ("1", "2", "3", "4", "5")])
+    def test_round_trips_on_training_table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,1,normal\nb,2,normal\na,3,attack\nc,4,normal\nb,5,attack\n")
+        raw = load_csv(path, TableSchema(column_count=3, label_column=2, categorical_columns=(0,)))
+        table = RawTable(columns=raw.columns[:2])
         matrix, encoding = frequency_encode(table, [0])
         again, _ = frequency_encode(table, [0], encoding)
         assert np.array_equal(matrix, again)
+        assert matrix.tolist() == [[2.0, 1.0], [2.0, 2.0], [2.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
 
-    def test_bad_numeric_cell(self):
-        table = RawTable(columns=[("1",), ("x",)])
-        with pytest.raises(DataError, match="row 1, feature 2"):
-            frequency_encode(table, [0])
+    def test_bad_numeric_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("tcp,x,normal\n")
+        schema = TableSchema(column_count=3, label_column=2, categorical_columns=(0,))
+        with pytest.raises(DataError, match="row 1, feature 2: cannot parse 'x' as a number"):
+            load_csv(path, schema)
 
     def test_bad_cell_named_by_feature_not_csv_column(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -178,11 +327,22 @@ class TestBuildDataset:
         # constant training column stays 0 at test time
         assert test.features[0, 3] == 0.0
 
-    def test_dedup_pass(self):
+    def test_dedup_pass(self, tmp_path):
         schema = simple_schema(drop_duplicates=True)
-        rows = [["1", "a", "2", "3", "normal"]] * 3 + [["4", "b", "5", "6", "smurf"]]
-        ds = build_dataset(RawTable(columns=list(zip(*rows))), schema)
+        path = tmp_path / "t.csv"
+        path.write_text("1,a,2,3,normal\n" * 3 + "4,b,5,6,smurf\n")
+        ds = build_dataset(load_csv(path, schema), schema)
         assert ds.n_rows == 2
+
+    def test_dedup_compares_parsed_numbers(self, tmp_path):
+        # 1 and 1.0, 2 and 2e0, 0 and -0 are one value each; " a " strips to "a";
+        # "b" differs in a string column, so its row is kept
+        schema = simple_schema(drop_duplicates=True)
+        path = tmp_path / "t.csv"
+        path.write_text("1,a,2,0,normal\n1.0, a ,2e0,-0,normal\n1,b,2,0,normal\n")
+        ds = build_dataset(load_csv(path, schema), schema)
+        assert ds.n_rows == 2
+        assert ds.encoding_map == {1: {"a": 1.0, "b": 1.0}}
 
     def test_column_layout_fit_and_apply(self, tmp_path):
         # label first, an ignored column in the middle, two categorical columns;
