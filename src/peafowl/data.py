@@ -160,13 +160,12 @@ class RawTable:
 
     A numeric feature column is a float64 array; a categorical, label or
     ignored column is a tuple of stripped cells.  ``lines[row]`` is the
-    row's 1-based line in its file; ``None`` numbers the rows from 1.
-    Tables built from this one (feature columns) share its columns, copying
-    no cell.
+    row's 1-based line in its file.  Tables built from this one (feature
+    columns) share its columns, copying no cell.
     """
 
     columns: list
-    lines: Optional[np.ndarray] = None
+    lines: np.ndarray
 
 
 @dataclass
@@ -248,6 +247,7 @@ def load_csv(path, schema: TableSchema) -> RawTable:
             quotechar='"',
             comments=None,
             ndmin=2,
+            encoding=None,  # converters get str, not NumPy 1.x's default latin1 bytes
             converters={c: vocab.__getitem__ for c, vocab in vocabularies.items()},
         )
     except ValueError as exc:
@@ -338,18 +338,17 @@ def frequency_encode(table: RawTable, categorical_columns, encoding: Optional[di
     return matrix, encoding
 
 
-def min_max_normalize(matrix, bounds=None, lines=None):
+def min_max_normalize(matrix, lines, bounds=None):
     """Scale each column into [0, 1]; constant columns map to 0.
 
-    With precomputed ``bounds`` (training-time minima/maxima) values are
-    transformed and then clipped into [0, 1].  ``lines`` gives each row's
-    file line for errors (default: rows numbered from 1).  Returns
-    ``(scaled, bounds)``.
+    ``lines`` gives each row's file line for errors.  With precomputed
+    ``bounds`` (training-time minima/maxima) values are transformed and then
+    clipped into [0, 1].  Returns ``(scaled, bounds)``.
     """
     matrix = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(matrix)):
         row, feature = np.argwhere(~np.isfinite(matrix))[0]
-        raise DataError(f"non-finite value at row {_line(lines, row)}, feature {feature + 1}")
+        raise DataError(f"non-finite value at row {lines[row]}, feature {feature + 1}")
     fitted = bounds is None
     if fitted:
         bounds = (matrix.min(axis=0), matrix.max(axis=0))
@@ -363,11 +362,10 @@ def min_max_normalize(matrix, bounds=None, lines=None):
     return scaled, (np.asarray(mins, dtype=float), np.asarray(maxs, dtype=float))
 
 
-def binarize_labels(raw_labels, schema: TableSchema, lines=None) -> np.ndarray:
+def binarize_labels(raw_labels, schema: TableSchema, lines) -> np.ndarray:
     """0 for normal labels, 1 for attacks, per the schema's label rule.
 
-    ``lines`` gives each label's file line for errors, as in
-    :func:`min_max_normalize`.
+    ``lines`` gives each label's file line for errors.
     """
     normal = set(schema.normal_labels)
     attack = None if schema.attack_labels is None else set(schema.attack_labels)
@@ -378,12 +376,8 @@ def binarize_labels(raw_labels, schema: TableSchema, lines=None) -> np.ndarray:
         elif attack is None or label in attack:
             out[i] = 1
         else:
-            raise DataError(f"row {_line(lines, i)}: label {label!r} matches neither label set")
+            raise DataError(f"row {lines[i]}: label {label!r} matches neither label set")
     return out
-
-
-def _line(lines, row) -> int:
-    return row + 1 if lines is None else lines[row]
 
 
 def _dedup(table: RawTable) -> RawTable:
@@ -402,7 +396,7 @@ def _dedup(table: RawTable) -> RawTable:
     keep = [i for i, row in enumerate(zip(map(bytes, values), *strings)) if first.setdefault(row, i) == i]
     rows = np.array(keep)
     columns = [c[rows] if isinstance(c, np.ndarray) else tuple(map(c.__getitem__, keep)) for c in table.columns]
-    return RawTable(columns=columns, lines=None if table.lines is None else table.lines[rows])
+    return RawTable(columns=columns, lines=table.lines[rows])
 
 
 def _provenance(schema: TableSchema, encoding: dict, bounds) -> str:
@@ -430,10 +424,10 @@ def build_dataset(table: RawTable, schema: TableSchema, fit_from: Optional[Datas
     if schema.drop_duplicates:
         table = _dedup(table)
     feature_cols = schema.feature_columns
-    features = RawTable(columns=[table.columns[c] for c in feature_cols])
+    features = RawTable(columns=[table.columns[c] for c in feature_cols], lines=table.lines)
     categorical = [i for i, c in enumerate(feature_cols) if c in schema.categorical_columns]
     numeric, encoding = frequency_encode(features, categorical, encoding)
-    scaled, bounds = min_max_normalize(numeric, bounds, table.lines)
+    scaled, bounds = min_max_normalize(numeric, table.lines, bounds)
     labels = binarize_labels(table.columns[schema.label_column], schema, table.lines)
     return Dataset(
         features=scaled,

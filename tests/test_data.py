@@ -23,6 +23,11 @@ from peafowl.data import binarize_labels
 from conftest import NSL_SCHEMA_YAML, write_nsl_fixture
 
 
+def first_lines(n):
+    """File lines of ``n`` rows read from a file with no blank lines."""
+    return np.arange(1, n + 1)
+
+
 def simple_schema(**overrides):
     fields = dict(column_count=5, label_column=4, categorical_columns=(1,))
     fields.update(overrides)
@@ -42,6 +47,15 @@ class TestLoadCsv:
         path.write_text("1,tcp,2,3,normal\n1,udp,2,normal\n")
         with pytest.raises(DataError, match="row 2"):
             load_csv(path, simple_schema())
+
+    def test_string_cells_are_str(self, tmp_path):
+        # the reader hands converters str, not bytes, so cells outside latin1 survive
+        path = tmp_path / "t.csv"
+        path.write_text("1,tcp,2,3,normal\n4,\u0442\u0441\u043f,5,6,\u653b\u6483\n")
+        table = load_csv(path, simple_schema())
+        for c in (1, 4):
+            assert all(type(cell) is str for cell in table.columns[c])
+        assert table.columns[1] == ("tcp", "\u0442\u0441\u043f") and table.columns[4] == ("normal", "\u653b\u6483")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -188,21 +202,21 @@ class TestReader:
 
 class TestFrequencyEncode:
     def test_counts_occurrences(self):
-        table = RawTable(columns=[("tcp", "udp", "tcp")])
+        table = RawTable(columns=[("tcp", "udp", "tcp")], lines=first_lines(3))
         matrix, encoding = frequency_encode(table, [0])
         assert matrix[:, 0].tolist() == [2.0, 1.0, 2.0]
         assert encoding[0] == {"tcp": 2.0, "udp": 1.0}
 
     def test_single_category(self):
-        table = RawTable(columns=[("icmp",)])
+        table = RawTable(columns=[("icmp",)], lines=first_lines(1))
         matrix, encoding = frequency_encode(table, [0])
         assert matrix[0, 0] == 1.0
         assert encoding[0] == {"icmp": 1.0}
 
     def test_unseen_category_maps_to_zero(self):
-        fit_table = RawTable(columns=[("tcp", "udp")])
+        fit_table = RawTable(columns=[("tcp", "udp")], lines=first_lines(2))
         _, encoding = frequency_encode(fit_table, [0])
-        test_table = RawTable(columns=[("sctp",)])
+        test_table = RawTable(columns=[("sctp",)], lines=first_lines(1))
         matrix, _ = frequency_encode(test_table, [0], encoding)
         assert matrix[0, 0] == 0.0
 
@@ -210,7 +224,7 @@ class TestFrequencyEncode:
         path = tmp_path / "t.csv"
         path.write_text("a,1,normal\nb,2,normal\na,3,attack\nc,4,normal\nb,5,attack\n")
         raw = load_csv(path, TableSchema(column_count=3, label_column=2, categorical_columns=(0,)))
-        table = RawTable(columns=raw.columns[:2])
+        table = RawTable(columns=raw.columns[:2], lines=raw.lines)
         matrix, encoding = frequency_encode(table, [0])
         again, _ = frequency_encode(table, [0], encoding)
         assert np.array_equal(matrix, again)
@@ -232,42 +246,42 @@ class TestFrequencyEncode:
 
 class TestMinMaxNormalize:
     def test_linear_map(self):
-        scaled, bounds = min_max_normalize(np.array([[2.0], [4.0], [6.0]]))
+        scaled, bounds = min_max_normalize(np.array([[2.0], [4.0], [6.0]]), first_lines(3))
         assert scaled[:, 0].tolist() == [0.0, 0.5, 1.0]
         assert bounds[0][0] == 2.0 and bounds[1][0] == 6.0
 
     def test_constant_column_maps_to_zero(self):
-        scaled, _ = min_max_normalize(np.array([[7.0], [7.0]]))
+        scaled, _ = min_max_normalize(np.array([[7.0], [7.0]]), first_lines(2))
         assert scaled[:, 0].tolist() == [0.0, 0.0]
 
     def test_test_time_clipping(self):
-        _, bounds = min_max_normalize(np.array([[2.0], [6.0]]))
-        scaled, _ = min_max_normalize(np.array([[8.0], [0.0]]), bounds)
+        _, bounds = min_max_normalize(np.array([[2.0], [6.0]]), first_lines(2))
+        scaled, _ = min_max_normalize(np.array([[8.0], [0.0]]), first_lines(2), bounds)
         assert scaled[:, 0].tolist() == [1.0, 0.0]
 
     def test_idempotent_on_normalized_data(self):
         rng = np.random.default_rng(0)
         matrix = rng.random((50, 4)) * 10
-        scaled, _ = min_max_normalize(matrix)
-        again, _ = min_max_normalize(scaled)
+        scaled, _ = min_max_normalize(matrix, first_lines(50))
+        again, _ = min_max_normalize(scaled, first_lines(50))
         assert np.allclose(scaled, again, atol=1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="row 2, feature 1"):
-            min_max_normalize(np.array([[1.0], [np.inf]]))
+            min_max_normalize(np.array([[1.0], [np.inf]]), first_lines(2))
 
 
 class TestLabels:
     def test_attack_names_map_to_one(self):
         schema = simple_schema()
-        labels = binarize_labels(["normal", "neptune", "smurf", "guess_passwd", "normal"], schema)
+        labels = binarize_labels(["normal", "neptune", "smurf", "guess_passwd", "normal"], schema, first_lines(5))
         assert labels.tolist() == [0, 1, 1, 1, 0]
 
     def test_explicit_attack_set_rejects_strays(self):
         schema = simple_schema(normal_labels=("1",), attack_labels=("-1", "-2"))
-        assert binarize_labels(["1", "-1", "-2"], schema).tolist() == [0, 1, 1]
+        assert binarize_labels(["1", "-1", "-2"], schema, first_lines(3)).tolist() == [0, 1, 1]
         with pytest.raises(DataError, match="row 2"):
-            binarize_labels(["1", "0"], schema)
+            binarize_labels(["1", "0"], schema, first_lines(2))
 
 
 class TestSchema:
