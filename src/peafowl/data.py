@@ -1,10 +1,10 @@
 """CSV ingestion for labeled intrusion-detection-style tables.
 
-Each file is parsed once by NumPy's C reader.  A raw table is held by
-column: a numeric feature column as the float64 array that reader parsed, a
-categorical, label or ignored column as a tuple of its stripped cells, and
-each row keeps its 1-based line in the file so that every error names it.
-The schema picks feature columns by reference and each is transformed in one
+Each file is parsed once by NumPy's C reader into one float64 matrix: a
+numeric column holds numbers, and a categorical, label or ignored column
+holds codes of its stripped cells, so every later step works on codes.  Each
+row keeps its 1-based line in the file so that every error names it.  The
+schema picks feature columns by reference and each is transformed in one
 pass: categorical values are replaced by their occurrence counts in the
 training table, numeric values pass through.  Every feature is then min-max
 scaled into [0, 1], and labels are binarized to 0 = normal, 1 =
@@ -20,7 +20,7 @@ import csv
 import hashlib
 import itertools
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -121,23 +121,32 @@ class TableSchema:
             if key not in raw:
                 raise ConfigError(f"schema file {path}: missing required key '{key}'")
 
-        def as_tuple(key, conv):
+        def typed(key, value, *types):
+            if type(value) not in types:  # not isinstance: YAML true/false are bools, an int subclass
+                names = " or ".join(t.__name__ for t in types)
+                raise ConfigError(f"schema file {path}: '{key}' takes {names} values, not {value!r}")
+            return value
+
+        def as_tuple(key, *types):
             value = raw.get(key)
             if value is None:
                 return None
             if not isinstance(value, list):
-                raise ConfigError(f"schema key '{key}' must be a list")
-            return tuple(conv(v) for v in value)
+                raise ConfigError(f"schema file {path}: '{key}' must be a list")
+            return tuple(typed(key, v, *types) for v in value)
+
+        def texts(key):  # integers too: Kyoto 2006+ labels are 1, -1 and -2
+            return None if raw.get(key) is None else tuple(map(str, as_tuple(key, str, int)))
 
         return cls(
-            column_count=int(raw["column_count"]),
-            label_column=int(raw["label_column"]),
+            column_count=typed("column_count", raw["column_count"], int),
+            label_column=typed("label_column", raw["label_column"], int),
             categorical_columns=as_tuple("categorical_columns", int) or (),
             ignored_columns=as_tuple("ignored_columns", int) or (),
-            normal_labels=as_tuple("normal_labels", str) or ("normal",),
-            attack_labels=as_tuple("attack_labels", str),
-            feature_names=as_tuple("feature_names", str),
-            drop_duplicates=bool(raw.get("drop_duplicates", False)),
+            normal_labels=texts("normal_labels") or ("normal",),
+            attack_labels=texts("attack_labels"),
+            feature_names=texts("feature_names"),
+            drop_duplicates=typed("drop_duplicates", raw.get("drop_duplicates", False), bool),
         )
 
     def fingerprint(self) -> str:
@@ -156,15 +165,16 @@ class TableSchema:
 
 @dataclass
 class RawTable:
-    """Cells by column, ``columns[c][row]``.
+    """Cells as one row-major float64 matrix, ``values[row, c]``.
 
-    A numeric feature column is a float64 array; a categorical, label or
-    ignored column is a tuple of stripped cells.  ``lines[row]`` is the
-    row's 1-based line in its file.  Tables built from this one (feature
-    columns) share its columns, copying no cell.
+    A numeric column holds parsed numbers.  A categorical, label or ignored
+    column ``c`` holds codes into ``cells[c]``, that column's distinct
+    stripped cells in first-seen order.  ``lines[row]`` is the row's 1-based
+    line in its file.
     """
 
-    columns: list
+    values: np.ndarray
+    cells: dict
     lines: np.ndarray
 
 
@@ -223,8 +233,8 @@ def load_csv(path, schema: TableSchema) -> RawTable:
     """Parse a headerless CSV in one pass of NumPy's C reader.
 
     Numeric feature cells are parsed to float64 in C, with no Python string
-    per cell; categorical, label and ignored cells are stripped.  Blank lines
-    are skipped and every other row must be ``schema.column_count`` wide.
+    per cell; other cells become codes (see ``RawTable``).  Blank lines are
+    skipped and every other row must be ``schema.column_count`` wide.
     """
     path = Path(path)
     try:
@@ -236,7 +246,7 @@ def load_csv(path, schema: TableSchema) -> RawTable:
     if lines.size == 0:
         raise DataError(f"{path}: no data rows")
     # Label, categorical and ignored cells become first-seen codes through a C-level
-    # dict lookup; each distinct cell is stripped once, after the read.
+    # dict lookup; each distinct cell is stripped once, after the read, and recoded.
     string_columns = (schema.label_column, *schema.categorical_columns, *schema.ignored_columns)
     vocabularies = {c: defaultdict(itertools.count().__next__) for c in string_columns}
     try:
@@ -256,12 +266,13 @@ def load_csv(path, schema: TableSchema) -> RawTable:
         raise _width_error(path, lines[0], matrix.shape[1], schema)
     if matrix.shape[0] != lines.size:  # a quoted cell spans lines
         lines = np.array([line for line, _ in _records(text_lines)])
-    columns = list(matrix.T)
+    cells = {}
     for c, vocab in vocabularies.items():
-        stripped = {}  # equal stripped cells share one string object
-        cells = [stripped.setdefault(cell, cell) for cell in map(str.strip, vocab)]
-        columns[c] = tuple(map(cells.__getitem__, matrix[:, c].astype(np.intp).tolist()))
-    return RawTable(columns=columns, lines=lines)
+        stripped = {}
+        recode = np.array([stripped.setdefault(cell.strip(), len(stripped)) for cell in vocab], dtype=float)
+        matrix[:, c] = recode[matrix[:, c].astype(np.intp)]
+        cells[c] = tuple(stripped)
+    return RawTable(values=matrix, cells=cells, lines=lines)
 
 
 def _records(text_lines):
@@ -314,28 +325,24 @@ def _rejected_cell(path, text_lines, schema: TableSchema) -> Optional[DataError]
     return None
 
 
-def frequency_encode(table: RawTable, categorical_columns, encoding: Optional[dict] = None):
+def frequency_encode(table: RawTable, encoding: Optional[dict] = None):
     """Replace categories by occurrence counts; numeric columns pass through.
 
-    Fitting (``encoding=None``) counts occurrences in this table, as floats
-    in first-seen order.  With a supplied encoding (test time) unseen
-    categories map to 0.  Returns ``(matrix, encoding)`` where encoding maps
+    Columns with ``table.cells`` are categorical.  Fitting (``encoding=None``)
+    counts occurrences in this table, as floats in first-seen order.  With a
+    supplied encoding (test time) unseen categories map to 0.  Returns
+    ``(table.values, encoding)``, codes replaced in place, where encoding maps
     column index to a {category: count} dict.
     """
-    if encoding is None:
-        encoding = {
-            c: {cell: float(n) for cell, n in Counter(table.columns[c]).items()}
-            for c in categorical_columns
-        }
-    categorical = set(categorical_columns)
-    matrix = np.empty((len(table.columns[0]), len(table.columns)), dtype=float)
-    for c, column in enumerate(table.columns):
-        if c in categorical:
-            counts = encoding[c]
-            matrix[:, c] = [counts.get(cell, 0.0) for cell in column]
-        else:
-            matrix[:, c] = column
-    return matrix, encoding
+    fitted = encoding is None
+    if fitted:
+        encoding = {}
+    for c, cells in table.cells.items():
+        codes = table.values[:, c].astype(np.intp)
+        if fitted:
+            encoding[c] = {cell: float(n) for cell, n in zip(cells, np.bincount(codes).tolist()) if n}
+        table.values[:, c] = np.array([encoding[c].get(cell, 0.0) for cell in cells])[codes]
+    return table.values, encoding
 
 
 def min_max_normalize(matrix, lines, bounds=None):
@@ -362,21 +369,21 @@ def min_max_normalize(matrix, lines, bounds=None):
     return scaled, (np.asarray(mins, dtype=float), np.asarray(maxs, dtype=float))
 
 
-def binarize_labels(raw_labels, schema: TableSchema, lines) -> np.ndarray:
+def binarize_labels(table: RawTable, schema: TableSchema) -> np.ndarray:
     """0 for normal labels, 1 for attacks, per the schema's label rule.
 
-    ``lines`` gives each label's file line for errors.
+    Errors name the first row, by file line, whose label is in neither set.
     """
     normal = set(schema.normal_labels)
     attack = None if schema.attack_labels is None else set(schema.attack_labels)
-    out = np.empty(len(raw_labels), dtype=int)
-    for i, label in enumerate(raw_labels):
-        if label in normal:
-            out[i] = 0
-        elif attack is None or label in attack:
-            out[i] = 1
-        else:
-            raise DataError(f"row {lines[i]}: label {label!r} matches neither label set")
+    labels = table.cells[schema.label_column]
+    classes = np.array([0 if x in normal else 1 if attack is None or x in attack else -1 for x in labels], dtype=int)
+    codes = table.values[:, schema.label_column].astype(np.intp)
+    out = classes[codes]
+    bad = np.flatnonzero(out < 0)
+    if bad.size:
+        row = bad[0]
+        raise DataError(f"row {table.lines[row]}: label {labels[codes[row]]!r} matches neither label set")
     return out
 
 
@@ -386,17 +393,11 @@ def _dedup(table: RawTable) -> RawTable:
     Rows repeat when every parsed number and stripped cell is equal, so
     ``1``, ``1.0`` and ``1e0`` are one value, as are ``-0`` and ``0``.
     """
-    numeric = [c for c in table.columns if isinstance(c, np.ndarray)]
-    strings = [c for c in table.columns if not isinstance(c, np.ndarray)]
-    values = np.zeros((len(table.columns[0]), len(numeric)))
-    for j, column in enumerate(numeric):
-        values[:, j] = column
-    values += 0.0  # -0.0 becomes 0.0, so equal rows have equal bytes
-    first = {}
-    keep = [i for i, row in enumerate(zip(map(bytes, values), *strings)) if first.setdefault(row, i) == i]
-    rows = np.array(keep)
-    columns = [c[rows] if isinstance(c, np.ndarray) else tuple(map(c.__getitem__, keep)) for c in table.columns]
-    return RawTable(columns=columns, lines=table.lines[rows])
+    values = np.ascontiguousarray(table.values + 0.0)  # -0.0 becomes 0.0, so equal rows have equal bytes
+    # a stable sort of whole rows as bytes; return_index gives each row's first occurrence
+    _, first = np.unique(values.view(np.dtype((np.void, values.shape[1] * values.itemsize))), return_index=True)
+    rows = np.sort(first)
+    return RawTable(values=table.values[rows], cells=table.cells, lines=table.lines[rows])
 
 
 def _provenance(schema: TableSchema, encoding: dict, bounds) -> str:
@@ -424,11 +425,11 @@ def build_dataset(table: RawTable, schema: TableSchema, fit_from: Optional[Datas
     if schema.drop_duplicates:
         table = _dedup(table)
     feature_cols = schema.feature_columns
-    features = RawTable(columns=[table.columns[c] for c in feature_cols], lines=table.lines)
-    categorical = [i for i, c in enumerate(feature_cols) if c in schema.categorical_columns]
-    numeric, encoding = frequency_encode(features, categorical, encoding)
+    categorical = {i: table.cells[c] for i, c in enumerate(feature_cols) if c in schema.categorical_columns}
+    features = RawTable(values=np.take(table.values, feature_cols, axis=1), cells=categorical, lines=table.lines)
+    numeric, encoding = frequency_encode(features, encoding)
     scaled, bounds = min_max_normalize(numeric, table.lines, bounds)
-    labels = binarize_labels(table.columns[schema.label_column], schema, table.lines)
+    labels = binarize_labels(table, schema)
     return Dataset(
         features=scaled,
         labels=labels,

@@ -70,10 +70,6 @@ class FeatureSubset:
         return int(self.mask.sum())
 
     @classmethod
-    def all_features(cls, n_features: int) -> "FeatureSubset":
-        return cls(np.ones(n_features))
-
-    @classmethod
     def from_indices(cls, indices_1based, n_features: int) -> "FeatureSubset":
         mask = np.zeros(n_features)
         for i in indices_1based:

@@ -124,11 +124,15 @@ def write_config(files, text):
         ["select", "--k-neighbors", "0"],
         ["eval", "--k-neighbors", "0"],
         ["cv", "--k-neighbors", "0"],
+        ["cv", "--schema", "column_count: abc\nlabel_column: 3\n"],
     ],
-    ids=["unknown-function", "runs-0", "folds-1", "select-k-0", "eval-k-0", "cv-k-0"],
+    ids=["unknown-function", "runs-0", "folds-1", "select-k-0", "eval-k-0", "cv-k-0", "schema-not-int"],
 )
 def test_config_errors_exit_2(files, argv):
-    if argv[0] != "bench":
+    if "--schema" in argv:  # the entry after the flag is the schema's text
+        i = argv.index("--schema") + 1
+        argv = [*argv[:i], write_config(files, argv[i]), *argv[i + 1 :], "--train", files["train"]]
+    elif argv[0] != "bench":
         argv = [*argv, "--train", files["train"], "--schema", files["schema"]]
     if argv[0] == "eval":
         argv += ["--test", files["test"]]

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import random
+import re
 import warnings
 
 import numpy as np
@@ -28,6 +29,11 @@ def first_lines(n):
     return np.arange(1, n + 1)
 
 
+def column(table, c):
+    """The stripped cells of a coded column, row by row."""
+    return tuple(table.cells[c][int(code)] for code in table.values[:, c])
+
+
 def simple_schema(**overrides):
     fields = dict(column_count=5, label_column=4, categorical_columns=(1,))
     fields.update(overrides)
@@ -39,8 +45,8 @@ class TestLoadCsv:
         path = tmp_path / "t.csv"
         path.write_text("1,tcp,2,3,normal\n4,udp,5,6,attack\n7,tcp,8,9,normal\n")
         table = load_csv(path, simple_schema(normal_labels=("normal",), attack_labels=("attack",)))
-        assert len(table.columns) == 5 and len(table.columns[0]) == 3
-        assert table.columns[1][1] == "udp"
+        assert table.values.shape == (3, 5)
+        assert column(table, 1)[1] == "udp"
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -54,8 +60,8 @@ class TestLoadCsv:
         path.write_text("1,tcp,2,3,normal\n4,\u0442\u0441\u043f,5,6,\u653b\u6483\n")
         table = load_csv(path, simple_schema())
         for c in (1, 4):
-            assert all(type(cell) is str for cell in table.columns[c])
-        assert table.columns[1] == ("tcp", "\u0442\u0441\u043f") and table.columns[4] == ("normal", "\u653b\u6483")
+            assert all(type(cell) is str for cell in column(table, c))
+        assert column(table, 1) == ("tcp", "\u0442\u0441\u043f") and column(table, 4) == ("normal", "\u653b\u6483")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -67,17 +73,19 @@ EDGE_SCHEMA = TableSchema(column_count=6, label_column=0, categorical_columns=(2
 
 
 def reference_table(path, schema):
-    """The reader ``load_csv`` replaced, as an oracle: ``csv`` rows, stripped
-    string cells and one ``float`` per numeric cell."""
-    strings = {schema.label_column, *schema.categorical_columns, *schema.ignored_columns}
+    """The reader ``load_csv`` replaced, as an oracle: ``csv`` rows, one
+    ``float`` per numeric cell, and stripped string cells coded here in
+    first-seen order."""
+    codes = {c: {} for c in (schema.label_column, *schema.categorical_columns, *schema.ignored_columns)}
     rows, lines = [], []
     reader = csv.reader(path.read_text().splitlines())
     for row in reader:
         if row:
-            rows.append([cell.strip() if c in strings else float(cell) for c, cell in enumerate(row)])
+            code = {c: seen.setdefault(row[c].strip(), len(seen)) for c, seen in codes.items()}
+            rows.append([code[c] if c in code else float(cell) for c, cell in enumerate(row)])
             lines.append(reader.line_num)
-    columns = [tuple(cells) if c in strings else np.array(cells) for c, cells in enumerate(zip(*rows))]
-    return RawTable(columns=columns, lines=np.array(lines))
+    cells = {c: tuple(seen) for c, seen in codes.items()}
+    return RawTable(values=np.array(rows, dtype=float), cells=cells, lines=np.array(lines))
 
 
 def edge_case_csv(rng, n_rows):
@@ -128,8 +136,8 @@ class TestReader:
         path = tmp_path / "t.csv"
         path.write_text("#normal,1,#tcp,2,#,3\nnormal,4,tcp,5,x,6\n")
         table = load_csv(path, EDGE_SCHEMA)
-        assert table.columns[0] == ("#normal", "normal") and table.columns[2] == ("#tcp", "tcp")
-        assert table.columns[1].tolist() == [1.0, 4.0]
+        assert column(table, 0) == ("#normal", "normal") and column(table, 2) == ("#tcp", "tcp")
+        assert table.values[:, 1].tolist() == [1.0, 4.0]
 
     @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
     def test_non_finite_named_as_before(self, tmp_path, cell):
@@ -195,38 +203,41 @@ class TestReader:
         path.write_text('normal,1,"tc\np",2,x,3\nbogus,4,udp,5,y,6\n')
         schema = dataclasses.replace(EDGE_SCHEMA, attack_labels=("attack",))
         table = load_csv(path, schema)
-        assert table.columns[2] == ("tcp", "udp") and table.lines.tolist() == [1, 3]
+        assert column(table, 2) == ("tcp", "udp") and table.lines.tolist() == [1, 3]
         with pytest.raises(DataError, match="row 3: label 'bogus'"):
             build_dataset(table, schema)
 
 
 class TestFrequencyEncode:
     def test_counts_occurrences(self):
-        table = RawTable(columns=[("tcp", "udp", "tcp")], lines=first_lines(3))
-        matrix, encoding = frequency_encode(table, [0])
+        table = RawTable(values=np.array([[0.0], [1.0], [0.0]]), cells={0: ("tcp", "udp")}, lines=first_lines(3))
+        matrix, encoding = frequency_encode(table)
         assert matrix[:, 0].tolist() == [2.0, 1.0, 2.0]
         assert encoding[0] == {"tcp": 2.0, "udp": 1.0}
 
     def test_single_category(self):
-        table = RawTable(columns=[("icmp",)], lines=first_lines(1))
-        matrix, encoding = frequency_encode(table, [0])
+        table = RawTable(values=np.array([[0.0]]), cells={0: ("icmp",)}, lines=first_lines(1))
+        matrix, encoding = frequency_encode(table)
         assert matrix[0, 0] == 1.0
         assert encoding[0] == {"icmp": 1.0}
 
     def test_unseen_category_maps_to_zero(self):
-        fit_table = RawTable(columns=[("tcp", "udp")], lines=first_lines(2))
-        _, encoding = frequency_encode(fit_table, [0])
-        test_table = RawTable(columns=[("sctp",)], lines=first_lines(1))
-        matrix, _ = frequency_encode(test_table, [0], encoding)
+        fit_table = RawTable(values=np.array([[0.0], [1.0]]), cells={0: ("tcp", "udp")}, lines=first_lines(2))
+        _, encoding = frequency_encode(fit_table)
+        test_table = RawTable(values=np.array([[0.0]]), cells={0: ("sctp",)}, lines=first_lines(1))
+        matrix, _ = frequency_encode(test_table, encoding)
         assert matrix[0, 0] == 0.0
 
     def test_round_trips_on_training_table(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,1,normal\nb,2,normal\na,3,attack\nc,4,normal\nb,5,attack\n")
         raw = load_csv(path, TableSchema(column_count=3, label_column=2, categorical_columns=(0,)))
-        table = RawTable(columns=raw.columns[:2], lines=raw.lines)
-        matrix, encoding = frequency_encode(table, [0])
-        again, _ = frequency_encode(table, [0], encoding)
+
+        def features():  # frequency_encode replaces the codes in place
+            return RawTable(values=raw.values[:, :2].copy(), cells={0: raw.cells[0]}, lines=raw.lines)
+
+        matrix, encoding = frequency_encode(features())
+        again, _ = frequency_encode(features(), encoding)
         assert np.array_equal(matrix, again)
         assert matrix.tolist() == [[2.0, 1.0], [2.0, 2.0], [2.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
 
@@ -271,17 +282,25 @@ class TestMinMaxNormalize:
             min_max_normalize(np.array([[1.0], [np.inf]]), first_lines(2))
 
 
+def label_table(labels):
+    """A table for ``simple_schema`` holding ``labels`` as codes in column 4."""
+    cells = tuple(dict.fromkeys(labels))
+    values = np.zeros((len(labels), 5))
+    values[:, 4] = [cells.index(label) for label in labels]
+    return RawTable(values=values, cells={4: cells}, lines=first_lines(len(labels)))
+
+
 class TestLabels:
     def test_attack_names_map_to_one(self):
         schema = simple_schema()
-        labels = binarize_labels(["normal", "neptune", "smurf", "guess_passwd", "normal"], schema, first_lines(5))
+        labels = binarize_labels(label_table(["normal", "neptune", "smurf", "guess_passwd", "normal"]), schema)
         assert labels.tolist() == [0, 1, 1, 1, 0]
 
     def test_explicit_attack_set_rejects_strays(self):
         schema = simple_schema(normal_labels=("1",), attack_labels=("-1", "-2"))
-        assert binarize_labels(["1", "-1", "-2"], schema, first_lines(3)).tolist() == [0, 1, 1]
+        assert binarize_labels(label_table(["1", "-1", "-2"]), schema).tolist() == [0, 1, 1]
         with pytest.raises(DataError, match="row 2"):
-            binarize_labels(["1", "0"], schema, first_lines(2))
+            binarize_labels(label_table(["1", "0"]), schema)
 
 
 class TestSchema:
@@ -299,6 +318,37 @@ class TestSchema:
         path.write_text("column_count: 3\nlabel_column: 2\nbogus: 1\n")
         with pytest.raises(ConfigError, match="bogus"):
             TableSchema.from_yaml(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("column_count", "abc"),
+            ("column_count", "3.9"),
+            ("label_column", "true"),
+            ("categorical_columns", "[0, false]"),
+            ("ignored_columns", "[1.0]"),
+            ("drop_duplicates", '"no"'),
+            ("drop_duplicates", "0"),
+            ("normal_labels", "[true]"),
+            ("attack_labels", "[-1.5]"),
+            ("feature_names", "a"),
+        ],
+    )
+    def test_yaml_types_checked(self, tmp_path, key, value):
+        path = tmp_path / "schema.yaml"
+        fields = {"column_count": "3", "label_column": "2", key: value}
+        path.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+        with pytest.raises(ConfigError, match=rf"schema file {re.escape(str(path))}: '{key}'"):
+            TableSchema.from_yaml(path)
+
+    def test_yaml_integer_labels_and_bools(self, tmp_path):
+        path = tmp_path / "schema.yaml"
+        path.write_text("column_count: 3\nlabel_column: 2\nnormal_labels: [1]\nattack_labels: [-1, -2]\n")
+        schema = TableSchema.from_yaml(path)
+        assert schema.normal_labels == ("1",) and schema.attack_labels == ("-1", "-2")
+        for value in (False, True):
+            path.write_text(f"column_count: 3\nlabel_column: 2\ndrop_duplicates: {str(value).lower()}\n")
+            assert TableSchema.from_yaml(path).drop_duplicates is value
 
     def test_label_column_bounds(self):
         with pytest.raises(ConfigError):

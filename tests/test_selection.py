@@ -99,7 +99,7 @@ class TestKnnClassify:
         rng = np.random.default_rng(5)
         train = Dataset.from_arrays(rng.random((40, 5)), rng.integers(0, 2, 40))
         queries = rng.random((15, 5))
-        full = FeatureSubset.all_features(5)
+        full = FeatureSubset(np.ones(5))
         assert np.array_equal(
             knn_classify(train, queries, 3), knn_classify(train, queries, 3, mask=full)
         )
@@ -332,7 +332,7 @@ class TestSelectFeatures:
 class TestEvaluateSubset:
     def test_self_match_is_perfect(self):
         ds = two_cluster_dataset(seed=4)
-        counts = evaluate_subset(FeatureSubset.all_features(4), ds, ds, k=1)
+        counts = evaluate_subset(FeatureSubset(np.ones(4)), ds, ds, k=1)
         assert counts.fp == 0 and counts.fn == 0
         assert counts.total == ds.n_rows
 
@@ -352,13 +352,13 @@ class TestEvaluateSubset:
         a.provenance = "abc"
         b.provenance = "xyz"
         with pytest.raises(DataError, match="different transforms"):
-            evaluate_subset(FeatureSubset.all_features(4), a, b, k=1)
+            evaluate_subset(FeatureSubset(np.ones(4)), a, b, k=1)
 
     def test_feature_count_mismatch(self):
         a = two_cluster_dataset(n_noise=2)
         b = two_cluster_dataset(n_noise=3)
         with pytest.raises(ValueError, match="feature counts"):
-            evaluate_subset(FeatureSubset.all_features(3), a, b, k=1)
+            evaluate_subset(FeatureSubset(np.ones(3)), a, b, k=1)
 
 
 class TestCrossValidate:
@@ -380,7 +380,7 @@ class TestCrossValidate:
     def test_counts_partition_rows(self):
         ds = two_cluster_dataset(n_rows=100)
         folds = make_folds(100, 10, seed=0)
-        per_fold, _ = cross_validate(FeatureSubset.all_features(4), ds, folds, k=3)
+        per_fold, _ = cross_validate(FeatureSubset(np.ones(4)), ds, folds, k=3)
         assert sum(c.total for c in per_fold) == 100
 
     def test_deterministic_given_fold_plan(self):
@@ -393,7 +393,7 @@ class TestCrossValidate:
     def test_all_ones_mask_equals_no_mask(self):
         ds = two_cluster_dataset(n_rows=60, seed=1)
         folds = make_folds(60, 3, seed=0)
-        with_mask = cross_validate(FeatureSubset.all_features(4), ds, folds, k=3)
+        with_mask = cross_validate(FeatureSubset(np.ones(4)), ds, folds, k=3)
         without = cross_validate(None, ds, folds, k=3)
         assert with_mask[0] == without[0]
 
