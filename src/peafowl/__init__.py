@@ -33,7 +33,6 @@ from .optimizer import (
     Problem,
     RunTrace,
     attractiveness,
-    distance,
     initialize_population,
     mate,
     optimize,

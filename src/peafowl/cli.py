@@ -5,11 +5,14 @@ selection), ``eval`` (train/test metrics for a feature set) and ``cv``
 (k-fold cross validation).  Each setting takes the first value found among
 explicit flags, the YAML config file given by ``--config``, and the defaults
 of ``PfmParams`` and ``WrapperFitnessSpec`` (or of the CLI, for settings the
-library does not hold).  ``dedup`` is set only in the config file and,
-when set, replaces the schema's ``drop_duplicates``.  Results are written
-to files only (logs go to stderr) and every output directory receives a
-manifest echoing the effective value of each setting the command reads, so
-a run can be reproduced byte-for-byte from it.
+library does not hold).  A config value must have its flag's type, checked
+when the file is read: an int where a float is taken (widened), a bool for
+``baseline``, a string for ``functions``, ``features`` and the file paths.
+``dedup`` is set only in the config file, as a bool or null; when set, it
+replaces the schema's ``drop_duplicates``.  Results are written to files
+only (logs go to stderr) and every output directory receives a manifest
+echoing the effective value of each setting the command reads, so a run
+can be reproduced byte-for-byte from it.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 runtime error.
 """
@@ -28,11 +31,9 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import yaml
-
 from . import __version__
 from .benchmarks import benchmark_names, get_benchmark, run_campaign
-from .data import TableSchema, load_dataset, make_folds
+from .data import TableSchema, load_dataset, make_folds, read_yaml_settings
 from .errors import ConfigError, DataError, EvaluationError
 from .metrics import METRIC_FIELDS, ConfusionCounts, MetricsReport, compute_metrics
 from .optimizer import PfmParams
@@ -89,7 +90,9 @@ _DEFAULTS.update(  # the settings with no library counterpart
     baseline=False,
     dedup=None,  # unset: the schema's drop_duplicates stands
 )
-_CONFIG_KEYS = set(_DEFAULTS) | {"train", "test", "schema", "out"}
+# A config value takes the type of its key's default, as a flag does.
+_CONFIG_TYPES = {key: (type(value),) for key, value in _DEFAULTS.items()}
+_CONFIG_TYPES.update(dict.fromkeys(("train", "test", "schema", "out"), (str,)), dedup=(bool, type(None)))
 
 _METRIC_HEADER = [*(f.name for f in dataclasses.fields(ConfusionCounts)), *METRIC_FIELDS]
 
@@ -142,28 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path) -> dict:
-    try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a mapping")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config file {path}: unknown keys {sorted(unknown)}")
-    return raw
-
-
 def _resolve_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
+        merged.update(read_yaml_settings(args.config, "config", _CONFIG_TYPES))
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
@@ -181,16 +167,16 @@ def _config_errors():
 
 
 def _from_config(cls, config: dict):
-    """A validated ``cls`` (PfmParams or WrapperFitnessSpec) from its config keys."""
+    """A ``cls`` (PfmParams or WrapperFitnessSpec), which checks itself, from its config keys."""
     fields = {}
+    for key, (owner, field, end) in _LIBRARY.items():
+        if owner is cls:
+            value = config[key]
+            if end is not None:  # r_min, then r_max, extends the r_range pair
+                value = (*fields.get(field, ()), value)
+            fields[field] = value
     with _config_errors():
-        for key, (owner, field, end) in _LIBRARY.items():
-            if owner is cls:
-                value = type(_DEFAULTS[key])(config[key])
-                if end is not None:  # r_min, then r_max, extends the r_range pair
-                    value = (*fields.get(field, ()), value)
-                fields[field] = value
-        return cls(**fields).validate()
+        return cls(**fields)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -270,19 +256,16 @@ def _metric_cells(entry: dict) -> list:
 def cmd_bench(config: dict) -> int:
     out = _out_dir(config)
     requested = config["functions"]
-    if isinstance(requested, str):
-        names = benchmark_names() if requested.strip().lower() == "all" else [
-            tok.strip() for tok in requested.split(",") if tok.strip()
-        ]
-    else:
-        names = list(requested)
+    names = benchmark_names() if requested.strip().lower() == "all" else [
+        tok.strip() for tok in requested.split(",") if tok.strip()
+    ]
     for name in names:
         get_benchmark(name)
     params = _from_config(PfmParams, config)
 
     log.info("bench: %d functions x %s runs (seed %d)", len(names), config["runs"], params.seed)
     with _config_errors():
-        results = run_campaign(names, params, int(config["runs"]))
+        results = run_campaign(names, params, config["runs"])
 
     summaries = []
     for r in results:
@@ -308,12 +291,12 @@ def cmd_bench(config: dict) -> int:
 def _load_train(config: dict):
     schema = TableSchema.from_yaml(config["schema"])
     if config["dedup"] is not None:
-        schema = dataclasses.replace(schema, drop_duplicates=bool(config["dedup"]))
+        schema = dataclasses.replace(schema, drop_duplicates=config["dedup"])
     config["dedup"] = schema.drop_duplicates
     train = load_dataset(config["train"], schema)
     inputs = {
-        "schema": {"path": str(config["schema"]), "fingerprint": schema.fingerprint()},
-        "train": {"path": str(config["train"]), "sha256": _file_sha256(config["train"])},
+        "schema": {"path": config["schema"], "fingerprint": schema.fingerprint()},
+        "train": {"path": config["train"], "sha256": _file_sha256(config["train"])},
     }
     return schema, train, inputs
 
@@ -324,12 +307,14 @@ def cmd_select(config: dict) -> int:
     _, train, inputs = _load_train(config)
     params = _from_config(PfmParams, config)
     spec = _from_config(WrapperFitnessSpec, config)
+    with _config_errors():
+        top_subsets([], config["top_subsets"])  # rejects a count below 1 before the search
     log.info(
         "select: %d rows x %d features, pop %d, %d iterations",
         train.n_rows, train.n_features, params.population_size, params.max_iterations,
     )
     best, trace = select_features(train, params, spec)
-    tops = top_subsets(trace.final_population, n=int(config["top_subsets"]))
+    tops = top_subsets(trace.final_population, n=config["top_subsets"])
     subsets = [
         {"subset_id": f"FSs{i + 1}", "n_features": s.cardinality, "features": s.indices, "fitness": fitness}
         for i, (s, fitness) in enumerate(tops)
@@ -367,10 +352,10 @@ def cmd_eval(config: dict) -> int:
     out = _out_dir(config)
     schema, train, inputs = _load_train(config)
     test = load_dataset(config["test"], schema, fit_from=train)
-    inputs["test"] = {"path": str(config["test"]), "sha256": _file_sha256(config["test"])}
+    inputs["test"] = {"path": config["test"], "sha256": _file_sha256(config["test"])}
     k = _from_config(WrapperFitnessSpec, config).k_neighbors
 
-    mask = _parse_feature_list(str(config["features"]), train.n_features)
+    mask = _parse_feature_list(config["features"], train.n_features)
     requested = [("selected", mask)]
     if config["baseline"] and mask is not None:
         requested.append(("all_features", None))
@@ -398,9 +383,9 @@ def cmd_cv(config: dict) -> int:
     out = _out_dir(config)
     _, data, inputs = _load_train(config)
     k = _from_config(WrapperFitnessSpec, config).k_neighbors
-    mask = _parse_feature_list(str(config["features"]), data.n_features)
+    mask = _parse_feature_list(config["features"], data.n_features)
     with _config_errors():
-        folds = make_folds(data.n_rows, int(config["folds"]), int(config["seed"]))
+        folds = make_folds(data.n_rows, config["folds"], config["seed"])
     log.info("cv: %d folds over %d rows", folds.k, data.n_rows)
     per_fold, pooled_report = cross_validate(mask, data, folds, k)
 

@@ -42,18 +42,65 @@ __all__ = [
     "build_dataset",
     "load_dataset",
     "make_folds",
+    "read_yaml_settings",
 ]
 
-_SCHEMA_KEYS = {
-    "column_count",
-    "label_column",
-    "categorical_columns",
-    "ignored_columns",
-    "normal_labels",
-    "attack_labels",
-    "feature_names",
-    "drop_duplicates",
+_SCHEMA_TYPES = {
+    "column_count": (int,),
+    "label_column": (int,),
+    "categorical_columns": [int],
+    "ignored_columns": [int],
+    "normal_labels": [str, int],  # integers too: Kyoto 2006+ labels are 1, -1 and -2
+    "attack_labels": [str, int],
+    "feature_names": [str, int],
+    "drop_duplicates": (bool,),
 }
+
+
+def read_yaml_settings(path, kind: str, types: dict, required=(), unreadable=ConfigError) -> dict:
+    """The mapping in the YAML file ``path``, each value checked against ``types``.
+
+    Requires a mapping (an empty file is an empty one), rejects keys not in
+    ``types`` and checks that ``required`` keys are present.  ``types`` maps
+    a key to its accepted value types or, for a list key, to a list of its
+    entries' types (entries come back as a tuple; null stays None).  Types
+    are compared with ``type()``, so a YAML bool never passes as an int; an
+    int passes as a float, widened.  Each fault is a ``ConfigError`` naming
+    the file and the key, except an unreadable file, which raises ``unreadable``.
+    """
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except OSError as exc:
+        raise unreadable(f"cannot read {kind} file {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{kind} file {path} is not valid YAML: {exc}") from exc
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{kind} file {path} must hold a mapping")
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ConfigError(f"{kind} file {path}: unknown keys {sorted(map(str, unknown))}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{kind} file {path}: missing required key '{key}'")
+
+    def typed(key, value, accepted):
+        if type(value) is int and float in accepted:
+            return float(value)
+        if type(value) not in accepted:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in accepted)
+            raise ConfigError(f"{kind} file {path}: '{key}' takes {names} values, not {value!r}")
+        return value
+
+    for key, value in raw.items():
+        accepted = types[key]
+        if not isinstance(accepted, list):
+            raw[key] = typed(key, value, accepted)
+        elif value is not None:
+            if not isinstance(value, list):
+                raise ConfigError(f"{kind} file {path}: '{key}' must be a list")
+            raw[key] = tuple(typed(key, entry, accepted) for entry in value)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -106,47 +153,28 @@ class TableSchema:
 
     @classmethod
     def from_yaml(cls, path) -> "TableSchema":
-        try:
-            raw = yaml.safe_load(Path(path).read_text())
-        except OSError as exc:
-            raise DataError(f"cannot read schema file {path}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"schema file {path} is not valid YAML: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"schema file {path} must hold a mapping")
-        unknown = set(raw) - _SCHEMA_KEYS
-        if unknown:
-            raise ConfigError(f"schema file {path}: unknown keys {sorted(unknown)}")
-        for key in ("column_count", "label_column"):
-            if key not in raw:
-                raise ConfigError(f"schema file {path}: missing required key '{key}'")
+        """The schema in a YAML file, typed by :func:`read_yaml_settings`.
 
-        def typed(key, value, *types):
-            if type(value) not in types:  # not isinstance: YAML true/false are bools, an int subclass
-                names = " or ".join(t.__name__ for t in types)
-                raise ConfigError(f"schema file {path}: '{key}' takes {names} values, not {value!r}")
-            return value
+        ``column_count`` and ``label_column`` are required ints, column lists
+        hold ints, ``drop_duplicates`` is a bool, and label and feature-name
+        lists hold strings or ints, kept as strings.  An unreadable file is a
+        ``DataError``; a bad value, or a bad layout, a ``ConfigError``.
+        """
+        required = ("column_count", "label_column")
+        raw = read_yaml_settings(path, "schema", _SCHEMA_TYPES, required, unreadable=DataError)
 
-        def as_tuple(key, *types):
-            value = raw.get(key)
-            if value is None:
-                return None
-            if not isinstance(value, list):
-                raise ConfigError(f"schema file {path}: '{key}' must be a list")
-            return tuple(typed(key, v, *types) for v in value)
-
-        def texts(key):  # integers too: Kyoto 2006+ labels are 1, -1 and -2
-            return None if raw.get(key) is None else tuple(map(str, as_tuple(key, str, int)))
+        def texts(key):
+            return None if raw.get(key) is None else tuple(map(str, raw[key]))
 
         return cls(
-            column_count=typed("column_count", raw["column_count"], int),
-            label_column=typed("label_column", raw["label_column"], int),
-            categorical_columns=as_tuple("categorical_columns", int) or (),
-            ignored_columns=as_tuple("ignored_columns", int) or (),
+            column_count=raw["column_count"],
+            label_column=raw["label_column"],
+            categorical_columns=raw.get("categorical_columns") or (),
+            ignored_columns=raw.get("ignored_columns") or (),
             normal_labels=texts("normal_labels") or ("normal",),
             attack_labels=texts("attack_labels"),
             feature_names=texts("feature_names"),
-            drop_duplicates=typed("drop_duplicates", raw.get("drop_duplicates", False), bool),
+            drop_duplicates=raw.get("drop_duplicates", False),
         )
 
     def fingerprint(self) -> str:
@@ -234,15 +262,16 @@ def load_csv(path, schema: TableSchema) -> RawTable:
 
     Numeric feature cells are parsed to float64 in C, with no Python string
     per cell; other cells become codes (see ``RawTable``).  Blank lines are
-    skipped and every other row must be ``schema.column_count`` wide.
+    skipped and every other row must be ``schema.column_count`` wide.  A
+    quoted cell may span lines and keeps its line breaks, as in ``csv``.
     """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    text_lines = text.splitlines()
-    lines = np.flatnonzero(np.fromiter(map(bool, text_lines), dtype=bool, count=len(text_lines))) + 1
+    text_lines = text.splitlines(keepends=True)  # the ends keep line breaks inside quoted cells
+    lines = np.flatnonzero(np.fromiter(map("\n".__ne__, text_lines), dtype=bool, count=len(text_lines))) + 1
     if lines.size == 0:
         raise DataError(f"{path}: no data rows")
     # Label, categorical and ignored cells become first-seen codes through a C-level

@@ -32,7 +32,6 @@ __all__ = [
     "Problem",
     "RunTrace",
     "attractiveness",
-    "distance",
     "split_population",
     "mate",
     "initialize_population",
@@ -69,7 +68,7 @@ class PfmParams:
     r_range: tuple[float, float] = (0.4, 0.6)
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.population_size < 4:
             raise ValueError(
                 "population_size must be >= 4 to guarantee at least one "
@@ -89,7 +88,6 @@ class PfmParams:
             raise ValueError(f"r_range must satisfy 0 < lo <= hi < 1, got {self.r_range}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        return self
 
 
 @dataclass(frozen=True)
@@ -169,15 +167,6 @@ def attractiveness(d: float, params: PfmParams) -> float:
     )
 
 
-def distance(a, b) -> float:
-    """Euclidean distance between two positions of equal length."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
@@ -209,7 +198,7 @@ def mate(father: Peafowl, mother: Peafowl, params: PfmParams, rng: np.random.Gen
     xj = mother.position
     if xi.shape != xj.shape:
         raise ValueError(f"dimension mismatch: {xi.shape} vs {xj.shape}")
-    a = attractiveness(distance(xi, xj), params)
+    a = attractiveness(np.linalg.norm(xi - xj), params)
     rand = rng.uniform(-1.0, 1.0, size=xi.size)
     return xi * xj + (xi - xj) * a + rand * math.exp(params.gamma1 * params.gamma2)
 
@@ -307,7 +296,6 @@ def optimize(problem: Problem, params: PfmParams) -> RunTrace:
     Records the best fitness after each iteration; elitist truncation makes
     the record monotone non-worsening in the problem's sense.
     """
-    params.validate()
     rng = np.random.default_rng(params.seed)
 
     evaluations = 0

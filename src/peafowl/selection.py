@@ -91,12 +91,11 @@ class WrapperFitnessSpec:
     holdout_fraction: float = 0.2
     split_seed: Optional[int] = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
         if not 0.0 < self.holdout_fraction <= 0.5:
             raise ValueError("holdout_fraction must lie in (0, 0.5]")
-        return self
 
 
 _BLOCK_CELLS = 1_000_000  # query x training-row cells per block of Gram keys (8 MB)
@@ -235,7 +234,6 @@ def subset_fitness(mask: FeatureSubset, train: Dataset | _Holdout, spec: Wrapper
     ``train`` is a :class:`Dataset`, split by ``spec``, or the split that
     :func:`select_features` makes once per run.
     """
-    spec.validate()
     split = train if isinstance(train, _Holdout) else _holdout_split(train, spec)
     preds = knn_classify(split.fit, split.held.features, spec.k_neighbors, mask)
     return float(np.mean(preds == split.held.labels))
@@ -253,8 +251,6 @@ def select_features(
     train: Dataset, params: PfmParams, spec: WrapperFitnessSpec
 ) -> tuple[FeatureSubset, RunTrace]:
     """Search feature masks maximizing wrapper fitness; returns best + trace."""
-    params.validate()
-    spec.validate()
     if train.n_features < 2:
         raise ValueError("need at least 2 features to select from")
     if np.unique(train.labels).size < 2:
@@ -278,6 +274,8 @@ def select_features(
 
 def top_subsets(population, n: int = 3) -> list[tuple[FeatureSubset, float]]:
     """Best n distinct masks from a final population (fitness desc, then smaller)."""
+    if n < 1:
+        raise ValueError(f"top_subsets must be >= 1, got {n}")
     ordered = sorted(population, key=lambda p: (-p.fitness, int(p.position.sum())))
     seen = set()
     out = []

@@ -115,6 +115,9 @@ def write_config(files, text):
     return str(path)
 
 
+QUICK_BENCH = ["bench", "--functions", "F1", "--runs", "1", "--iterations", "2", "--population", "4"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -125,25 +128,69 @@ def write_config(files, text):
         ["eval", "--k-neighbors", "0"],
         ["cv", "--k-neighbors", "0"],
         ["cv", "--schema", "column_count: abc\nlabel_column: 3\n"],
+        ["cv", "--config", 'dedup: "no"\n'],
+        [*QUICK_BENCH, "--config", "seed: 1.5\n"],
+        ["bench", "--functions", "F1", "--runs", "1", "--config", "iterations: 2.9\n"],
+        ["eval", "--config", "k_neighbors: 3.7\n"],
+        ["eval", "--features", "1", "--config", 'baseline: "no"\n'],
+        ["bench", "--functions", "F1", "--iterations", "2", "--config", "runs: true\n"],
+        [*QUICK_BENCH, "--config", 'alpha: "0.5"\n'],
+        ["bench", "--runs", "1", "--iterations", "2", "--config", "functions: 5\n"],
+        ["bench", "--runs", "1", "--iterations", "2", "--config", "functions: [F1, F10]\n"],
+        ["select", "--iterations", "2", "--population", "4", "--config", "top_subsets: abc\n"],
+        ["cv", "--config", "features: 1\n"],
     ],
-    ids=["unknown-function", "runs-0", "folds-1", "select-k-0", "eval-k-0", "cv-k-0", "schema-not-int"],
+    ids=[
+        "unknown-function", "runs-0", "folds-1", "select-k-0", "eval-k-0", "cv-k-0", "schema-not-int",
+        "config-dedup-string", "config-seed-float", "config-iterations-float", "config-k-float",
+        "config-baseline-string", "config-runs-bool", "config-alpha-string", "config-functions-int",
+        "config-functions-list", "config-top-subsets-string", "config-features-int",
+    ],
 )
-def test_config_errors_exit_2(files, argv):
-    if "--schema" in argv:  # the entry after the flag is the schema's text
-        i = argv.index("--schema") + 1
-        argv = [*argv[:i], write_config(files, argv[i]), *argv[i + 1 :], "--train", files["train"]]
-    elif argv[0] != "bench":
-        argv = [*argv, "--train", files["train"], "--schema", files["schema"]]
+def test_config_errors_exit_2(files, argv, caplog):
+    argv = list(argv)
+    for flag in ("--schema", "--config"):  # the entry after either flag is that file's text
+        if flag in argv:
+            i = argv.index(flag) + 1
+            path = files["tmp"] / f"{flag[2:]}.yaml"
+            path.write_text(argv[i])
+            argv[i] = str(path)
+    if argv[0] != "bench":
+        argv += ["--train", files["train"]] + ([] if "--schema" in argv else ["--schema", files["schema"]])
     if argv[0] == "eval":
         argv += ["--test", files["test"]]
     assert run(*argv, out=files["tmp"] / "out") == 2
+    if "--config" in argv:  # the error names the file and the key
+        path = argv[argv.index("--config") + 1]
+        key = Path(path).read_text().split(":")[0]
+        assert f"config file {path}: '{key}'" in caplog.text
+
+
+def test_top_subsets_below_one_exits_2_before_the_search(files, monkeypatch):
+    monkeypatch.setattr(cli, "select_features", lambda *args: pytest.fail("the search started"))
+    argv = ["select", "--train", files["train"], "--schema", files["schema"]]
+    config = write_config(files, "top_subsets: 0\n")
+    assert run(*argv, "--config", config, out=files["tmp"] / "out") == 2
+
+
+def test_config_ints_and_null_dedup_read_as_flags(files):
+    """An int for a float key is that float, and a null dedup leaves the schema's."""
+    argv = ["select", "--train", files["train"], "--schema", files["schema"], "--iterations", "3", "--population", "6"]
+    out = files["tmp"] / "select"
+    assert run(*argv, "--alpha", "1", "--gamma1", "2", out=out) == 0
+    with_flags = primary_bytes(out)
+    config = write_config(files, "alpha: 1\ngamma1: 2\ndedup: null\n")
+    assert run(*argv, "--config", config, out=out) == 0
+    assert primary_bytes(out) == with_flags
 
 
 def test_missing_out_exits_2():
     assert cli.main(["bench", "--functions", "F1", "--runs", "1"]) == 2
 
 
-@pytest.mark.parametrize("text", ["bogus: 1\n", "seed: [1,\n"], ids=["unknown-key", "invalid-yaml"])
+@pytest.mark.parametrize(
+    "text", ["bogus: 1\n", "seed: [1,\n", "1: a\nbogus: b\n"], ids=["unknown-key", "invalid-yaml", "mixed-key-types"]
+)
 def test_bad_config_file_exits_2(files, text):
     config = write_config(files, text)
     assert run("bench", "--config", config, "--functions", "F1", out=files["tmp"] / "out") == 2

@@ -78,7 +78,7 @@ def reference_table(path, schema):
     first-seen order."""
     codes = {c: {} for c in (schema.label_column, *schema.categorical_columns, *schema.ignored_columns)}
     rows, lines = [], []
-    reader = csv.reader(path.read_text().splitlines())
+    reader = csv.reader(path.read_text().splitlines(keepends=True))
     for row in reader:
         if row:
             code = {c: seen.setdefault(row[c].strip(), len(seen)) for c, seen in codes.items()}
@@ -96,7 +96,7 @@ def edge_case_csv(rng, n_rows):
         return rng.choice([text, f" {text} ", f"\t{text}", f'"{text}"', f'" {text} "'])
 
     def word(vocab):
-        return rng.choice([*vocab, '"a,b"', '"say ""hi"""', " tcp ", "#x", '"#y"'])
+        return rng.choice([*vocab, '"a,b"', '"say ""hi"""', " tcp ", "#x", '"#y"', '"tc\np"', '"tc\n\np"'])
 
     def row():
         label = rng.choice(["normal", "attack", " normal ", "#attack", '"normal"', "smurf"])
@@ -203,9 +203,15 @@ class TestReader:
         path.write_text('normal,1,"tc\np",2,x,3\nbogus,4,udp,5,y,6\n')
         schema = dataclasses.replace(EDGE_SCHEMA, attack_labels=("attack",))
         table = load_csv(path, schema)
-        assert column(table, 2) == ("tcp", "udp") and table.lines.tolist() == [1, 3]
+        assert column(table, 2) == ("tc\np", "udp") and table.lines.tolist() == [1, 3]
         with pytest.raises(DataError, match="row 3: label 'bogus'"):
             build_dataset(table, schema)
+
+    def test_quoted_cell_holding_a_blank_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('normal,1,"tc\n\np",2,x,3\n\nnormal,4,udp,5,y,6\n')
+        table = load_csv(path, EDGE_SCHEMA)
+        assert column(table, 2) == ("tc\n\np", "udp") and table.lines.tolist() == [1, 5]
 
 
 class TestFrequencyEncode:

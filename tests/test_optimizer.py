@@ -11,7 +11,6 @@ from peafowl import (
     PfmParams,
     Problem,
     attractiveness,
-    distance,
     initialize_population,
     mate,
     optimize,
@@ -55,21 +54,6 @@ class TestAttractiveness:
         params = PfmParams(call_intensity=0.3, colorfulness=0.5, gamma1=2.0, gamma2=0.5)
         expected = 0.3 * math.exp(-2.0 * 1.5) + 0.5 * math.exp(-0.5 * 1.5)
         assert attractiveness(1.5, params) == pytest.approx(expected, abs=1e-15)
-
-
-class TestDistance:
-    def test_identical_points(self):
-        assert distance((1.0, 0.0, 1.0), (1.0, 0.0, 1.0)) == 0.0
-
-    def test_three_four_five(self):
-        assert distance((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0, abs=1e-15)
-
-    def test_binary_vectors(self):
-        assert distance((1, 1, 0, 0), (0, 1, 1, 0)) == pytest.approx(1.4142135623730951, abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            distance((1.0, 2.0), (1.0, 2.0, 3.0))
 
 
 class TestSplitPopulation:
@@ -277,7 +261,7 @@ class TestOptimize:
     )
     def test_invalid_params_rejected(self, bad):
         with pytest.raises(ValueError):
-            PfmParams(**bad).validate()
+            PfmParams(**bad)
 
     def test_default_params_match_published_settings(self):
         p = PfmParams()

@@ -266,9 +266,9 @@ class TestSubsetFitness:
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
-            WrapperFitnessSpec(holdout_fraction=0.9).validate()
+            WrapperFitnessSpec(holdout_fraction=0.9)
         with pytest.raises(ValueError):
-            WrapperFitnessSpec(k_neighbors=0).validate()
+            WrapperFitnessSpec(k_neighbors=0)
 
 
 class TestSelectFeatures:
@@ -327,6 +327,12 @@ class TestSelectFeatures:
         assert tops[0][0].indices == [1, 3]  # equal fitness, fewer features first
         assert tops[1][0].indices == [1, 2, 3]
         assert tops[2][1] == 0.8
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_top_subsets_needs_a_positive_count(self, n):
+        population = [Peafowl(np.array([1.0, 0.0]), 0.9), Peafowl(np.array([0.0, 1.0]), 0.8)]
+        with pytest.raises(ValueError, match="top_subsets must be >= 1"):
+            top_subsets(population, n=n)
 
 
 class TestEvaluateSubset:
