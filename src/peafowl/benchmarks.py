@@ -30,48 +30,48 @@ __all__ = [
 
 
 def _f1(x):
-    return float(np.sum(x * x))
+    return float((x * x).sum())
 
 
 def _f2(x):
     ax = np.abs(x)
-    return float(np.sum(ax) + np.prod(ax))
+    return float(ax.sum() + ax.prod())
 
 
 def _f3(x):
-    return float(np.sum(np.cumsum(x) ** 2))
+    return float((np.cumsum(x) ** 2).sum())
 
 
 def _f4(x):
-    return float(np.max(np.abs(x)))
+    return float(np.abs(x).max())
 
 
 def _f5(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum())
 
 
 def _f6(x):
-    return float(np.sum(np.floor(x + 0.5) ** 2))
+    return float((np.floor(x + 0.5) ** 2).sum())
 
 
 def _f7(x, rng):
     i = np.arange(1, x.size + 1)
-    return float(np.sum(i * x**4) + rng.random())
+    return float((i * x**4).sum() + rng.random())
 
 
 def _f8(x):
-    return float(np.sum(-x * np.sin(np.sqrt(np.abs(x)))))
+    return float((-x * np.sin(np.sqrt(np.abs(x)))).sum())
 
 
 def _f9(x):
-    return float(np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0))
+    return float((x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0).sum())
 
 
 def _f10(x):
     n = x.size
     return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / n))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / n)
+        -20.0 * np.exp(-0.2 * np.sqrt((x * x).sum() / n))
+        - np.exp(np.cos(2.0 * np.pi * x).sum() / n)
         + 20.0
         + np.e
     )
@@ -79,7 +79,7 @@ def _f10(x):
 
 def _f11(x):
     i = np.arange(1, x.size + 1)
-    return float(np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+    return float((x * x).sum() / 4000.0 - np.cos(x / np.sqrt(i)).prod() + 1.0)
 
 
 def _penalty(x, a, k, m):
@@ -88,7 +88,7 @@ def _penalty(x, a, k, m):
     below = x < -a
     out[above] = k * (x[above] - a) ** m
     out[below] = k * (-x[below] - a) ** m
-    return float(np.sum(out))
+    return float(out.sum())
 
 
 def _f12(x):
@@ -96,7 +96,7 @@ def _f12(x):
     y = 1.0 + (x + 1.0) / 4.0
     core = (
         10.0 * np.sin(np.pi * y[0]) ** 2
-        + np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
+        + ((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2)).sum()
         + (y[-1] - 1.0) ** 2
     )
     return float(np.pi / n * core + _penalty(x, 10.0, 100.0, 4))
@@ -105,7 +105,7 @@ def _f12(x):
 def _f13(x):
     core = (
         np.sin(3.0 * np.pi * x[0]) ** 2
-        + np.sum((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[1:]) ** 2))
+        + ((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[1:]) ** 2)).sum()
         + (x[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * x[-1]) ** 2)
     )
     return float(0.1 * core + _penalty(x, 5.0, 100.0, 4))
@@ -118,12 +118,12 @@ _FOXHOLES_A = np.array(
     ],
     dtype=float,
 )
+_FOXHOLES_J = np.arange(1, 26)
 
 
 def _f14(x):
-    j = np.arange(1, 26)
-    inner = j + np.sum((x[:, None] - _FOXHOLES_A) ** 6, axis=0)
-    return float(1.0 / (1.0 / 500.0 + np.sum(1.0 / inner)))
+    inner = _FOXHOLES_J + ((x[:, None] - _FOXHOLES_A) ** 6).sum(axis=0)
+    return float(1.0 / (1.0 / 500.0 + (1.0 / inner).sum()))
 
 
 _KOWALIK_A = np.array(
@@ -135,7 +135,7 @@ _KOWALIK_B = 1.0 / np.array([0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.
 def _f15(x):
     b = _KOWALIK_B
     model = x[0] * (b * b + b * x[1]) / (b * b + b * x[2] + x[3])
-    return float(np.sum((_KOWALIK_A - model) ** 2))
+    return float(((_KOWALIK_A - model) ** 2).sum())
 
 
 def _f16(x):
@@ -191,8 +191,8 @@ _HARTMANN6_P = 1e-4 * np.array(
 
 
 def _hartmann(x, a, p):
-    inner = np.sum(a * (x[None, :] - p) ** 2, axis=1)
-    return float(-np.sum(_HARTMANN_ALPHA * np.exp(-inner)))
+    inner = (a * (x[None, :] - p) ** 2).sum(axis=1)
+    return float(-(_HARTMANN_ALPHA * np.exp(-inner)).sum())
 
 
 def _f19(x):
@@ -223,7 +223,7 @@ _SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
 
 def _shekel(x, m):
     diff = x[None, :] - _SHEKEL_A[:m]
-    return float(-np.sum(1.0 / (np.sum(diff * diff, axis=1) + _SHEKEL_C[:m])))
+    return float(-(1.0 / ((diff * diff).sum(axis=1) + _SHEKEL_C[:m])).sum())
 
 
 def _f21(x):

@@ -20,6 +20,7 @@ import csv
 import hashlib
 import itertools
 import json
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -257,6 +258,12 @@ class Dataset:
         return cls(features=features, labels=labels, feature_names=list(feature_names))
 
 
+# A line and its "\n", the only line break left once ``read_text`` has turned "\r\n" and
+# "\r" into "\n".  Rows end only there, as in ``csv``: a form feed or U+2028 is cell
+# data, and a quoted cell keeps its line breaks.  (str.splitlines also breaks at those.)
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
 def load_csv(path, schema: TableSchema) -> RawTable:
     """Parse a headerless CSV in one pass of NumPy's C reader.
 
@@ -270,7 +277,7 @@ def load_csv(path, schema: TableSchema) -> RawTable:
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    text_lines = text.splitlines(keepends=True)  # the ends keep line breaks inside quoted cells
+    text_lines = _LINE.findall(text)
     lines = np.flatnonzero(np.fromiter(map("\n".__ne__, text_lines), dtype=bool, count=len(text_lines))) + 1
     if lines.size == 0:
         raise DataError(f"{path}: no data rows")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -69,6 +70,11 @@ class PfmParams:
     seed: int = 0
 
     def __post_init__(self):
+        # type(), not isinstance: a bool is not a count or a seed.
+        for name in ("population_size", "max_iterations", "seasons_per_iteration", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.population_size < 4:
             raise ValueError(
                 "population_size must be >= 4 to guarantee at least one "
@@ -86,7 +92,7 @@ class PfmParams:
         lo, hi = self.r_range
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError(f"r_range must satisfy 0 < lo <= hi < 1, got {self.r_range}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
 
@@ -190,24 +196,33 @@ def mate(father: Peafowl, mother: Peafowl, params: PfmParams, rng: np.random.Gen
     """Raw newborn position (before domain adjustment).
 
     Per dimension: father*mother + (father - mother) * A + rand * e^(g1*g2),
-    where A is the attractiveness at the parents' Euclidean distance and rand
-    is drawn fresh per dimension, uniform in [-1, 1].  Consumes exactly
-    ``dimension`` draws from ``rng``.
+    where A is the attractiveness at the parents' Euclidean distance
+    sqrt(d·d), d = father - mother, and rand is drawn fresh per dimension,
+    uniform in [-1, 1].  Consumes exactly ``dimension`` draws from ``rng``.
     """
     xi = father.position
     xj = mother.position
     if xi.shape != xj.shape:
         raise ValueError(f"dimension mismatch: {xi.shape} vs {xj.shape}")
-    a = attractiveness(np.linalg.norm(xi - xj), params)
+    # float64 even for integer parents, as the in-place steps below need.
+    diff = np.subtract(xi, xj, dtype=float)
+    a = attractiveness(math.sqrt(diff.dot(diff)), params)
     rand = rng.uniform(-1.0, 1.0, size=xi.size)
-    return xi * xj + (xi - xj) * a + rand * math.exp(params.gamma1 * params.gamma2)
+    # In place, but summed in the order of the formula above.
+    raw = np.multiply(xi, xj, dtype=float)
+    diff *= a
+    raw += diff
+    rand *= math.exp(params.gamma1 * params.gamma2)
+    raw += rand
+    return raw
 
 
 def _adjust(raw: np.ndarray, problem: Problem, rng: np.random.Generator) -> np.ndarray:
     if isinstance(problem.domain, Binary):
         position = binarize(raw, rng)
     else:
-        position = np.clip(raw, problem.domain.lower, problem.domain.upper)
+        # np.clip's ufunc pair, in place: ``raw`` is a fresh array from ``mate``.
+        position = np.minimum(np.maximum(raw, problem.domain.lower, out=raw), problem.domain.upper, out=raw)
     if problem.repair is not None:
         position = problem.repair(position, rng)
     return position
@@ -221,10 +236,8 @@ def _evaluate(problem: Problem, position: np.ndarray) -> Peafowl:
 
 
 def _sorted_best_first(population: list[Peafowl], sense: str) -> list[Peafowl]:
-    # Stable sort: ties keep insertion order.
-    if sense == "min":
-        return sorted(population, key=lambda p: p.fitness)
-    return sorted(population, key=lambda p: -p.fitness)
+    # Stable sort, also under ``reverse``: ties keep insertion order.
+    return sorted(population, key=attrgetter("fitness"), reverse=sense == "max")
 
 
 def initialize_population(problem: Problem, params: PfmParams, rng: np.random.Generator) -> list[Peafowl]:

@@ -92,6 +92,11 @@ class WrapperFitnessSpec:
     split_seed: Optional[int] = None
 
     def __post_init__(self):
+        # type(), not isinstance: a bool is not a neighbour count or a seed.
+        if type(self.k_neighbors) is not int:
+            raise ValueError(f"k_neighbors must be an int, got {self.k_neighbors!r}")
+        if self.split_seed is not None and type(self.split_seed) is not int:
+            raise ValueError(f"split_seed must be an int or None, got {self.split_seed!r}")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
         if not 0.0 < self.holdout_fraction <= 0.5:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import random
 import re
 import warnings
@@ -78,7 +79,7 @@ def reference_table(path, schema):
     first-seen order."""
     codes = {c: {} for c in (schema.label_column, *schema.categorical_columns, *schema.ignored_columns)}
     rows, lines = [], []
-    reader = csv.reader(path.read_text().splitlines(keepends=True))
+    reader = csv.reader(io.StringIO(path.read_text(), newline=""))
     for row in reader:
         if row:
             code = {c: seen.setdefault(row[c].strip(), len(seen)) for c, seen in codes.items()}
@@ -96,7 +97,10 @@ def edge_case_csv(rng, n_rows):
         return rng.choice([text, f" {text} ", f"\t{text}", f'"{text}"', f'" {text} "'])
 
     def word(vocab):
-        return rng.choice([*vocab, '"a,b"', '"say ""hi"""', " tcp ", "#x", '"#y"', '"tc\np"', '"tc\n\np"'])
+        return rng.choice(
+            [*vocab, '"a,b"', '"say ""hi"""', " tcp ", "#x", '"#y"', '"tc\np"', '"tc\n\np"']
+            + ["b\x0cq", "b\x1cq", "b\x85q", "b\u2028q"]  # str.splitlines breaks, csv does not
+        )
 
     def row():
         label = rng.choice(["normal", "attack", " normal ", "#attack", '"normal"', "smurf"])
@@ -206,6 +210,13 @@ class TestReader:
         assert column(table, 2) == ("tc\np", "udp") and table.lines.tolist() == [1, 3]
         with pytest.raises(DataError, match="row 3: label 'bogus'"):
             build_dataset(table, schema)
+
+    def test_form_feed_inside_a_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("normal,1,b\x0cq")
+        schema = TableSchema(column_count=3, label_column=0, categorical_columns=(2,))
+        table = load_csv(path, schema)
+        assert column(table, 2) == ("b\x0cq",) and table.lines.tolist() == [1]
 
     def test_quoted_cell_holding_a_blank_line(self, tmp_path):
         path = tmp_path / "t.csv"

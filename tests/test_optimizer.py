@@ -18,6 +18,9 @@ from peafowl import (
     split_population,
 )
 
+from peafowl.selection import _repair_empty_mask
+from peafowl.transfer import binarize
+
 from conftest import CountingRng, StubRng
 
 DEFAULTS = PfmParams()
@@ -191,6 +194,113 @@ class TestRunSeason:
             run_season(population, params, problem, np.random.default_rng(0))
 
 
+# The season in its plainest NumPy form (np.linalg.norm, np.clip and a lambda-key
+# sort): the reference that run_season must match bit for bit.
+def reference_mate(father, mother, params, rng):
+    xi = father.position
+    xj = mother.position
+    a = attractiveness(np.linalg.norm(xi - xj), params)
+    rand = rng.uniform(-1.0, 1.0, size=xi.size)
+    return xi * xj + (xi - xj) * a + rand * math.exp(params.gamma1 * params.gamma2)
+
+
+def reference_adjust(raw, problem, rng):
+    if isinstance(problem.domain, Binary):
+        position = binarize(raw, rng)
+    else:
+        position = np.clip(raw, problem.domain.lower, problem.domain.upper)
+    if problem.repair is not None:
+        position = problem.repair(position, rng)
+    return position
+
+
+def reference_sorted_best_first(population, sense):
+    if sense == "min":
+        return sorted(population, key=lambda p: p.fitness)
+    return sorted(population, key=lambda p: -p.fitness)
+
+
+def reference_season(population, params, problem, rng):
+    n = params.population_size
+    lo, hi = params.r_range
+    r = rng.uniform(lo, hi)
+    ranked = reference_sorted_best_first(population, problem.sense)
+    split = split_population(n, r, params.dominance_factor)
+    males = ranked[: split.n_males]
+    females = ranked[split.n_males :]
+    max_mates = max(1, split.n_females // split.n_dominant)
+
+    newborns = []
+
+    def bear_child(father):
+        mother = females[int(rng.integers(0, split.n_females))]
+        raw = reference_mate(father, mother, params, rng)
+        position = reference_adjust(raw, problem, rng)
+        newborns.append(Peafowl(position, float(problem.objective(position))))
+
+    for father in males[: split.n_dominant]:
+        k = int(rng.integers(1, max_mates + 1))
+        for _ in range(k):
+            bear_child(father)
+    for father in males[split.n_dominant :]:
+        bear_child(father)
+
+    return reference_sorted_best_first(ranked + newborns, problem.sense)[:n]
+
+
+def season_cases():
+    box = ContinuousBox(np.full(5, -4.0), np.full(5, 4.0))
+    return {
+        "box-min": Problem(5, box, lambda x: float(np.sum(x * x))),
+        "box-max": Problem(5, box, lambda x: float(np.sum(np.sin(3.0 * x))), sense="max"),
+        # a 3-bit space: the transfer layer often emits the empty mask, which the repair fixes
+        "binary-repair": Problem(
+            3, Binary(), lambda x: float(x @ [1.0, 2.0, 4.0]), sense="max", repair=_repair_empty_mask
+        ),
+        # most newborns tie with each other and with their parents
+        "box-ties": Problem(5, box, lambda x: float(np.sum(x * x) > 40.0)),
+    }
+
+
+class TestSeasonMatchesReference:
+    @pytest.mark.parametrize("n", [4, 7, 30])
+    @pytest.mark.parametrize("case", list(season_cases()))
+    def test_twenty_seasons_bit_identical(self, case, n):
+        problem = season_cases()[case]
+        params = PfmParams(population_size=n)
+        population = initialize_population(problem, params, np.random.default_rng(n))
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = want = population
+        for _ in range(20):
+            got = run_season(got, params, problem, got_rng)
+            want = reference_season(want, params, problem, want_rng)
+            assert [p.fitness for p in got] == [p.fitness for p in want]
+            assert [p.position.tobytes() for p in got] == [p.position.tobytes() for p in want]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        if case == "box-ties":
+            assert len({p.fitness for p in got}) < n
+
+    def test_mate_matches_reference(self):
+        rng = np.random.default_rng(3)
+        params = PfmParams(call_intensity=0.3, colorfulness=0.05, gamma1=0.7, gamma2=1.3)
+        for d in (1, 2, 5, 30):
+            for _ in range(50):
+                father = Peafowl(rng.normal(0.0, 10.0, d), 0.0)
+                mother = Peafowl(rng.normal(0.0, 10.0, d), 0.0)
+                for p in (params, DEFAULTS):
+                    got = mate(father, mother, p, np.random.default_rng(d))
+                    want = reference_mate(father, mother, p, np.random.default_rng(d))
+                    assert got.tobytes() == want.tobytes()
+
+    def test_integer_positions_mate_as_floats(self):
+        # a repair hook may hand back integer positions
+        father = Peafowl(np.array([3, -1, 2]), 0.0)
+        mother = Peafowl(np.array([1, 4, 2]), 0.0)
+        got = mate(father, mother, DEFAULTS, np.random.default_rng(0))
+        want = reference_mate(father, mother, DEFAULTS, np.random.default_rng(0))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 class TestOptimize:
     def test_sphere_monotone_and_improving(self):
         params = PfmParams(population_size=30, max_iterations=50, seasons_per_iteration=3, seed=0)
@@ -257,6 +367,11 @@ class TestOptimize:
             {"r_range": (0.4, 1.0)},
             {"gamma1": -1.0},
             {"seed": -5},
+            {"max_iterations": 2.5},
+            {"population_size": 10.0},
+            {"seasons_per_iteration": True},
+            {"seed": True},
+            {"seed": 1.0},
         ],
     )
     def test_invalid_params_rejected(self, bad):

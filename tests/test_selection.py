@@ -265,10 +265,17 @@ class TestSubsetFitness:
             assert 0.0 <= value <= 1.0
 
     def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            WrapperFitnessSpec(holdout_fraction=0.9)
-        with pytest.raises(ValueError):
-            WrapperFitnessSpec(k_neighbors=0)
+        bad_specs = [
+            {"holdout_fraction": 0.9},
+            {"k_neighbors": 0},
+            {"k_neighbors": 2.5},
+            {"k_neighbors": True},
+            {"split_seed": 1.5},
+            {"split_seed": False},
+        ]
+        for bad in bad_specs:
+            with pytest.raises(ValueError):
+                WrapperFitnessSpec(**bad)
 
 
 class TestSelectFeatures:
