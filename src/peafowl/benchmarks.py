@@ -3,7 +3,9 @@
 F1-F7 are unimodal, F8-F13 multimodal (30 dimensions each) and F14-F23
 fixed-dimension multimodal.  Coefficient tables for F14, F15 and F19-F23 are
 taken verbatim from the classical evolutionary-programming test suite
-(Yao, Liu & Lin, 1999).
+(Yao, Liu & Lin, 1999).  Each function maps an ``(m, dimension)`` matrix to
+its ``m`` row values; every reduction runs along a row, so a row's value does
+not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -30,56 +32,60 @@ __all__ = [
 
 
 def _f1(x):
-    return float((x * x).sum())
+    return (x * x).sum(axis=1)
 
 
 def _f2(x):
     ax = np.abs(x)
-    return float(ax.sum() + ax.prod())
+    return ax.sum(axis=1) + ax.prod(axis=1)
 
 
 def _f3(x):
-    return float((np.cumsum(x) ** 2).sum())
+    return (np.cumsum(x, axis=1) ** 2).sum(axis=1)
 
 
 def _f4(x):
-    return float(np.abs(x).max())
+    return np.abs(x).max(axis=1)
 
 
 def _f5(x):
-    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum())
+    return (100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (x[:, :-1] - 1.0) ** 2).sum(axis=1)
 
 
 def _f6(x):
-    return float((np.floor(x + 0.5) ** 2).sum())
+    return (np.floor(x + 0.5) ** 2).sum(axis=1)
+
+
+# F7 and F11 weight coordinate i = 1..30; every caller passes 30 coordinates.
+_I30 = np.arange(1, 31)
+_SQRT_I30 = np.sqrt(_I30)
 
 
 def _f7(x, rng):
-    i = np.arange(1, x.size + 1)
-    return float((i * x**4).sum() + rng.random())
+    # One noise draw per row: the same stream as one draw per call on single rows.
+    return (_I30 * x**4).sum(axis=1) + rng.random(len(x))
 
 
 def _f8(x):
-    return float((-x * np.sin(np.sqrt(np.abs(x)))).sum())
+    return (-x * np.sin(np.sqrt(np.abs(x)))).sum(axis=1)
 
 
 def _f9(x):
-    return float((x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0).sum())
+    return (x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0).sum(axis=1)
 
 
 def _f10(x):
-    n = x.size
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt((x * x).sum() / n))
-        - np.exp(np.cos(2.0 * np.pi * x).sum() / n)
+    n = x.shape[1]
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt((x * x).sum(axis=1) / n))
+        - np.exp(np.cos(2.0 * np.pi * x).sum(axis=1) / n)
         + 20.0
         + np.e
     )
 
 
 def _f11(x):
-    i = np.arange(1, x.size + 1)
-    return float((x * x).sum() / 4000.0 - np.cos(x / np.sqrt(i)).prod() + 1.0)
+    return (x * x).sum(axis=1) / 4000.0 - np.cos(x / _SQRT_I30).prod(axis=1) + 1.0
 
 
 def _penalty(x, a, k, m):
@@ -88,27 +94,27 @@ def _penalty(x, a, k, m):
     below = x < -a
     out[above] = k * (x[above] - a) ** m
     out[below] = k * (-x[below] - a) ** m
-    return float(out.sum())
+    return out.sum(axis=1)
 
 
 def _f12(x):
-    n = x.size
+    n = x.shape[1]
     y = 1.0 + (x + 1.0) / 4.0
     core = (
-        10.0 * np.sin(np.pi * y[0]) ** 2
-        + ((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2)).sum()
-        + (y[-1] - 1.0) ** 2
+        10.0 * np.sin(np.pi * y[:, 0]) ** 2
+        + ((y[:, :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[:, 1:]) ** 2)).sum(axis=1)
+        + (y[:, -1] - 1.0) ** 2
     )
-    return float(np.pi / n * core + _penalty(x, 10.0, 100.0, 4))
+    return np.pi / n * core + _penalty(x, 10.0, 100.0, 4)
 
 
 def _f13(x):
     core = (
-        np.sin(3.0 * np.pi * x[0]) ** 2
-        + ((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[1:]) ** 2)).sum()
-        + (x[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * x[-1]) ** 2)
+        np.sin(3.0 * np.pi * x[:, 0]) ** 2
+        + ((x[:, :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[:, 1:]) ** 2)).sum(axis=1)
+        + (x[:, -1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * x[:, -1]) ** 2)
     )
-    return float(0.1 * core + _penalty(x, 5.0, 100.0, 4))
+    return 0.1 * core + _penalty(x, 5.0, 100.0, 4)
 
 
 _FOXHOLES_A = np.array(
@@ -122,8 +128,8 @@ _FOXHOLES_J = np.arange(1, 26)
 
 
 def _f14(x):
-    inner = _FOXHOLES_J + ((x[:, None] - _FOXHOLES_A) ** 6).sum(axis=0)
-    return float(1.0 / (1.0 / 500.0 + (1.0 / inner).sum()))
+    inner = _FOXHOLES_J + ((x[:, :, None] - _FOXHOLES_A) ** 6).sum(axis=1)
+    return 1.0 / (1.0 / 500.0 + (1.0 / inner).sum(axis=1))
 
 
 _KOWALIK_A = np.array(
@@ -134,18 +140,19 @@ _KOWALIK_B = 1.0 / np.array([0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.
 
 def _f15(x):
     b = _KOWALIK_B
-    model = x[0] * (b * b + b * x[1]) / (b * b + b * x[2] + x[3])
-    return float(((_KOWALIK_A - model) ** 2).sum())
+    x1, x2, x3, x4 = x.T[:, :, None]
+    model = x1 * (b * b + b * x2) / (b * b + b * x3 + x4)
+    return ((_KOWALIK_A - model) ** 2).sum(axis=1)
 
 
 def _f16(x):
-    x1, x2 = x
-    return float(4 * x1**2 - 2.1 * x1**4 + x1**6 / 3.0 + x1 * x2 - 4 * x2**2 + 4 * x2**4)
+    x1, x2 = x.T
+    return 4 * x1**2 - 2.1 * x1**4 + x1**6 / 3.0 + x1 * x2 - 4 * x2**2 + 4 * x2**4
 
 
 def _f17(x):
-    x1, x2 = x
-    return float(
+    x1, x2 = x.T
+    return (
         (x2 - 5.1 / (4 * np.pi**2) * x1**2 + 5.0 / np.pi * x1 - 6.0) ** 2
         + 10.0 * (1.0 - 1.0 / (8 * np.pi)) * np.cos(x1)
         + 10.0
@@ -153,12 +160,12 @@ def _f17(x):
 
 
 def _f18(x):
-    x1, x2 = x
+    x1, x2 = x.T
     a = 1 + (x1 + x2 + 1) ** 2 * (19 - 14 * x1 + 3 * x1**2 - 14 * x2 + 6 * x1 * x2 + 3 * x2**2)
     b = 30 + (2 * x1 - 3 * x2) ** 2 * (
         18 - 32 * x1 + 12 * x1**2 + 48 * x2 - 36 * x1 * x2 + 27 * x2**2
     )
-    return float(a * b)
+    return a * b
 
 
 _HARTMANN_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
@@ -191,8 +198,8 @@ _HARTMANN6_P = 1e-4 * np.array(
 
 
 def _hartmann(x, a, p):
-    inner = (a * (x[None, :] - p) ** 2).sum(axis=1)
-    return float(-(_HARTMANN_ALPHA * np.exp(-inner)).sum())
+    inner = (a * (x[:, None, :] - p) ** 2).sum(axis=2)
+    return -(_HARTMANN_ALPHA * np.exp(-inner)).sum(axis=1)
 
 
 def _f19(x):
@@ -222,8 +229,8 @@ _SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
 
 
 def _shekel(x, m):
-    diff = x[None, :] - _SHEKEL_A[:m]
-    return float(-(1.0 / ((diff * diff).sum(axis=1) + _SHEKEL_C[:m])).sum())
+    diff = x[:, None, :] - _SHEKEL_A[:m]
+    return -(1.0 / ((diff * diff).sum(axis=2) + _SHEKEL_C[:m])).sum(axis=1)
 
 
 def _f21(x):
@@ -309,8 +316,8 @@ def evaluate_benchmark(name: str, x, rng: Optional[np.random.Generator] = None) 
     if bench.noisy:
         if rng is None:
             raise ValueError(f"{name} is noisy and needs an explicit rng")
-        return bench.fn(x, rng)
-    return bench.fn(x)
+        return float(bench.fn(x[None], rng)[0])
+    return float(bench.fn(x[None])[0])
 
 
 def make_problem(name: str, seed: Optional[int] = None) -> Problem:

@@ -31,6 +31,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .benchmarks import benchmark_names, get_benchmark, run_campaign
 from .data import TableSchema, load_dataset, make_folds, read_yaml_settings
@@ -308,7 +310,8 @@ def cmd_select(config: dict) -> int:
     params = _from_config(PfmParams, config)
     spec = _from_config(WrapperFitnessSpec, config)
     with _config_errors():
-        top_subsets([], config["top_subsets"])  # rejects a count below 1 before the search
+        # Rejects a count below 1 before the search.
+        top_subsets((np.empty((0, 1)), np.empty(0)), config["top_subsets"])
     log.info(
         "select: %d rows x %d features, pop %d, %d iterations",
         train.n_rows, train.n_features, params.population_size, params.max_iterations,

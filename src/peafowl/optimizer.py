@@ -4,19 +4,21 @@ Candidate solutions ("peafowls") are ranked by fitness each mating season and
 split into males and females; the strongest males are dominant and take
 several mates.  A newborn combines its parents coordinate-wise and carries an
 additive mutation term.  Elitist truncation keeps the population size fixed,
-so the best solution found is never lost.
+so the best solution found is never lost.  The population is an ``(n, d)``
+position matrix and an ``(n,)`` fitness vector, kept best-first.
 
 Randomness discipline: every run owns a single ``numpy.random.Generator``
-seeded from ``PfmParams.seed`` and all stochastic choices consume from it in
-a fixed, documented order (see :func:`run_season`), making runs
-bit-reproducible.
+seeded from ``PfmParams.seed`` and consumes from it in a fixed order, making
+runs bit-reproducible.  Initialization draws the position matrix in one call,
+then runs any repair per row.  A season draws (1) the male fraction, (2) all
+mate counts in one call, (3) all partner indices in one call, (4) all mating
+noise in one call, then (5) per newborn any transfer and repair draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -40,10 +42,12 @@ __all__ = [
     "optimize",
 ]
 
+Population = tuple[np.ndarray, np.ndarray]  # positions (a row each) and fitness, best first
+
 
 @dataclass
 class Peafowl:
-    """One candidate solution: a position vector plus its cached fitness."""
+    """The best solution of a run: its position vector and fitness."""
 
     position: np.ndarray
     fitness: float
@@ -118,6 +122,8 @@ class ContinuousBox:
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper bounds must have the same length")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
 
@@ -131,19 +137,23 @@ class Binary:
 class Problem:
     """An objective over a box or bit-vector domain.
 
-    ``objective`` must be a pure function of the position (a noisy benchmark
-    may close over its own generator).  ``repair`` is an optional hook applied
-    after domain adjustment, e.g. to forbid the empty feature subset; it may
-    consume draws from the run generator.
+    ``objective`` maps an ``(m, dimension)`` matrix to ``m`` fitness values,
+    each a pure function of its row (a noisy benchmark may close over its own
+    generator).  ``repair`` is an optional hook applied to one position after
+    domain adjustment, e.g. to forbid the empty feature subset; it may consume
+    draws from the run generator.
     """
 
     dimension: int
     domain: Union[ContinuousBox, Binary]
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     sense: str = "min"
     repair: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
 
     def __post_init__(self):
+        # type(), not isinstance: a bool is not a dimension.
+        if type(self.dimension) is not int:
+            raise ValueError(f"dimension must be an int, got {self.dimension!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
         if self.sense not in ("min", "max"):
@@ -154,27 +164,24 @@ class Problem:
 
 @dataclass
 class RunTrace:
-    """Result of one optimizer run."""
+    """Result of one optimizer run.
+
+    ``newborns[i]`` counts iteration i's newborns, ``survivors[i]`` those that
+    truncation kept.
+    """
 
     best_per_iteration: list[float]
     best_solution: Peafowl
     evaluations: int
     seed: int
-    final_population: list[Peafowl] = field(default_factory=list)
+    final_population: Population
+    newborns: list[int]
+    survivors: list[int]
 
 
-def attractiveness(d: float, params: PfmParams) -> float:
-    """Exponentially distance-decayed blend of call intensity and colorfulness.
-
-    Strictly decreasing in the distance d >= 0; at most I0 + C0.
-    """
-    return params.call_intensity * math.exp(-params.gamma1 * d) + params.colorfulness * math.exp(
-        -params.gamma2 * d
-    )
-
-
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+def attractiveness(d, params: PfmParams):
+    """I0·exp(-γ1·d) + C0·exp(-γ2·d), elementwise: strictly decreasing in d >= 0, at most I0 + C0."""
+    return params.call_intensity * np.exp(-params.gamma1 * d) + params.colorfulness * np.exp(-params.gamma2 * d)
 
 
 def split_population(n: int, r: float, alpha: float) -> PopulationSplit:
@@ -185,122 +192,119 @@ def split_population(n: int, r: float, alpha: float) -> PopulationSplit:
     """
     if n < 4:
         raise ValueError(f"population too small to split: need n >= 4, got {n}")
-    n_males = min(max(_round_half_up(n * r), 1), n - 1)
+    n_males = min(max(math.floor(n * r + 0.5), 1), n - 1)
     n_females = n - n_males
-    n_dominant = min(max(_round_half_up(n_males * alpha), 1), n_males)
+    n_dominant = min(max(math.floor(n_males * alpha + 0.5), 1), n_males)
     n_normal = n_males - n_dominant
     return PopulationSplit(n_males, n_females, n_dominant, n_normal)
 
 
-def mate(father: Peafowl, mother: Peafowl, params: PfmParams, rng: np.random.Generator) -> np.ndarray:
-    """Raw newborn position (before domain adjustment).
+def mate(fathers: np.ndarray, mothers: np.ndarray, params: PfmParams, rng: np.random.Generator) -> np.ndarray:
+    """Raw newborn positions (before domain adjustment), one row per pair of parent rows.
 
-    Per dimension: father*mother + (father - mother) * A + rand * e^(g1*g2),
-    where A is the attractiveness at the parents' Euclidean distance
-    sqrt(d·d), d = father - mother, and rand is drawn fresh per dimension,
-    uniform in [-1, 1].  Consumes exactly ``dimension`` draws from ``rng``.
+    Per coordinate: father*mother + (father - mother) * A + rand * e^(g1*g2),
+    where A is the attractiveness at the pair's distance sqrt(d·d), d = father
+    - mother, and rand is uniform in [-1, 1], drawn in one call, row by row.
     """
-    xi = father.position
-    xj = mother.position
-    if xi.shape != xj.shape:
-        raise ValueError(f"dimension mismatch: {xi.shape} vs {xj.shape}")
+    if fathers.ndim != 2 or fathers.shape != mothers.shape:
+        raise ValueError(f"dimension mismatch: {fathers.shape} vs {mothers.shape}")
     # float64 even for integer parents, as the in-place steps below need.
-    diff = np.subtract(xi, xj, dtype=float)
-    a = attractiveness(math.sqrt(diff.dot(diff)), params)
-    rand = rng.uniform(-1.0, 1.0, size=xi.size)
+    diff = np.subtract(fathers, mothers, dtype=float)
+    a = attractiveness(np.sqrt(np.einsum("ij,ij->i", diff, diff)), params)
+    noise = rng.uniform(-1.0, 1.0, size=fathers.shape)
     # In place, but summed in the order of the formula above.
-    raw = np.multiply(xi, xj, dtype=float)
-    diff *= a
+    raw = np.multiply(fathers, mothers, dtype=float)
+    diff *= a[:, None]
     raw += diff
-    rand *= math.exp(params.gamma1 * params.gamma2)
-    raw += rand
+    noise *= math.exp(params.gamma1 * params.gamma2)
+    raw += noise
     return raw
 
 
-def _adjust(raw: np.ndarray, problem: Problem, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(problem.domain, Binary):
-        position = binarize(raw, rng)
-    else:
-        # np.clip's ufunc pair, in place: ``raw`` is a fresh array from ``mate``.
-        position = np.minimum(np.maximum(raw, problem.domain.lower, out=raw), problem.domain.upper, out=raw)
-    if problem.repair is not None:
-        position = problem.repair(position, rng)
-    return position
+def _per_row(rows: np.ndarray, problem: Problem, rng: np.random.Generator, transfer: bool) -> np.ndarray:
+    """In place, row by row: the transfer draws if ``transfer``, then any repair."""
+    if transfer or problem.repair is not None:
+        for i, row in enumerate(rows):
+            if transfer:
+                row = binarize(row, rng)
+            if problem.repair is not None:
+                row = problem.repair(row, rng)
+            rows[i] = row
+    return rows
 
 
-def _evaluate(problem: Problem, position: np.ndarray) -> Peafowl:
-    value = float(problem.objective(position))
-    if not math.isfinite(value):
-        raise EvaluationError(f"objective returned {value!r} at position {position.tolist()}")
-    return Peafowl(position=position, fitness=value)
+def _evaluate(problem: Problem, rows: np.ndarray) -> np.ndarray:
+    values = np.asarray(problem.objective(rows), dtype=float)
+    if values.shape != (len(rows),):
+        raise EvaluationError(f"objective returned shape {values.shape} for {len(rows)} rows")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise EvaluationError(f"objective returned {float(values[bad[0]])!r} at position {rows[bad[0]].tolist()}")
+    return values
 
 
-def _sorted_best_first(population: list[Peafowl], sense: str) -> list[Peafowl]:
-    # Stable sort, also under ``reverse``: ties keep insertion order.
-    return sorted(population, key=attrgetter("fitness"), reverse=sense == "max")
+def _best_first(fitness: np.ndarray, sense: str) -> np.ndarray:
+    # A stable sort, also for "max": ties keep their order.
+    return np.argsort(fitness if sense == "min" else -fitness, kind="stable")
 
 
-def initialize_population(problem: Problem, params: PfmParams, rng: np.random.Generator) -> list[Peafowl]:
-    """Uniform random population over the domain, evaluated.
+def initialize_population(problem: Problem, params: PfmParams, rng: np.random.Generator) -> Population:
+    """Uniform random population over the domain, evaluated and ranked best-first.
 
-    Binary domains draw each bit as a fair coin; continuous domains draw each
-    coordinate uniformly within its bounds.  Consumes ``dimension`` draws per
-    individual (plus any repair draws).
+    One call draws the ``(population_size, dimension)`` matrix, a fair coin
+    per bit or a uniform coordinate within its bounds; then any repair per row.
     """
-    population = []
-    for _ in range(params.population_size):
-        if isinstance(problem.domain, Binary):
-            position = (rng.random(problem.dimension) < 0.5).astype(float)
-        else:
-            position = rng.uniform(problem.domain.lower, problem.domain.upper)
-        if problem.repair is not None:
-            position = problem.repair(position, rng)
-        population.append(_evaluate(problem, position))
-    return population
+    shape = (params.population_size, problem.dimension)
+    if isinstance(problem.domain, Binary):
+        positions = (rng.random(shape) < 0.5).astype(float)
+    else:
+        positions = rng.uniform(problem.domain.lower, problem.domain.upper, size=shape)
+    positions = _per_row(positions, problem, rng, transfer=False)
+    fitness = _evaluate(problem, positions)
+    order = _best_first(fitness, problem.sense)
+    return positions[order], fitness[order]
 
 
 def run_season(
-    population: list[Peafowl],
-    params: PfmParams,
-    problem: Problem,
-    rng: np.random.Generator,
-) -> list[Peafowl]:
-    """One mating season; returns the next population of the same size.
+    population: Population, params: PfmParams, problem: Problem, rng: np.random.Generator, tally=None
+) -> Population:
+    """One mating season: from a best-first ``(positions, fitness)`` to the next one.
 
-    Draw order: (1) the male fraction r, uniform in r_range; (2) for each
-    dominant male in rank order, its number of mates k, uniform over
-    {1..max(1, floor(n_females / n_dominant))}, then per child a partner
-    index, the per-dimension mating draws, and for binary domains the
-    per-dimension transfer draws (plus any repair draw); (3) the same per
-    child for each normal male, with k fixed to 1.  Parents and newborns are
-    then truncated to the best ``population_size``.
+    Draw order: (1) the male fraction r, uniform in r_range; (2) in one call,
+    the mate count of each dominant male in rank order, uniform over
+    {1..max(1, floor(n_females / n_dominant))}, while normal males take one;
+    (3) in one call, a female partner for every pair, pairs ordered by father
+    rank, then by mate; (4) in one call in :func:`mate`, the (pairs, dimension)
+    mating noise; (5) per newborn in pair order, for binary domains its
+    ``dimension`` transfer draws, then any repair draw.  One objective call
+    evaluates the newborns and one stable sort keeps the best
+    ``population_size``, ties keeping parents in rank order, then newborns in
+    birth order.  A ``tally`` list gains the newborns at [0], the kept at [1].
     """
+    positions, fitness = population
     n = params.population_size
-    if len(population) != n:
-        raise ValueError(f"expected population of size {n}, got {len(population)}")
-    lo, hi = params.r_range
-    r = rng.uniform(lo, hi)
-    ranked = _sorted_best_first(population, problem.sense)
-    split = split_population(n, r, params.dominance_factor)
-    males = ranked[: split.n_males]
-    females = ranked[split.n_males :]
+    if len(fitness) != n:
+        raise ValueError(f"expected population of size {n}, got {len(fitness)}")
+    split = split_population(n, rng.uniform(*params.r_range), params.dominance_factor)
+    mates = np.ones(split.n_males, dtype=int)
     max_mates = max(1, split.n_females // split.n_dominant)
+    mates[: split.n_dominant] = rng.integers(1, max_mates + 1, size=split.n_dominant)
+    fathers = np.repeat(np.arange(split.n_males), mates)
+    mothers = rng.integers(split.n_males, n, size=fathers.size)
+    newborns = mate(positions[fathers], positions[mothers], params, rng)
 
-    newborns = []
+    binary = isinstance(problem.domain, Binary)
+    if not binary:
+        # np.clip's ufunc pair, in place: ``newborns`` is a fresh array from ``mate``.
+        np.minimum(np.maximum(newborns, problem.domain.lower, out=newborns), problem.domain.upper, out=newborns)
+    newborns = _per_row(newborns, problem, rng, transfer=binary)
 
-    def bear_child(father):
-        mother = females[int(rng.integers(0, split.n_females))]
-        raw = mate(father, mother, params, rng)
-        newborns.append(_evaluate(problem, _adjust(raw, problem, rng)))
-
-    for father in males[: split.n_dominant]:
-        k = int(rng.integers(1, max_mates + 1))
-        for _ in range(k):
-            bear_child(father)
-    for father in males[split.n_dominant :]:
-        bear_child(father)
-
-    return _sorted_best_first(ranked + newborns, problem.sense)[:n]
+    pool = np.concatenate([fitness, _evaluate(problem, newborns)])
+    keep = _best_first(pool, problem.sense)[:n]
+    if tally is not None:
+        tally[0] += len(newborns)
+        tally[1] += int(np.count_nonzero(keep >= n))
+    return np.concatenate([positions, newborns])[keep], pool[keep]
 
 
 def optimize(problem: Problem, params: PfmParams) -> RunTrace:
@@ -310,29 +314,24 @@ def optimize(problem: Problem, params: PfmParams) -> RunTrace:
     the record monotone non-worsening in the problem's sense.
     """
     rng = np.random.default_rng(params.seed)
+    population = initialize_population(problem, params, rng)
 
-    evaluations = 0
-    inner_objective = problem.objective
-
-    def counting_objective(x):
-        nonlocal evaluations
-        evaluations += 1
-        return inner_objective(x)
-
-    counted = replace(problem, objective=counting_objective)
-    population = initialize_population(counted, params, rng)
-
-    best_per_iteration = []
+    best_per_iteration, newborns, survivors = [], [], []
     for _ in range(params.max_iterations):
+        tally = [0, 0]
         for _ in range(params.seasons_per_iteration):
-            population = run_season(population, params, counted, rng)
-        best_per_iteration.append(population[0].fitness)
+            population = run_season(population, params, problem, rng, tally)
+        best_per_iteration.append(float(population[1][0]))
+        newborns.append(tally[0])
+        survivors.append(tally[1])
 
-    best = population[0]
+    positions, fitness = population
     return RunTrace(
         best_per_iteration=best_per_iteration,
-        best_solution=Peafowl(position=best.position.copy(), fitness=best.fitness),
-        evaluations=evaluations,
+        best_solution=Peafowl(position=positions[0].copy(), fitness=float(fitness[0])),
+        evaluations=params.population_size + sum(newborns),
         seed=params.seed,
         final_population=population,
+        newborns=newborns,
+        survivors=survivors,
     )

@@ -263,8 +263,9 @@ def select_features(
     resolved = spec if spec.split_seed is not None else replace(spec, split_seed=params.seed)
     split = _holdout_split(train, resolved)  # every evaluation scores the same split
 
-    def objective(position):
-        return subset_fitness(FeatureSubset(position), split, resolved)
+    def objective(rows):
+        # One KNN fitness per mask, through the module-level name.
+        return [subset_fitness(FeatureSubset(row), split, resolved) for row in rows]
 
     problem = Problem(
         dimension=train.n_features,
@@ -278,18 +279,19 @@ def select_features(
 
 
 def top_subsets(population, n: int = 3) -> list[tuple[FeatureSubset, float]]:
-    """Best n distinct masks from a final population (fitness desc, then smaller)."""
+    """Best n distinct masks of a final ``(positions, fitness)`` (fitness desc, then smaller)."""
     if n < 1:
         raise ValueError(f"top_subsets must be >= 1, got {n}")
-    ordered = sorted(population, key=lambda p: (-p.fitness, int(p.position.sum())))
+    positions, fitness = population
     seen = set()
     out = []
-    for p in ordered:
-        key = p.position.tobytes()
+    # Stable: equal fitness and size keep their population order.
+    for i in np.lexsort((positions.sum(axis=1), -fitness)):
+        key = positions[i].tobytes()
         if key in seen:
             continue
         seen.add(key)
-        out.append((FeatureSubset(p.position), p.fitness))
+        out.append((FeatureSubset(positions[i]), float(fitness[i])))
         if len(out) == n:
             break
     return out

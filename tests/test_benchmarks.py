@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from peafowl import benchmarks
 from peafowl import (
     BENCHMARKS,
     ConfigError,
@@ -147,3 +148,125 @@ class TestCampaign:
     def test_zero_runs_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(["F1"], SMALL, runs=0)
+
+
+# The per-vector formulas the suite had before it was row-batched, kept as the
+# oracle for the row form.  Coefficient tables come from the module.
+def _penalty_1d(x, a, k, m):
+    out = np.zeros_like(x)
+    out[x > a] = k * (x[x > a] - a) ** m
+    out[x < -a] = k * (-x[x < -a] - a) ** m
+    return float(out.sum())
+
+
+def _f12_1d(x):
+    y = 1.0 + (x + 1.0) / 4.0
+    core = (
+        10.0 * np.sin(np.pi * y[0]) ** 2
+        + ((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2)).sum()
+        + (y[-1] - 1.0) ** 2
+    )
+    return float(np.pi / x.size * core + _penalty_1d(x, 10.0, 100.0, 4))
+
+
+def _f13_1d(x):
+    core = (
+        np.sin(3.0 * np.pi * x[0]) ** 2
+        + ((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[1:]) ** 2)).sum()
+        + (x[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * x[-1]) ** 2)
+    )
+    return float(0.1 * core + _penalty_1d(x, 5.0, 100.0, 4))
+
+
+def _f15_1d(x):
+    b = benchmarks._KOWALIK_B
+    model = x[0] * (b * b + b * x[1]) / (b * b + b * x[2] + x[3])
+    return float(((benchmarks._KOWALIK_A - model) ** 2).sum())
+
+
+def _f17_1d(x):
+    x1, x2 = x
+    return float(
+        (x2 - 5.1 / (4 * np.pi**2) * x1**2 + 5.0 / np.pi * x1 - 6.0) ** 2
+        + 10.0 * (1.0 - 1.0 / (8 * np.pi)) * np.cos(x1)
+        + 10.0
+    )
+
+
+def _f18_1d(x):
+    x1, x2 = x
+    a = 1 + (x1 + x2 + 1) ** 2 * (19 - 14 * x1 + 3 * x1**2 - 14 * x2 + 6 * x1 * x2 + 3 * x2**2)
+    b = 30 + (2 * x1 - 3 * x2) ** 2 * (18 - 32 * x1 + 12 * x1**2 + 48 * x2 - 36 * x1 * x2 + 27 * x2**2)
+    return float(a * b)
+
+
+def _hartmann_1d(x, a, p):
+    return float(-(benchmarks._HARTMANN_ALPHA * np.exp(-(a * (x[None, :] - p) ** 2).sum(axis=1))).sum())
+
+
+def _shekel_1d(x, m):
+    diff = x[None, :] - benchmarks._SHEKEL_A[:m]
+    return float(-(1.0 / ((diff * diff).sum(axis=1) + benchmarks._SHEKEL_C[:m])).sum())
+
+
+def _f10_1d(x):
+    n = x.size
+    return float(
+        -20.0 * np.exp(-0.2 * np.sqrt((x * x).sum() / n))
+        - np.exp(np.cos(2.0 * np.pi * x).sum() / n)
+        + 20.0
+        + np.e
+    )
+
+
+def _f16_1d(x):
+    x1, x2 = x
+    return float(4 * x1**2 - 2.1 * x1**4 + x1**6 / 3.0 + x1 * x2 - 4 * x2**2 + 4 * x2**4)
+
+
+PER_VECTOR = {
+    "F1": lambda x: float((x * x).sum()),
+    "F2": lambda x: float(np.abs(x).sum() + np.abs(x).prod()),
+    "F3": lambda x: float((np.cumsum(x) ** 2).sum()),
+    "F4": lambda x: float(np.abs(x).max()),
+    "F5": lambda x: float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum()),
+    "F6": lambda x: float((np.floor(x + 0.5) ** 2).sum()),
+    "F7": lambda x, rng: float((np.arange(1, x.size + 1) * x**4).sum() + rng.random()),
+    "F8": lambda x: float((-x * np.sin(np.sqrt(np.abs(x)))).sum()),
+    "F9": lambda x: float((x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0).sum()),
+    "F10": _f10_1d,
+    "F11": lambda x: float((x * x).sum() / 4000.0 - np.cos(x / np.sqrt(np.arange(1, x.size + 1))).prod() + 1.0),
+    "F12": _f12_1d,
+    "F13": _f13_1d,
+    "F14": lambda x: float(
+        1.0
+        / (
+            1.0 / 500.0
+            + (1.0 / (np.arange(1, 26) + ((x[:, None] - benchmarks._FOXHOLES_A) ** 6).sum(axis=0))).sum()
+        )
+    ),
+    "F15": _f15_1d,
+    "F16": _f16_1d,
+    "F17": _f17_1d,
+    "F18": _f18_1d,
+    "F19": lambda x: _hartmann_1d(x, benchmarks._HARTMANN3_A, benchmarks._HARTMANN3_P),
+    "F20": lambda x: _hartmann_1d(x, benchmarks._HARTMANN6_A, benchmarks._HARTMANN6_P),
+    "F21": lambda x: _shekel_1d(x, 5),
+    "F22": lambda x: _shekel_1d(x, 7),
+    "F23": lambda x: _shekel_1d(x, 10),
+}
+
+
+class TestRowBatches:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_row_alone_equals_row_in_batch_and_per_vector_formula(self, name):
+        bench = BENCHMARKS[name]
+        rows = np.random.default_rng(int(name[1:])).uniform(bench.lower, bench.upper, (45, bench.dimension))
+        # F7's noise: one draw per row, from one stream whether the rows come together or alone.
+        streams = [(np.random.default_rng(7),) if bench.noisy else () for _ in range(3)]
+        batch = bench.fn(rows, *streams[0])
+        alone = np.array([bench.fn(row[None], *streams[1])[0] for row in rows])
+        assert batch.shape == (45,) and batch.dtype == np.float64
+        assert batch.tobytes() == alone.tobytes()
+        want = [PER_VECTOR[name](row, *streams[2]) for row in rows]
+        np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0)

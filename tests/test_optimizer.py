@@ -7,7 +7,6 @@ from peafowl import (
     Binary,
     ContinuousBox,
     EvaluationError,
-    Peafowl,
     PfmParams,
     Problem,
     attractiveness,
@@ -31,7 +30,7 @@ def sphere_problem(dim=2, bound=100.0, sense="min"):
     return Problem(
         dimension=dim,
         domain=ContinuousBox(np.full(dim, -bound), np.full(dim, bound)),
-        objective=lambda x: sign * float(np.sum(x * x)),
+        objective=lambda x: sign * (x * x).sum(axis=1),
         sense=sense,
     )
 
@@ -93,47 +92,42 @@ class TestSplitPopulation:
 
 class TestMate:
     def test_identical_binary_parents_no_mutation(self):
-        parent = Peafowl(np.array([1.0, 0.0]), fitness=0.0)
+        parent = np.array([[1.0, 0.0]])
         child = mate(parent, parent, DEFAULTS, StubRng(uniform_value=0.0))
-        assert np.array_equal(child, np.array([1.0, 0.0]))
+        assert np.array_equal(child, np.array([[1.0, 0.0]]))
 
     def test_opposite_binary_parents_no_mutation(self):
-        father = Peafowl(np.array([1.0, 0.0]), fitness=0.0)
-        mother = Peafowl(np.array([0.0, 1.0]), fitness=0.0)
-        child = mate(father, mother, DEFAULTS, StubRng(uniform_value=0.0))
+        fathers = np.array([[1.0, 0.0], [0.0, 1.0]])
+        child = mate(fathers, fathers[::-1], DEFAULTS, StubRng(uniform_value=0.0))
         # +-(I0 + C0) * exp(-sqrt(2)), frozen from the reference exponential
         expected = 0.04862334688684284
-        assert child == pytest.approx([expected, -expected], abs=1e-15)
+        assert child == pytest.approx(np.array([[expected, -expected], [-expected, expected]]), abs=1e-15)
 
     def test_mutation_term_scale(self):
-        parent = Peafowl(np.array([1.0, 1.0]), fitness=0.0)
+        parent = np.array([[1.0, 1.0]])
         child = mate(parent, parent, DEFAULTS, StubRng(uniform_value=1.0))
         # values may leave [0, 1]; the transfer layer handles that downstream
-        assert child == pytest.approx([3.718281828459045] * 2, abs=1e-14)
+        assert child == pytest.approx(np.array([[3.718281828459045] * 2]), abs=1e-14)
 
     def test_elementwise_product_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            position = (rng.random(6) < 0.5).astype(float)
-            parent = Peafowl(position, fitness=0.0)
-            child = mate(parent, parent, DEFAULTS, StubRng(uniform_value=0.0))
-            assert np.array_equal(child, position)
+        positions = (np.random.default_rng(5).random((20, 6)) < 0.5).astype(float)
+        child = mate(positions, positions, DEFAULTS, StubRng(uniform_value=0.0))
+        assert np.array_equal(child, positions)
 
     def test_consumes_one_draw_per_dimension(self):
         rng = CountingRng(3)
-        father = Peafowl(np.arange(7, dtype=float), fitness=0.0)
-        mother = Peafowl(np.ones(7), fitness=0.0)
-        mate(father, mother, DEFAULTS, rng)
-        assert rng.draws == 7
+        fathers = np.arange(35, dtype=float).reshape(5, 7)
+        mate(fathers, np.ones((5, 7)), DEFAULTS, rng)
+        assert rng.draws == 5 * 7
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            mate(
-                Peafowl(np.ones(3), 0.0),
-                Peafowl(np.ones(4), 0.0),
-                DEFAULTS,
-                StubRng(),
-            )
+        for fathers, mothers in [((1, 3), (1, 4)), ((2, 3), (1, 3)), ((3,), (3,))]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                mate(np.ones(fathers), np.ones(mothers), DEFAULTS, StubRng())
+
+
+def best(population):
+    return population[1][0]
 
 
 class TestRunSeason:
@@ -144,9 +138,9 @@ class TestRunSeason:
         params = PfmParams(population_size=10, seed=0)
         problem = sphere_problem(dim=3)
         population = self._population(problem, params)
-        best = min(p.fitness for p in population)
+        assert best(population) == population[1].min()
         out = run_season(population, params, problem, np.random.default_rng(1))
-        assert out[0].fitness <= best
+        assert best(out) <= best(population)
 
     def test_population_size_constant(self):
         params = PfmParams(population_size=30, seed=0)
@@ -154,27 +148,25 @@ class TestRunSeason:
         population = self._population(problem, params)
         for i in range(5):
             population = run_season(population, params, problem, np.random.default_rng(i))
-            assert len(population) == 30
+            assert population[0].shape == (30, 4) and population[1].shape == (30,)
 
     def test_deterministic_given_seed(self):
         params = PfmParams(population_size=12, seed=0)
         problem = sphere_problem(dim=3)
         population = self._population(problem, params)
-        out1 = run_season(list(population), params, problem, np.random.default_rng(9))
-        out2 = run_season(list(population), params, problem, np.random.default_rng(9))
-        assert [p.fitness for p in out1] == [p.fitness for p in out2]
-        for a, b in zip(out1, out2):
-            assert np.array_equal(a.position, b.position)
+        out1 = run_season(population, params, problem, np.random.default_rng(9))
+        out2 = run_season(population, params, problem, np.random.default_rng(9))
+        assert out1[1].tobytes() == out2[1].tobytes()
+        assert out1[0].tobytes() == out2[0].tobytes()
 
     def test_binary_offspring_are_bits(self):
         params = PfmParams(population_size=10, seed=0)
-        problem = Problem(4, Binary(), lambda x: float(x.sum()), sense="max")
+        problem = Problem(4, Binary(), lambda x: x.sum(axis=1), sense="max")
         rng = np.random.default_rng(2)
         population = initialize_population(problem, params, rng)
         for _ in range(10):
             population = run_season(population, params, problem, rng)
-        for p in population:
-            assert np.all(np.isin(p.position, (0.0, 1.0)))
+        assert np.all(np.isin(population[0], (0.0, 1.0)))
 
     def test_continuous_offspring_stay_in_box(self):
         params = PfmParams(population_size=10, seed=0)
@@ -183,25 +175,50 @@ class TestRunSeason:
         population = initialize_population(problem, params, rng)
         for _ in range(10):
             population = run_season(population, params, problem, rng)
-        for p in population:
-            assert np.all(p.position >= -2.0) and np.all(p.position <= 2.0)
+        assert np.all(population[0] >= -2.0) and np.all(population[0] <= 2.0)
 
     def test_wrong_population_size_rejected(self):
         params = PfmParams(population_size=10, seed=0)
         problem = sphere_problem(dim=2)
-        population = self._population(problem, params)[:-1]
+        positions, fitness = self._population(problem, params)
         with pytest.raises(ValueError, match="population of size"):
-            run_season(population, params, problem, np.random.default_rng(0))
+            run_season((positions[:-1], fitness[:-1]), params, problem, np.random.default_rng(0))
 
 
-# The season in its plainest NumPy form (np.linalg.norm, np.clip and a lambda-key
-# sort): the reference that run_season must match bit for bit.
-def reference_mate(father, mother, params, rng):
-    xi = father.position
-    xj = mother.position
-    a = attractiveness(np.linalg.norm(xi - xj), params)
-    rand = rng.uniform(-1.0, 1.0, size=xi.size)
-    return xi * xj + (xi - xj) * a + rand * math.exp(params.gamma1 * params.gamma2)
+# Initialization and a season in per-child Python, drawing in the documented
+# order (np.clip, Python's stable sort): the reference that initialize_population
+# and run_season must match bit for bit.  The one piece not rewritten is the pair
+# attractiveness, taken from the same batched `attractiveness` call as `mate`: on
+# 2,000 random 30-D pairs a row-wise einsum and a per-row dot product differ in
+# the last bit for most pairs, and np.exp and math.exp for a few.
+def reference_initialize(problem, params, rng):
+    population = []
+    shape = (params.population_size, problem.dimension)
+    if isinstance(problem.domain, Binary):
+        rows = (rng.random(shape) < 0.5).astype(float)
+    else:
+        rows = rng.uniform(problem.domain.lower, problem.domain.upper, size=shape)
+    for position in rows:
+        if problem.repair is not None:
+            position = problem.repair(position, rng)
+        population.append((float(problem.objective(position[None])[0]), position))
+    return reference_ranked(population, problem.sense, params.population_size)
+
+
+def reference_ranked(population, sense, n):
+    sign = 1.0 if sense == "min" else -1.0
+    ranked = sorted(population, key=lambda p: sign * p[0])[:n]
+    return np.array([p[1] for p in ranked], dtype=float), np.array([p[0] for p in ranked])
+
+
+def pair_attractiveness(fathers, mothers, params):
+    diff = np.subtract(fathers, mothers, dtype=float)
+    return attractiveness(np.sqrt(np.einsum("ij,ij->i", diff, diff)), params)
+
+
+def reference_mate(father, mother, a, params, rng):
+    rand = rng.uniform(-1.0, 1.0, size=father.size)
+    return father * mother + (father - mother) * a + rand * math.exp(params.gamma1 * params.gamma2)
 
 
 def reference_adjust(raw, problem, rng):
@@ -214,51 +231,43 @@ def reference_adjust(raw, problem, rng):
     return position
 
 
-def reference_sorted_best_first(population, sense):
-    if sense == "min":
-        return sorted(population, key=lambda p: p.fitness)
-    return sorted(population, key=lambda p: -p.fitness)
-
-
 def reference_season(population, params, problem, rng):
+    positions, fitness = population
     n = params.population_size
     lo, hi = params.r_range
     r = rng.uniform(lo, hi)
-    ranked = reference_sorted_best_first(population, problem.sense)
     split = split_population(n, r, params.dominance_factor)
-    males = ranked[: split.n_males]
-    females = ranked[split.n_males :]
     max_mates = max(1, split.n_females // split.n_dominant)
 
-    newborns = []
+    fathers = []
+    for rank in range(split.n_dominant):
+        fathers += [rank] * int(rng.integers(1, max_mates + 1))
+    fathers += list(range(split.n_dominant, split.n_males))
+    mothers = [split.n_males + int(rng.integers(0, split.n_females)) for _ in fathers]
+    a = pair_attractiveness(positions[fathers], positions[mothers], params)
+    raws = [
+        reference_mate(positions[f], positions[m], a[i], params, rng) for i, (f, m) in enumerate(zip(fathers, mothers))
+    ]
 
-    def bear_child(father):
-        mother = females[int(rng.integers(0, split.n_females))]
-        raw = reference_mate(father, mother, params, rng)
+    pool = list(zip(fitness.tolist(), positions))
+    for raw in raws:
         position = reference_adjust(raw, problem, rng)
-        newborns.append(Peafowl(position, float(problem.objective(position))))
-
-    for father in males[: split.n_dominant]:
-        k = int(rng.integers(1, max_mates + 1))
-        for _ in range(k):
-            bear_child(father)
-    for father in males[split.n_dominant :]:
-        bear_child(father)
-
-    return reference_sorted_best_first(ranked + newborns, problem.sense)[:n]
+        pool.append((float(problem.objective(position[None])[0]), position))
+    return reference_ranked(pool, problem.sense, n)
 
 
 def season_cases():
     box = ContinuousBox(np.full(5, -4.0), np.full(5, 4.0))
     return {
-        "box-min": Problem(5, box, lambda x: float(np.sum(x * x))),
-        "box-max": Problem(5, box, lambda x: float(np.sum(np.sin(3.0 * x))), sense="max"),
+        "box-min": Problem(5, box, lambda x: (x * x).sum(axis=1)),
+        "box-max": Problem(5, box, lambda x: np.sin(3.0 * x).sum(axis=1), sense="max"),
         # a 3-bit space: the transfer layer often emits the empty mask, which the repair fixes
         "binary-repair": Problem(
-            3, Binary(), lambda x: float(x @ [1.0, 2.0, 4.0]), sense="max", repair=_repair_empty_mask
+            3, Binary(), lambda x: x @ [1.0, 2.0, 4.0], sense="max", repair=_repair_empty_mask
         ),
         # most newborns tie with each other and with their parents
-        "box-ties": Problem(5, box, lambda x: float(np.sum(x * x) > 40.0)),
+        "box-ties": Problem(5, box, lambda x: ((x * x).sum(axis=1) > 40.0).astype(float)),
+        "box-ties-max": Problem(5, box, lambda x: ((x * x).sum(axis=1) < 40.0).astype(float), sense="max"),
     }
 
 
@@ -268,37 +277,44 @@ class TestSeasonMatchesReference:
     def test_twenty_seasons_bit_identical(self, case, n):
         problem = season_cases()[case]
         params = PfmParams(population_size=n)
-        population = initialize_population(problem, params, np.random.default_rng(n))
-        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-        got = want = population
-        for _ in range(20):
+        got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = initialize_population(problem, params, got_rng)
+        want = reference_initialize(problem, params, want_rng)
+        for _ in range(21):
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
             got = run_season(got, params, problem, got_rng)
             want = reference_season(want, params, problem, want_rng)
-            assert [p.fitness for p in got] == [p.fitness for p in want]
-            assert [p.position.tobytes() for p in got] == [p.position.tobytes() for p in want]
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        if case == "box-ties":
-            assert len({p.fitness for p in got}) < n
+        if case.startswith("box-ties"):
+            assert len(set(got[1].tolist())) < n
 
     def test_mate_matches_reference(self):
         rng = np.random.default_rng(3)
         params = PfmParams(call_intensity=0.3, colorfulness=0.05, gamma1=0.7, gamma2=1.3)
         for d in (1, 2, 5, 30):
-            for _ in range(50):
-                father = Peafowl(rng.normal(0.0, 10.0, d), 0.0)
-                mother = Peafowl(rng.normal(0.0, 10.0, d), 0.0)
-                for p in (params, DEFAULTS):
-                    got = mate(father, mother, p, np.random.default_rng(d))
-                    want = reference_mate(father, mother, p, np.random.default_rng(d))
-                    assert got.tobytes() == want.tobytes()
+            fathers = rng.normal(0.0, 10.0, (50, d))
+            mothers = rng.normal(0.0, 10.0, (50, d))
+            for p in (params, DEFAULTS):
+                got = mate(fathers, mothers, p, np.random.default_rng(d))
+                a = pair_attractiveness(fathers, mothers, p)
+                want_rng = np.random.default_rng(d)
+                want = [reference_mate(fathers[i], mothers[i], a[i], p, want_rng) for i in range(50)]
+                assert got.tobytes() == np.array(want).tobytes()
+                # With zero mothers and no noise a newborn is A * father, so every bit of A shows.
+                zeros = np.zeros_like(fathers)
+                got = mate(fathers, zeros, p, StubRng(uniform_value=0.0))
+                assert got.tobytes() == (fathers * pair_attractiveness(fathers, zeros, p)[:, None]).tobytes()
 
     def test_integer_positions_mate_as_floats(self):
         # a repair hook may hand back integer positions
-        father = Peafowl(np.array([3, -1, 2]), 0.0)
-        mother = Peafowl(np.array([1, 4, 2]), 0.0)
-        got = mate(father, mother, DEFAULTS, np.random.default_rng(0))
-        want = reference_mate(father, mother, DEFAULTS, np.random.default_rng(0))
-        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        fathers = np.array([[3, -1, 2], [0, 5, -2]])
+        mothers = np.array([[1, 4, 2], [7, 0, 1]])
+        got = mate(fathers, mothers, DEFAULTS, np.random.default_rng(0))
+        a = pair_attractiveness(fathers, mothers, DEFAULTS)
+        want_rng = np.random.default_rng(0)
+        want = [reference_mate(fathers[i], mothers[i], a[i], DEFAULTS, want_rng) for i in range(2)]
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
 
 
 class TestOptimize:
@@ -330,8 +346,8 @@ class TestOptimize:
 
         def objective(x):
             nonlocal calls
-            calls += 1
-            return float(np.sum(x * x))
+            calls += len(x)
+            return (x * x).sum(axis=1)
 
         problem = Problem(2, ContinuousBox(np.full(2, -1.0), np.full(2, 1.0)), objective)
         params = PfmParams(population_size=8, max_iterations=10, seasons_per_iteration=2, seed=0)
@@ -339,18 +355,31 @@ class TestOptimize:
         assert trace.evaluations == calls
         assert trace.evaluations > params.population_size
 
+    def test_newborns_and_survivors_per_iteration(self):
+        params = PfmParams(population_size=30, max_iterations=50, seasons_per_iteration=3, seed=0)
+        trace = optimize(sphere_problem(dim=2), params)
+        assert len(trace.newborns) == len(trace.survivors) == 50
+        assert params.population_size + sum(trace.newborns) == trace.evaluations
+        assert all(0 <= kept <= born for kept, born in zip(trace.survivors, trace.newborns))
+        assert sum(trace.survivors) > 0
+
+    def test_objective_must_return_one_value_per_row(self):
+        problem = Problem(2, ContinuousBox(np.full(2, -1.0), np.full(2, 1.0)), lambda x: float(np.sum(x * x)))
+        with pytest.raises(EvaluationError, match="shape"):
+            optimize(problem, PfmParams(population_size=5, max_iterations=2, seed=0))
+
     def test_binary_initialization_is_bernoulli(self):
-        problem = Problem(2000, Binary(), lambda x: float(x.sum()), sense="max")
+        problem = Problem(2000, Binary(), lambda x: x.sum(axis=1), sense="max")
         rng = np.random.default_rng(0)
-        population = initialize_population(problem, PfmParams(population_size=4), rng)
-        frequency = np.mean([p.position.mean() for p in population])
+        positions, _ = initialize_population(problem, PfmParams(population_size=4), rng)
+        frequency = positions.mean()
         assert frequency == pytest.approx(0.5, abs=0.05)
 
     def test_non_finite_objective_reported_with_position(self):
         problem = Problem(
             2,
             ContinuousBox(np.full(2, -1.0), np.full(2, 1.0)),
-            lambda x: float("nan"),
+            lambda x: np.where(x[:, 0] > 0.5, np.nan, 0.0),
         )
         params = PfmParams(population_size=5, max_iterations=2, seed=0)
         with pytest.raises(EvaluationError, match="position"):
@@ -377,6 +406,16 @@ class TestOptimize:
     def test_invalid_params_rejected(self, bad):
         with pytest.raises(ValueError):
             PfmParams(**bad)
+
+    @pytest.mark.parametrize("lower", [[np.nan, 0.0], [-np.inf, 0.0], [0.0, np.inf]])
+    def test_non_finite_bounds_rejected(self, lower):
+        with pytest.raises(ValueError, match="finite"):
+            ContinuousBox(lower, [1.0, 1.0])
+
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, True, np.int64(2)])
+    def test_non_int_dimension_rejected(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            Problem(dimension, Binary(), lambda x: x.sum(axis=1))
 
     def test_default_params_match_published_settings(self):
         p = PfmParams()

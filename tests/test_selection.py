@@ -16,7 +16,6 @@ from peafowl import (
     top_subsets,
 )
 from peafowl import selection
-from peafowl.optimizer import Peafowl
 
 from conftest import confusion_oracle, knn_exact_reference, knn_oracle, two_cluster_dataset
 
@@ -323,13 +322,8 @@ class TestSelectFeatures:
             select_features(ds, self.PARAMS, WrapperFitnessSpec())
 
     def test_top_subsets_distinct_and_ordered(self):
-        population = [
-            Peafowl(np.array([1.0, 0.0, 1.0]), 0.9),
-            Peafowl(np.array([1.0, 0.0, 1.0]), 0.9),
-            Peafowl(np.array([1.0, 1.0, 1.0]), 0.9),
-            Peafowl(np.array([0.0, 1.0, 0.0]), 0.8),
-        ]
-        tops = top_subsets(population, n=3)
+        positions = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        tops = top_subsets((positions, np.array([0.9, 0.9, 0.9, 0.8])), n=3)
         assert len(tops) == 3
         assert tops[0][0].indices == [1, 3]  # equal fitness, fewer features first
         assert tops[1][0].indices == [1, 2, 3]
@@ -337,7 +331,7 @@ class TestSelectFeatures:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_top_subsets_needs_a_positive_count(self, n):
-        population = [Peafowl(np.array([1.0, 0.0]), 0.9), Peafowl(np.array([0.0, 1.0]), 0.8)]
+        population = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.9, 0.8]))
         with pytest.raises(ValueError, match="top_subsets must be >= 1"):
             top_subsets(population, n=n)
 
