@@ -2,17 +2,22 @@
 
 Four commands: ``bench`` (benchmark campaign), ``select`` (wrapper feature
 selection), ``eval`` (train/test metrics for a feature set) and ``cv``
-(k-fold cross validation).  Each setting takes the first value found among
-explicit flags, the YAML config file given by ``--config``, and the defaults
-of ``PfmParams`` and ``WrapperFitnessSpec`` (or of the CLI, for settings the
+(k-fold cross validation).  ``_COMMAND_KEYS`` lists the settings each
+command reads; its flags, its resolved settings and its manifest all come
+from that list.  Each setting takes the first value found among explicit
+flags, the YAML config file given by ``--config``, and the defaults of
+``PfmParams`` and ``WrapperFitnessSpec`` (or of the CLI, for settings the
 library does not hold).  A config value must have its flag's type, checked
 when the file is read: an int where a float is taken (widened), a bool for
 ``baseline``, a string for ``functions``, ``features`` and the file paths.
-``dedup`` is set only in the config file, as a bool or null; when set, it
-replaces the schema's ``drop_duplicates``.  Results are written to files
-only (logs go to stderr) and every output directory receives a manifest
-echoing the effective value of each setting the command reads, so a run
-can be reproduced byte-for-byte from it.
+A config file may also hold settings of other commands; they are checked,
+then ignored.  Three settings have no flag and are set only in the config
+file: ``dedup`` (a bool or null; when set, it replaces the schema's
+``drop_duplicates``), and ``holdout_fraction`` and ``top_subsets``, which
+only ``select`` reads.  Results are written to files only (logs go to
+stderr) and every output directory receives a manifest echoing the
+effective value of exactly the settings ``_COMMAND_KEYS`` lists for its
+command, so a run can be reproduced byte-for-byte from it.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 runtime error.
 """
@@ -68,16 +73,16 @@ _LIBRARY = {
     "k_neighbors": (WrapperFitnessSpec, "k_neighbors", None),
     "holdout_fraction": (WrapperFitnessSpec, "holdout_fraction", None),
 }
-_PFM_FLAGS = [key for key, (cls, _, _) in _LIBRARY.items() if cls is PfmParams]
-_SPEC_KEYS = [key for key, (cls, _, _) in _LIBRARY.items() if cls is WrapperFitnessSpec]
+_PFM_KEYS = [key for key, (cls, _, _) in _LIBRARY.items() if cls is PfmParams]
 _DATA_KEYS = ("train", "schema", "dedup", "out")
-# The settings each command reads: the only ones its manifest echoes.
+# The settings each command reads: its flags, its resolved config and its manifest.
 _COMMAND_KEYS = {
-    "bench": ("functions", "runs", "out", *_PFM_FLAGS),
-    "select": (*_DATA_KEYS, *_PFM_FLAGS, *_SPEC_KEYS, "top_subsets"),
-    "eval": (*_DATA_KEYS, "test", *_SPEC_KEYS, "features", "baseline"),
-    "cv": (*_DATA_KEYS, *_SPEC_KEYS, "features", "folds", "seed"),
+    "bench": ("functions", "runs", "out", *_PFM_KEYS),
+    "select": (*_DATA_KEYS, *_PFM_KEYS, "k_neighbors", "holdout_fraction", "top_subsets"),
+    "eval": (*_DATA_KEYS, "test", "k_neighbors", "features", "baseline"),
+    "cv": (*_DATA_KEYS, "k_neighbors", "features", "folds", "seed"),
 }
+_CONFIG_ONLY = ("dedup", "holdout_fraction", "top_subsets")  # no flag: set in the config file
 
 _DEFAULTS = {
     key: getattr(cls(), field) if end is None else getattr(cls(), field)[end]
@@ -96,67 +101,51 @@ _DEFAULTS.update(  # the settings with no library counterpart
 _CONFIG_TYPES = {key: (type(value),) for key, value in _DEFAULTS.items()}
 _CONFIG_TYPES.update(dict.fromkeys(("train", "test", "schema", "out"), (str,)), dedup=(bool, type(None)))
 
+_HELP = {  # --help texts, by command and by setting
+    "bench": "run the benchmark campaign",
+    "select": "wrapper feature selection on a dataset",
+    "eval": "train/test metrics for a feature set",
+    "cv": "k-fold cross validation",
+    "functions": "comma-separated ids (F1..F23) or 'all'",
+    "features": "comma-separated 1-based indices or 'all'",
+    "baseline": "also report the all-features row",
+}
+
 _METRIC_HEADER = [*(f.name for f in dataclasses.fields(ConfusionCounts)), *METRIC_FIELDS]
 
 
-def _add_flags(sub, *keys):
-    """One flag per key, typed like the key's default."""
-    for key in keys:
-        sub.add_argument("--" + key.replace("_", "-"), type=type(_DEFAULTS[key]), dest=key)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per setting a command reads, but config-only ones; a bool setting is a switch."""
     parser = argparse.ArgumentParser(prog="peafowl", description=__doc__)
     parser.add_argument("--version", action="version", version=f"peafowl {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    bench = commands.add_parser("bench", help="run the benchmark campaign")
-    bench.add_argument("--config")
-    bench.add_argument("--functions", help="comma-separated ids (F1..F23) or 'all'")
-    _add_flags(bench, "runs")
-    bench.add_argument("--out")
-    _add_flags(bench, *_PFM_FLAGS)
-
-    select = commands.add_parser("select", help="wrapper feature selection on a dataset")
-    select.add_argument("--config")
-    select.add_argument("--train")
-    select.add_argument("--schema")
-    _add_flags(select, "k_neighbors")
-    select.add_argument("--out")
-    _add_flags(select, *_PFM_FLAGS)
-
-    evalp = commands.add_parser("eval", help="train/test metrics for a feature set")
-    evalp.add_argument("--config")
-    evalp.add_argument("--train")
-    evalp.add_argument("--test")
-    evalp.add_argument("--schema")
-    evalp.add_argument("--features", help="comma-separated 1-based indices or 'all'")
-    evalp.add_argument("--baseline", action="store_const", const=True, default=None,
-                       help="also report the all-features row")
-    _add_flags(evalp, "k_neighbors")
-    evalp.add_argument("--out")
-
-    cv = commands.add_parser("cv", help="k-fold cross validation")
-    cv.add_argument("--config")
-    cv.add_argument("--train")
-    cv.add_argument("--schema")
-    cv.add_argument("--features")
-    _add_flags(cv, "folds", "k_neighbors", "seed")
-    cv.add_argument("--out")
-
+    for command, keys in _COMMAND_KEYS.items():
+        sub = commands.add_parser(command, help=_HELP[command])
+        sub.add_argument("--config")
+        for key in keys:
+            if key in _CONFIG_ONLY:
+                continue
+            (kind,) = _CONFIG_TYPES[key]
+            if kind is bool:
+                parse = {"action": "store_const", "const": True}
+            else:  # argparse keeps a string as given
+                parse = {"type": None if kind is str else kind}
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key), **parse)
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(read_yaml_settings(args.config, "config", _CONFIG_TYPES))
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key] = value
-    return merged
+    """The settings ``args.command`` reads: defaults < config file < explicit flags.
+
+    The whole config file is type-checked; keys other commands read are then ignored.
+    """
+    from_file = read_yaml_settings(args.config, "config", _CONFIG_TYPES) if args.config else {}
+    flags = vars(args)
+    config = {}
+    for key in _COMMAND_KEYS[args.command]:
+        flag = flags.get(key)
+        config[key] = flag if flag is not None else from_file.get(key, _DEFAULTS.get(key))
+    return config
 
 
 @contextmanager
@@ -169,10 +158,13 @@ def _config_errors():
 
 
 def _from_config(cls, config: dict):
-    """A ``cls`` (PfmParams or WrapperFitnessSpec), which checks itself, from its config keys."""
+    """A ``cls`` (PfmParams or WrapperFitnessSpec), which checks itself, from its keys in ``config``.
+
+    A field whose key ``config`` lacks keeps its default.
+    """
     fields = {}
     for key, (owner, field, end) in _LIBRARY.items():
-        if owner is cls:
+        if owner is cls and key in config:
             value = config[key]
             if end is not None:  # r_min, then r_max, extends the r_range pair
                 value = (*fields.get(field, ()), value)
@@ -206,7 +198,7 @@ def _file_sha256(path) -> str:
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
     manifest = {
         "command": command,
-        "config": {key: config[key] for key in _COMMAND_KEYS[command]},
+        "config": config,
         "inputs": inputs,
         "package_version": __version__,
     }

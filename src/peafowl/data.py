@@ -20,7 +20,6 @@ import csv
 import hashlib
 import itertools
 import json
-import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -258,10 +257,8 @@ class Dataset:
         return cls(features=features, labels=labels, feature_names=list(feature_names))
 
 
-# A line and its "\n", the only line break left once ``read_text`` has turned "\r\n" and
-# "\r" into "\n".  Rows end only there, as in ``csv``: a form feed or U+2028 is cell
-# data, and a quoted cell keeps its line breaks.  (str.splitlines also breaks at those.)
-_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+# A line that holds only its line break, as a file opened with ``newline=""`` reads it.
+_BLANK = frozenset(("\n", "\r\n", "\r"))
 
 
 def load_csv(path, schema: TableSchema) -> RawTable:
@@ -274,11 +271,15 @@ def load_csv(path, schema: TableSchema) -> RawTable:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        # Untranslated, as ``csv`` reads: lines end at "\r\n", "\r" or "\n" and keep
+        # that ending, so a quoted cell keeps its own.  A form feed or U+2028 is
+        # cell data (str.splitlines would break there).
+        with path.open(newline="") as handle:
+            text_lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    text_lines = _LINE.findall(text)
-    lines = np.flatnonzero(np.fromiter(map("\n".__ne__, text_lines), dtype=bool, count=len(text_lines))) + 1
+    blank = np.fromiter(map(_BLANK.__contains__, text_lines), dtype=bool, count=len(text_lines))
+    lines = np.flatnonzero(~blank) + 1
     if lines.size == 0:
         raise DataError(f"{path}: no data rows")
     # Label, categorical and ignored cells become first-seen codes through a C-level

@@ -228,7 +228,7 @@ def test_defaults_then_config_file_then_flags(files):
     assert (effective["seed"], effective["folds"]) == (9, 3)
     assert effective["k_neighbors"] == WrapperFitnessSpec().k_neighbors
     assert effective["dedup"] is False
-    data = {"train", "schema", "dedup", "out", "k_neighbors", "holdout_fraction"}
+    data = {"train", "schema", "dedup", "out", "k_neighbors"}
     assert set(effective) == data | {"features", "folds", "seed"}
 
     out = files["tmp"] / "select"
@@ -238,7 +238,7 @@ def test_defaults_then_config_file_then_flags(files):
     assert (effective["seed"], effective["population"], effective["iterations"]) == (4, 6, 2)
     assert set(effective) == data | {
         "seed", "population", "iterations", "seasons", "alpha", "gamma1", "gamma2",
-        "i0", "c0", "r_min", "r_max", "top_subsets",
+        "i0", "c0", "r_min", "r_max", "holdout_fraction", "top_subsets",
     }
 
     out = files["tmp"] / "eval"
@@ -248,10 +248,55 @@ def test_defaults_then_config_file_then_flags(files):
 
 
 def test_bare_bench_params_are_library_defaults():
-    args = cli.build_parser().parse_args(["bench"])
-    config = cli._resolve_config(args)
-    assert cli._from_config(PfmParams, config) == PfmParams()
-    assert cli._from_config(WrapperFitnessSpec, config) == WrapperFitnessSpec()
+    for command in ("bench", "select"):
+        config = cli._resolve_config(cli.build_parser().parse_args([command]))
+        assert cli._from_config(PfmParams, config) == PfmParams()
+        assert cli._from_config(WrapperFitnessSpec, config) == WrapperFitnessSpec()
+
+
+def test_holdout_fraction_is_read_by_select_only(files):
+    """eval and cv hold out no rows, so an out-of-range holdout_fraction is not theirs to reject."""
+    config = write_config(files, "holdout_fraction: 0.9\n")
+    data = ["--train", files["train"], "--schema", files["schema"], "--config", config]
+    for argv in (["cv", *data, "--folds", "3"], ["eval", *data, "--test", files["test"]]):
+        out = files["tmp"] / argv[0]
+        assert run(*argv, out=out) == 0
+        assert "holdout_fraction" not in manifest_config(out)
+    assert run("select", *data, "--iterations", "2", "--population", "4", out=files["tmp"] / "select") == 2
+
+
+# Each command's flags as (dest, type, action class), listed from the hand-written
+# parser that _COMMAND_KEYS replaced: the generated parser must keep every one.
+_PFM_FLAGS = {
+    *((key, "int", "_StoreAction") for key in ("seed", "population", "iterations", "seasons")),
+    *((key, "float", "_StoreAction") for key in ("alpha", "gamma1", "gamma2", "i0", "c0", "r_min", "r_max")),
+}
+_COMMON_FLAGS = {("help", None, "_HelpAction"), ("config", None, "_StoreAction"), ("out", None, "_StoreAction")}
+PARENT_FLAGS = {
+    "bench": _COMMON_FLAGS | _PFM_FLAGS | {("functions", None, "_StoreAction"), ("runs", "int", "_StoreAction")},
+    "select": _COMMON_FLAGS | _PFM_FLAGS | {
+        ("train", None, "_StoreAction"), ("schema", None, "_StoreAction"), ("k_neighbors", "int", "_StoreAction"),
+    },
+    "eval": _COMMON_FLAGS | {
+        ("train", None, "_StoreAction"), ("test", None, "_StoreAction"), ("schema", None, "_StoreAction"),
+        ("features", None, "_StoreAction"), ("baseline", None, "_StoreConstAction"),
+        ("k_neighbors", "int", "_StoreAction"),
+    },
+    "cv": _COMMON_FLAGS | {
+        ("train", None, "_StoreAction"), ("schema", None, "_StoreAction"), ("features", None, "_StoreAction"),
+        ("folds", "int", "_StoreAction"), ("k_neighbors", "int", "_StoreAction"), ("seed", "int", "_StoreAction"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARENT_FLAGS))
+def test_parser_keeps_every_flag(command):
+    (subparsers,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    actions = subparsers.choices[command]._actions
+    assert {(a.dest, getattr(a.type, "__name__", a.type), type(a).__name__) for a in actions} == PARENT_FLAGS[command]
+    for action in actions:  # each flag is named after its dest
+        expected = ["-h", "--help"] if action.dest == "help" else ["--" + action.dest.replace("_", "-")]
+        assert action.option_strings == expected
 
 
 def pooled_rows(out):

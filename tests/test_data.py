@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import io
 import random
 import re
 import warnings
@@ -22,7 +21,7 @@ from peafowl import (
 )
 from peafowl.data import binarize_labels
 
-from conftest import NSL_SCHEMA_YAML, write_nsl_fixture
+from conftest import NSL_SCHEMA_YAML, write_nsl_fixture, write_toy_csv
 
 
 def first_lines(n):
@@ -79,12 +78,13 @@ def reference_table(path, schema):
     first-seen order."""
     codes = {c: {} for c in (schema.label_column, *schema.categorical_columns, *schema.ignored_columns)}
     rows, lines = [], []
-    reader = csv.reader(io.StringIO(path.read_text(), newline=""))
-    for row in reader:
-        if row:
-            code = {c: seen.setdefault(row[c].strip(), len(seen)) for c, seen in codes.items()}
-            rows.append([code[c] if c in code else float(cell) for c, cell in enumerate(row)])
-            lines.append(reader.line_num)
+    with open(path, newline="") as handle:  # as the csv docs require
+        reader = csv.reader(handle)
+        for row in reader:
+            if row:
+                code = {c: seen.setdefault(row[c].strip(), len(seen)) for c, seen in codes.items()}
+                rows.append([code[c] if c in code else float(cell) for c, cell in enumerate(row)])
+                lines.append(reader.line_num)
     cells = {c: tuple(seen) for c, seen in codes.items()}
     return RawTable(values=np.array(rows, dtype=float), cells=cells, lines=np.array(lines))
 
@@ -98,7 +98,7 @@ def edge_case_csv(rng, n_rows):
 
     def word(vocab):
         return rng.choice(
-            [*vocab, '"a,b"', '"say ""hi"""', " tcp ", "#x", '"#y"', '"tc\np"', '"tc\n\np"']
+            [*vocab, '"a,b"', '"say ""hi"""', " tcp ", "#x", '"#y"', '"tc\np"', '"tc\n\np"', '"tc\r\np"', '"tc\rp"']
             + ["b\x0cq", "b\x1cq", "b\x85q", "b\u2028q"]  # str.splitlines breaks, csv does not
         )
 
@@ -111,9 +111,25 @@ def edge_case_csv(rng, n_rows):
     out = []
     for cells in rows:
         out.append("\n" * rng.choice([0, 0, 0, 1, 2]))  # blank lines
-        out.append(",".join(cells) + rng.choice(["\n", "\r\n"]))
+        out.append(",".join(cells) + rng.choice(["\n", "\r\n", "\r"]))
     text = "".join(out)
     return text.rstrip("\r\n") if rng.random() < 0.5 else text  # missing final newline
+
+
+TOY_SCHEMA = TableSchema(column_count=4, label_column=3, categorical_columns=(1,), attack_labels=("anomaly",))
+
+
+def toy_with_line_breaks(tmp_path, bad_row=None):
+    """The toy training file with a blank line 4 (and ``bad_row`` as line 8), as an LF and a CRLF file."""
+    write_toy_csv(tmp_path / "toy.csv")
+    lines = (tmp_path / "toy.csv").read_text().splitlines()
+    lines.insert(3, "")
+    if bad_row:
+        lines.insert(7, bad_row)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes("".join(line + "\n" for line in lines).encode())
+    crlf.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    return lf, crlf
 
 
 class TestReader:
@@ -217,6 +233,30 @@ class TestReader:
         schema = TableSchema(column_count=3, label_column=0, categorical_columns=(2,))
         table = load_csv(path, schema)
         assert column(table, 2) == ("b\x0cq",) and table.lines.tolist() == [1]
+
+    def test_quoted_cell_keeps_its_carriage_returns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'normal,1,"b\r\nq"\nnormal,2,"b\rq"\n')
+        table = load_csv(path, TableSchema(column_count=3, label_column=0, categorical_columns=(2,)))
+        assert column(table, 2) == ("b\r\nq", "b\rq") and table.lines.tolist() == [1, 3]
+
+    def test_crlf_file_reads_as_lf(self, tmp_path):
+        lf, crlf = toy_with_line_breaks(tmp_path)
+        a, b = load_dataset(lf, TOY_SCHEMA), load_dataset(crlf, TOY_SCHEMA)
+        assert a.features.tobytes() == b.features.tobytes() and a.labels.tobytes() == b.labels.tobytes()
+        assert repr((a.encoding_map, a.provenance)) == repr((b.encoding_map, b.provenance))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.normalization_bounds, b.normalization_bounds))
+        assert load_csv(crlf, TOY_SCHEMA).lines.tolist() == [1, 2, 3, *range(5, 62)]
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("0.5,tcp,x,normal", "row 8, feature 3: cannot parse 'x'"), ("0.5,tcp,1,bogus", "row 8: label 'bogus'")],
+        ids=["parse", "label"],
+    )
+    def test_crlf_file_names_the_lf_lines(self, tmp_path, bad_row, message):
+        for path in toy_with_line_breaks(tmp_path, bad_row):
+            with pytest.raises(DataError, match=message):
+                load_dataset(path, TOY_SCHEMA)
 
     def test_quoted_cell_holding_a_blank_line(self, tmp_path):
         path = tmp_path / "t.csv"

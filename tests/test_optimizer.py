@@ -326,6 +326,15 @@ class TestOptimize:
         assert all(a >= b for a, b in zip(bests, bests[1:]))
         assert bests[-1] <= bests[0]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the paper's mating rule stalls: at seed 0 and 200 iterations the 30-D sphere stays at 59604.45, "
+        "keeping 0 of 9,044 newborns; even the 2-D one stays at 1073.79, with 0 improving iterations",
+    )
+    def test_sphere_strictly_improves_at_d30(self):
+        trace = optimize(sphere_problem(dim=30), PfmParams(max_iterations=200, seed=0))
+        assert trace.best_per_iteration[-1] < trace.best_per_iteration[0]
+
     def test_bit_identical_reruns(self):
         params = PfmParams(population_size=15, max_iterations=20, seasons_per_iteration=2, seed=123)
         t1 = optimize(sphere_problem(dim=4), params)
