@@ -115,7 +115,7 @@ _METRIC_HEADER = [*(f.name for f in dataclasses.fields(ConfusionCounts)), *METRI
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per setting a command reads, but config-only ones; a bool setting is a switch."""
+    """One flag per setting a command reads, but config-only ones; a bool setting is a --key/--no-key pair."""
     parser = argparse.ArgumentParser(prog="peafowl", description=__doc__)
     parser.add_argument("--version", action="version", version=f"peafowl {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                 continue
             (kind,) = _CONFIG_TYPES[key]
             if kind is bool:
-                parse = {"action": "store_const", "const": True}
+                parse = {"action": argparse.BooleanOptionalAction}  # unset (None) defers to the config
             else:  # argparse keeps a string as given
                 parse = {"type": None if kind is str else kind}
             sub.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key), **parse)

@@ -6,14 +6,17 @@ masked columns.  KNN is deterministic: distance ties prefer the lower
 training-row index and even-vote ties predict the attack class.
 
 Neighbors are ranked by the exact sum of squared differences,
-``((q - t) ** 2).sum()``, over the masked columns.  One BLAS product of
-``[-2q, 1]`` with ``[t, |t|^2]`` gives the key ``|t|^2 - 2 q.t``, which is
-``|q - t|^2`` less a constant per query, and it only shortlists.  An upper
-bound on each query's k-th smallest key comes from the minima of column
-groups, and every row within a rounding slack, derived for this key, of that
-bound is re-ranked by the exact sum, so rounding in the key never decides a
-neighbor.  :func:`select_features` splits the table into fit and holdout rows
-once per run and scores every mask on that split.
+``((q - t) ** 2).sum()`` in float64, over the masked columns.  One BLAS
+product of ``[-2q, 1]`` with ``[t, |t|^2]`` gives the key ``|t|^2 - 2 q.t``,
+which is ``|q - t|^2`` less a constant per query, and it only shortlists.
+The key is float32 unless a value could overflow float32 (or the table is
+too wide for a float32 slack to shortlist anything); then it is float64.  An
+upper bound on each query's k-th smallest key comes from the minima of column
+groups, and every row within a rounding slack of that bound, derived for the
+key's dtype including the rounding of its inputs and underflow, is re-ranked
+by the exact sum.  So the key's precision never decides a neighbor, and
+predictions do not depend on it.  :func:`select_features` splits the table
+into fit and holdout rows once per run and scores every mask on that split.
 """
 
 from __future__ import annotations
@@ -103,8 +106,22 @@ class WrapperFitnessSpec:
             raise ValueError("holdout_fraction must lie in (0, 0.5]")
 
 
-_BLOCK_CELLS = 1_000_000  # query x training-row cells per block of Gram keys (8 MB)
+_BLOCK_CELLS = 1_000_000  # query x training-row cells per block of keys (4 MB in float32)
 _SLABS = 16  # column slabs whose elementwise minimum bounds each row's k-th smallest key
+_NARROW_KEY = np.float32  # the key's dtype wherever _key_dtype admits it
+
+
+def _key_dtype(width: int, scale: float) -> type:
+    """The shortlist key's dtype: ``_NARROW_KEY``, or float64 where that could fail.
+
+    ``scale`` is max|q|^2 + max|t|^2 over the queries q and training rows t.
+    The narrow key needs every value it holds to stay finite, and its slack
+    below ``scale``; see the slack comment in :func:`_knn_predict`.
+    """
+    info = np.finfo(_NARROW_KEY)
+    if 4.0 * scale <= float(info.max) and 5.0 * (width + 2) * float(info.eps) < 1.0:
+        return _NARROW_KEY
+    return np.float64
 
 
 def _knn_predict(aug: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: int) -> np.ndarray:
@@ -116,16 +133,20 @@ def _knn_predict(aug: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: i
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
     train_x = aug[:, :width]
     aug[:, width] = train_sq = np.einsum("ij,ij->i", train_x, train_x)
+    query_sq, train_max = np.einsum("ij,ij->i", query_x, query_x), train_sq.max()
+    dtype = _key_dtype(width, query_sq.max(initial=0.0) + train_max)
+    info = np.finfo(dtype)
+    key_aug = aug.astype(dtype, copy=False)  # [t, |t|^2] in the key's dtype
     slabs = max(1, min(_SLABS, n_train // k))
     span = slabs * (n_train // slabs)  # columns in whole slabs; the rest stand alone
     preds = np.empty(query_x.shape[0], dtype=int)
     block = max(1, _BLOCK_CELLS // n_train)
     for start in range(0, query_x.shape[0], block):
         q = query_x[start : start + block]
-        qa = np.empty((q.shape[0], width + 1))  # [-2q, 1]
+        qa = np.empty((q.shape[0], width + 1), dtype)  # [-2q, 1]
         np.multiply(q, -2.0, out=qa[:, :width])
         qa[:, width] = 1.0
-        key = qa @ aug.T  # |t|^2 - 2q.t, which is |q - t|^2 less the row-constant |q|^2
+        key = qa @ key_aug.T  # |t|^2 - 2q.t, which is |q - t|^2 less the row-constant |q|^2
         # Upper bound on each row's k-th smallest key: split the row into
         # `slabs` equal slabs and take their elementwise minimum, each
         # remainder column a group of its own.  The groups are disjoint and
@@ -135,23 +156,40 @@ def _knn_predict(aug: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: i
         if span < n_train:
             groups = np.concatenate([groups, key[:, span:]], axis=1)
         bound = np.partition(groups, k - 1, axis=1)[:, k - 1].copy()  # lets the partitioned copy go
-        # Shortlist slack.  Let u = eps/2, w = width, S = |q|^2 + max|t|^2 and
-        # D = |q - t|^2 <= 2S the true distance.  In any summation order:
-        # - exact (one rounding per subtraction, square and addition) is
-        #   within (w + 2)u.D <= (w + 2)eps.S of D;
-        # - |t|^2 is within w.u.S of its sum, and key, a (w + 1)-term dot
-        #   product whose absolute terms sum to sum|2q_i.t_i| + |t|^2 <=
-        #   |q|^2 + 2|t|^2 <= 2S, is within (w + 1)eps.S more: key + |q|^2 is
-        #   within (1.5w + 1)eps.S of D.
-        # So |key + |q|^2 - exact| <= E = (2.5w + 3)eps.S for every row, the
-        # k-th smallest of each differ by at most E, bound is at least the
-        # k-th smallest key, and any row whose exact distance is at most the
-        # exact k-th one has key <= bound + 2E.  Using 5(w + 2) for 5w + 6
-        # leaves a 4eps.S margin for second-order terms and for rounding S and
-        # bound + slack (both below 2S in magnitude): c = 5.
-        slack = 5.0 * (width + 2) * np.finfo(float).eps * (np.einsum("ij,ij->i", q, q) + train_sq.max())
-        # "not greater" also keeps rows whose terms overflowed to inf or NaN
-        rows, cols = np.divmod(np.flatnonzero(~(key > (bound + slack)[:, None])), n_train)
+        # Shortlist slack, after the dot-product error bounds of Higham,
+        # "Accuracy and Stability of Numerical Algorithms", ch. 3.  Let eps be
+        # the key dtype's epsilon, u = eps/2 and eta its smallest subnormal;
+        # w = width, S = |q|^2 + max|t|^2, and D = |q - t|^2 <= 2S the true
+        # distance.  A cast, product or fused multiply-add errs by at most u
+        # relative plus, where its result underflows, eta/2 absolute; a sum
+        # that underflows is exact.  So in any summation order, which is the
+        # BLAS kernel's to choose:
+        # - exact, in float64, is within (w + 2)eps64.S + w.eta64/2 of D;
+        # - |t|^2, a float64 sum, is within w.u64.S + w.eta64/2 of its value;
+        # - a float32 key rounds -2q, t and |t|^2 once more, which moves
+        #   |t|^2 - 2q.t by at most u.S (|t|^2) + 2u.S (the relative part of
+        #   the products) + 2u.S (their absolute part: eta/2 times |y|, for y
+        #   = 2q_i or t_i, is at most u.y^2/2 + eta^2/8u) + eta/2 (|t|^2);
+        # - key, a (w + 1)-term dot product of those inputs whose absolute
+        #   terms sum to at most |q|^2 + 2|t|^2 <= 2S, is within
+        #   (w + 1)(eps.S + eta/2) of their exact dot product.
+        # Hence |key + |q|^2 - exact| <= E for every row, with 2E at most
+        # (5w + 6)eps.S + (3w + 1)eta for a float64 key, and (2w + 7)eps.S +
+        # (w + 2)eta, plus float64 terms under 2^-27 of that, for a float32
+        # one.  The k-th smallest of each differ by at most E, bound is at
+        # least the k-th smallest key, and any row whose exact distance is at
+        # most the exact k-th one has key <= bound + 2E.  5(w + 2)(eps.S + eta)
+        # covers both with at least 4eps.S to spare for second-order terms,
+        # and bound + slack, summed in float64, is rounded up to the key's
+        # dtype.  _key_dtype takes float32 only where 4S fits in it and
+        # 5(w + 2)eps < 1, so (w + 1)u < 0.05: every value the key holds
+        # (products <= 1.01S, sums and keys < 3S, bound + slack < 4S) is then
+        # finite, and no kept row's key can overflow past the limit.
+        scale = query_sq[start : start + block] + train_max
+        slack = 5.0 * (width + 2) * (info.eps * scale + info.smallest_subnormal)
+        limit = np.nextafter((bound + slack).astype(dtype), dtype(np.inf))
+        # "not greater" also keeps rows whose float64 terms overflowed to inf or NaN
+        rows, cols = np.divmod(np.flatnonzero(~(key > limit[:, None])), n_train)
         # Exact distances in slices of at most _BLOCK_CELLS differences, so a
         # shortlist swollen by ties (identical rows) keeps memory bounded.
         pieces = 1 + rows.size * width // _BLOCK_CELLS
@@ -161,8 +199,9 @@ def _knn_predict(aug: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: i
                 for r, c in zip(np.array_split(rows, pieces), np.array_split(cols, pieces))
             ]
         )
-        # Per query by exact distance, lower training row first on ties.
-        order = np.lexsort((cols, exact, rows))
+        # Per query by exact distance, lower training row first on ties: the
+        # shortlist comes in (row, col) order and lexsort is stable.
+        order = np.lexsort((exact, rows))
         rows, cols = rows[order], cols[order]
         nearest = np.arange(rows.size) - np.searchsorted(rows, rows) < k
         ones = np.bincount(rows[nearest], weights=train_y[cols[nearest]], minlength=q.shape[0])

@@ -81,6 +81,17 @@ def test_eval_baseline_rows_parse(files):
     ]
 
 
+@pytest.mark.parametrize("flag, rows", [([], 2), (["--no-baseline"], 1), (["--baseline"], 2)])
+def test_no_baseline_overrides_the_config(files, flag, rows):
+    config = write_config(files, "baseline: true\n")
+    data = ["--train", files["train"], "--test", files["test"], "--schema", files["schema"]]
+    out = files["tmp"] / "eval"
+    assert run("eval", *data, "--features", "2,3", "--config", config, *flag, out=out) == 0
+    labels = [row["label"] for row in csv.DictReader((out / "results.csv").read_text().splitlines())]
+    assert labels == ["selected", "all_features"][:rows]
+    assert manifest_config(out)["baseline"] is (rows == 2)
+
+
 def test_cv_results_csv(files):
     out = files["tmp"] / "cv"
     assert run(*command_argv(files)["cv"], out=out) == 0
@@ -279,7 +290,7 @@ PARENT_FLAGS = {
     },
     "eval": _COMMON_FLAGS | {
         ("train", None, "_StoreAction"), ("test", None, "_StoreAction"), ("schema", None, "_StoreAction"),
-        ("features", None, "_StoreAction"), ("baseline", None, "_StoreConstAction"),
+        ("features", None, "_StoreAction"), ("baseline", None, "BooleanOptionalAction"),
         ("k_neighbors", "int", "_StoreAction"),
     },
     "cv": _COMMON_FLAGS | {
@@ -294,8 +305,9 @@ def test_parser_keeps_every_flag(command):
     (subparsers,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
     actions = subparsers.choices[command]._actions
     assert {(a.dest, getattr(a.type, "__name__", a.type), type(a).__name__) for a in actions} == PARENT_FLAGS[command]
-    for action in actions:  # each flag is named after its dest
-        expected = ["-h", "--help"] if action.dest == "help" else ["--" + action.dest.replace("_", "-")]
+    for action in actions:  # each flag is named after its dest; a bool one also has its negation
+        option = "--" + action.dest.replace("_", "-")
+        expected = {"help": ["-h", "--help"], "baseline": [option, "--no-" + option[2:]]}.get(action.dest, [option])
         assert action.option_strings == expected
 
 

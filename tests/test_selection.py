@@ -215,20 +215,134 @@ class TestKnnSlabs:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("shape", ["k-groups", "remainder", "overflow"])
     def test_matches_exact_reference(self, shape, k):
-        rng = np.random.default_rng(k)
-        # k-groups: _SLABS slabs of k columns, so exactly k groups and the
-        # bound is their largest minimum; otherwise 7 columns are left over
-        n = selection._SLABS * k + (0 if shape == "k-groups" else 7)
-        if shape == "overflow":  # squares and differences overflow to inf
-            points = rng.choice([-1.0, 1.0], (n + 30, 3)) * 10.0 ** rng.uniform(154, 300, (n + 30, 3))
-            points[n + 20 :] = points[rng.integers(0, n, 10)]  # queries with a copy in train
-        else:
-            points = rng.integers(0, 4, (n + 30, 3)) / 3  # a coarse grid: many ties
-        train_x, train_y, queries = points[:n], rng.integers(0, 2, n), points[n:]
+        train_x, train_y, queries = _slab_case(shape, k)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = knn_exact_reference(train_x, train_y, queries, k)
             got = knn_classify(Dataset.from_arrays(train_x, train_y), queries, k)
         assert np.array_equal(got, expected)
+
+
+def _slab_case(shape, k):
+    rng = np.random.default_rng(k)
+    # k-groups: _SLABS slabs of k columns, so exactly k groups and the
+    # bound is their largest minimum; otherwise 7 columns are left over
+    n = selection._SLABS * k + (0 if shape == "k-groups" else 7)
+    if shape == "overflow":  # squares and differences overflow to inf
+        points = rng.choice([-1.0, 1.0], (n + 30, 3)) * 10.0 ** rng.uniform(154, 300, (n + 30, 3))
+        points[n + 20 :] = points[rng.integers(0, n, 10)]  # queries with a copy in train
+    else:
+        points = rng.integers(0, 4, (n + 30, 3)) / 3  # a coarse grid: many ties
+    return points[:n], rng.integers(0, 2, n), points[n:]
+
+
+@pytest.fixture
+def key_dtypes(monkeypatch):
+    """The key dtype of every _knn_predict call, in call order."""
+    seen, choose = [], selection._key_dtype
+
+    def spy(width, scale):
+        seen.append(choose(width, scale))
+        return seen[-1]
+
+    monkeypatch.setattr(selection, "_key_dtype", spy)
+    return seen
+
+
+class TestKnnKeyPrecision:
+    """The key's dtype changes how long the shortlist is, never the answer."""
+
+    def test_float64_key_does_not_change_answers(self, knn_data, monkeypatch, key_dtypes):
+        default = _knn_answers(knn_data)
+        narrow = key_dtypes[:]
+        monkeypatch.setattr(selection, "_NARROW_KEY", np.float64)
+        assert _knn_answers(knn_data) == default
+        assert set(narrow) == {np.float32} and set(key_dtypes[len(narrow) :]) == {np.float64}
+
+    def test_rule(self):
+        f32_max = float(np.finfo(np.float32).max)
+        assert selection._key_dtype(41, 82.0) is np.float32
+        assert selection._key_dtype(1, 0.0) is np.float32
+        assert selection._key_dtype(3, f32_max / 4) is np.float32
+        # some value (a sum, a key or the limit) could overflow float32
+        assert selection._key_dtype(3, f32_max / 3.9) is np.float64
+        assert selection._key_dtype(3, 1e300) is np.float64
+        assert selection._key_dtype(3, np.inf) is np.float64
+        # a float32 slack of 5(w + 2)eps.S would reach S: every row is within it
+        assert selection._key_dtype(1_600_000, 1.0) is np.float32
+        assert selection._key_dtype(1_700_000, 1.0) is np.float64
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_overflow_cases_take_float64(self, k, key_dtypes):
+        train_x, train_y, queries = _slab_case("overflow", k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            knn_classify(Dataset.from_arrays(train_x, train_y), queries, k)
+        assert key_dtypes == [np.float64]
+
+    @pytest.mark.parametrize("exponent", [100, 120, 150])
+    def test_huge_values_take_float64(self, exponent, key_dtypes):
+        rng = np.random.default_rng(exponent)
+        points = rng.choice([-1.0, 1.0], (90, 4)) * 10.0 ** rng.uniform(100, exponent, (90, 4))
+        points[80:] = points[rng.integers(0, 60, 10)]  # queries with a copy in train
+        train_x, train_y, queries = points[:60], rng.integers(0, 2, 60), points[60:]
+        for k in (1, 2, 5):
+            expected = knn_exact_reference(train_x, train_y, queries, k)
+            assert np.array_equal(knn_classify(Dataset.from_arrays(train_x, train_y), queries, k), expected)
+        assert key_dtypes == [np.float64] * 3
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_blas_sized_product_matches_exact_reference(self, offset):
+        # 200 x 2000 x 21 is past the size where OpenBLAS runs a product on several threads
+        rng = np.random.default_rng(7)
+        points = offset + rng.integers(0, 5, (2200, 20)) / 4 + rng.random((2200, 20)) * 1e-3
+        train_x, train_y, queries = points[:2000], rng.integers(0, 2, 2000), points[2000:]
+        got = knn_classify(Dataset.from_arrays(train_x, train_y), queries, 5)
+        assert np.array_equal(got, knn_exact_reference(train_x, train_y, queries, 5))
+
+
+_CORPUS_KINDS = ("uniform", "offset", "grid", "duplicates", "mirrored", "subnormal")
+
+
+def _corpus_case(kind, seed):
+    """One random KNN case of ``kind``: width 1-49, k 1-8, up to 120 training rows."""
+    rng = np.random.default_rng([_CORPUS_KINDS.index(kind), seed])
+    width, n, m = int(rng.integers(1, 50)), int(rng.integers(8, 121)), int(rng.integers(1, 41))
+    k = int(rng.integers(1, 9))
+    labels = rng.integers(0, 2, n)
+    if kind in ("uniform", "subnormal"):  # squares of 1e-30..1e-20 are float32 subnormals
+        low, high = (-8, 7) if kind == "uniform" else (-30, -20)
+        points = rng.uniform(-1.0, 1.0, (n + m, width)) * 10.0 ** rng.uniform(low, high)
+    elif kind == "offset":
+        points = rng.uniform(-1e8, 1e8) + rng.random((n + m, width))
+    elif kind == "grid":  # a coarse 1/g grid: many exact ties
+        g = int(rng.integers(2, 8))
+        points = rng.integers(0, g + 1, (n + m, width)) / g
+    elif kind == "duplicates":
+        base = rng.random((max(1, n // 4), width))
+        points = base[rng.integers(0, base.shape[0], n + m)]
+    else:  # mirrored: dyadic, so each pair ties exactly, with opposite labels, at the query it mirrors across
+        half = n // 2
+        queries = rng.integers(-64, 65, (m, width)) / 64.0
+        base = rng.integers(-64, 65, (half, width)) / 64.0
+        train = np.vstack([base, 2 * queries[rng.integers(0, m, half)] - base])
+        labels = np.concatenate([np.zeros(half, int), np.ones(half, int)])
+        order = rng.permutation(2 * half)
+        points, labels = np.vstack([train[order], queries]), labels[order]
+        n = 2 * half
+    return points[:n], labels, points[n:], min(k, n)
+
+
+class TestKnnRandomCorpus:
+    """Seeded random cases, compared with a per-query exact ranking."""
+
+    @pytest.mark.parametrize("kind", _CORPUS_KINDS)
+    def test_matches_exact_reference(self, kind):
+        wrong = []
+        for seed in range(134):
+            train_x, train_y, queries, k = _corpus_case(kind, seed)
+            got = knn_classify(Dataset.from_arrays(train_x, train_y), queries, k)
+            if not np.array_equal(got, knn_exact_reference(train_x, train_y, queries, k)):
+                wrong.append(seed)
+        assert wrong == []
 
 
 class TestSubsetFitness:
