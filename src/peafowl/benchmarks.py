@@ -321,7 +321,7 @@ def evaluate_benchmark(name: str, x, rng: Optional[np.random.Generator] = None) 
 
 
 def make_problem(name: str, seed: Optional[int] = None) -> Problem:
-    """Wrap a benchmark as a minimization problem over its box.
+    """Wrap a benchmark as a minimization problem over its box; its objective ignores the cutoff.
 
     For F7 the additive noise comes from a dedicated stream derived from
     ``seed`` so optimizer draws and noise draws never interleave.
@@ -333,9 +333,9 @@ def make_problem(name: str, seed: Optional[int] = None) -> Problem:
     )
     if bench.noisy:
         noise_rng = np.random.default_rng(None if seed is None else (seed, 0xF7))
-        objective = lambda x: bench.fn(x, noise_rng)  # noqa: E731
+        objective = lambda x, cutoff: bench.fn(x, noise_rng)  # noqa: E731
     else:
-        objective = bench.fn
+        objective = lambda x, cutoff: bench.fn(x)  # noqa: E731
     return Problem(dimension=bench.dimension, domain=box, objective=objective, sense="min")
 
 

@@ -137,16 +137,20 @@ class Binary:
 class Problem:
     """An objective over a box or bit-vector domain.
 
-    ``objective`` maps an ``(m, dimension)`` matrix to ``m`` fitness values,
-    each a pure function of its row (a noisy benchmark may close over its own
-    generator).  ``repair`` is an optional hook applied to one position after
-    domain adjustment, e.g. to forbid the empty feature subset; it may consume
-    draws from the run generator.
+    ``objective(rows, cutoff)`` maps an ``(m, dimension)`` matrix to ``m``
+    fitness values, each a pure function of its row (a noisy benchmark may
+    close over its own generator).  ``cutoff`` is None or a fitness value: for
+    a row whose value would not beat it (at or above it for ``"min"``, at or
+    below it for ``"max"``) the objective may instead return any finite value
+    that does not beat it either, such as a bound reached before the exact
+    value is known.  ``repair`` is an optional hook applied to one position
+    after domain adjustment, e.g. to forbid the empty feature subset; it may
+    consume draws from the run generator.
     """
 
     dimension: int
     domain: Union[ContinuousBox, Binary]
-    objective: Callable[[np.ndarray], np.ndarray]
+    objective: Callable[[np.ndarray, Optional[float]], np.ndarray]
     sense: str = "min"
     repair: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
 
@@ -233,8 +237,8 @@ def _per_row(rows: np.ndarray, problem: Problem, rng: np.random.Generator, trans
     return rows
 
 
-def _evaluate(problem: Problem, rows: np.ndarray) -> np.ndarray:
-    values = np.asarray(problem.objective(rows), dtype=float)
+def _evaluate(problem: Problem, rows: np.ndarray, cutoff: Optional[float]) -> np.ndarray:
+    values = np.asarray(problem.objective(rows, cutoff), dtype=float)
     if values.shape != (len(rows),):
         raise EvaluationError(f"objective returned shape {values.shape} for {len(rows)} rows")
     bad = np.flatnonzero(~np.isfinite(values))
@@ -260,7 +264,7 @@ def initialize_population(problem: Problem, params: PfmParams, rng: np.random.Ge
     else:
         positions = rng.uniform(problem.domain.lower, problem.domain.upper, size=shape)
     positions = _per_row(positions, problem, rng, transfer=False)
-    fitness = _evaluate(problem, positions)
+    fitness = _evaluate(problem, positions, None)
     order = _best_first(fitness, problem.sense)
     return positions[order], fitness[order]
 
@@ -279,7 +283,10 @@ def run_season(
     ``dimension`` transfer draws, then any repair draw.  One objective call
     evaluates the newborns and one stable sort keeps the best
     ``population_size``, ties keeping parents in rank order, then newborns in
-    birth order.  A ``tally`` list gains the newborns at [0], the kept at [1].
+    birth order.  So a newborn that does not beat the worst parent is always
+    dropped, and the objective gets that parent's fitness as its cutoff: a
+    dropped newborn's exact value reaches no output.  A ``tally`` list gains
+    the newborns at [0], the kept at [1].
     """
     positions, fitness = population
     n = params.population_size
@@ -299,7 +306,7 @@ def run_season(
         np.minimum(np.maximum(newborns, problem.domain.lower, out=newborns), problem.domain.upper, out=newborns)
     newborns = _per_row(newborns, problem, rng, transfer=binary)
 
-    pool = np.concatenate([fitness, _evaluate(problem, newborns)])
+    pool = np.concatenate([fitness, _evaluate(problem, newborns, float(fitness[-1]))])
     keep = _best_first(pool, problem.sense)[:n]
     if tally is not None:
         tally[0] += len(newborns)

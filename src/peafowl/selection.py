@@ -17,6 +17,14 @@ key's dtype including the rounding of its inputs and underflow, is re-ranked
 by the exact sum.  So the key's precision never decides a neighbor, and
 predictions do not depend on it.  :func:`select_features` splits the table
 into fit and holdout rows once per run and scores every mask on that split.
+
+Each season the optimizer hands the fitness its cutoff, the worst parent's
+fitness: a newborn that does not beat it is always dropped.  So
+:func:`subset_fitness` scores the held-out rows in blocks and stops once the
+errors so far hold the accuracy at or below the cutoff, returning that bound.
+Only the dropped masks stop, so no output changes.  Before each season the
+held-out rows are reordered, those that fully scored masks got wrong most
+often first, so that a hopeless mask meets its errors early.
 """
 
 from __future__ import annotations
@@ -107,6 +115,7 @@ class WrapperFitnessSpec:
 
 
 _BLOCK_CELLS = 1_000_000  # query x training-row cells per block of keys (4 MB in float32)
+_FITNESS_ROWS = 50  # held-out rows per block in subset_fitness: it may stop after any block
 _SLABS = 16  # column slabs whose elementwise minimum bounds each row's k-th smallest key
 _NARROW_KEY = np.float32  # the key's dtype wherever _key_dtype admits it
 
@@ -124,14 +133,32 @@ def _key_dtype(width: int, scale: float) -> type:
     return np.float64
 
 
-def _knn_predict(aug: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: int) -> np.ndarray:
-    """KNN votes; ``aug`` holds the training rows t and one more column, set here to |t|^2."""
+def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, columns, block: int):
+    """Yield the KNN votes (0 or 1) of ``query_rows`` on ``columns``, ``block`` queries at a time.
+
+    The gather, the finiteness checks, |t|^2 and the key are prepared once
+    per call, so a caller may stop after any block at the cost of the blocks
+    it drew.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_train, width = aug.shape[0], aug.shape[1] - 1
+    n_train = train.n_rows
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
+    width = train.n_features if isinstance(columns, slice) else columns.size
+    aug = np.empty((n_train, width + 1))  # [t, |t|^2]
+    step = max(1, _BLOCK_CELLS // max(1, width))  # gathered in row blocks: no second full copy of t
+    for start in range(0, n_train, step):
+        aug[start : start + step, :width] = train.features[start : start + step, columns]
+    query_x = query_rows[:, columns]
     train_x = aug[:, :width]
+    for side, values in (("training", train_x), ("query", query_x)):
+        if not np.isfinite(values).all():
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            feature = np.arange(train.n_features)[columns][col] + 1
+            raise DataError(
+                f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
+            )
     aug[:, width] = train_sq = np.einsum("ij,ij->i", train_x, train_x)
     query_sq, train_max = np.einsum("ij,ij->i", query_x, query_x), train_sq.max()
     dtype = _key_dtype(width, query_sq.max(initial=0.0) + train_max)
@@ -139,8 +166,6 @@ def _knn_predict(aug: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: i
     key_aug = aug.astype(dtype, copy=False)  # [t, |t|^2] in the key's dtype
     slabs = max(1, min(_SLABS, n_train // k))
     span = slabs * (n_train // slabs)  # columns in whole slabs; the rest stand alone
-    preds = np.empty(query_x.shape[0], dtype=int)
-    block = max(1, _BLOCK_CELLS // n_train)
     for start in range(0, query_x.shape[0], block):
         q = query_x[start : start + block]
         qa = np.empty((q.shape[0], width + 1), dtype)  # [-2q, 1]
@@ -204,9 +229,8 @@ def _knn_predict(aug: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, k: i
         order = np.lexsort((exact, rows))
         rows, cols = rows[order], cols[order]
         nearest = np.arange(rows.size) - np.searchsorted(rows, rows) < k
-        ones = np.bincount(rows[nearest], weights=train_y[cols[nearest]], minlength=q.shape[0])
-        preds[start : start + q.shape[0]] = 2 * ones >= k
-    return preds
+        ones = np.bincount(rows[nearest], weights=train.labels[cols[nearest]], minlength=q.shape[0])
+        yield (2 * ones >= k).astype(int)
 
 
 def knn_classify(
@@ -226,34 +250,30 @@ def knn_classify(
         raise ValueError(
             f"query width {query_rows.shape[1]} does not match {train.n_features} features"
         )
-    if mask is None:
-        cols = slice(None)
-    else:
-        if mask.mask.size != train.n_features:
-            raise ValueError("mask length does not match the feature count")
-        cols = mask.columns
-    width = train.n_features if mask is None else cols.size
-    aug = np.empty((train.n_rows, width + 1))  # [t, |t|^2]
-    block = max(1, _BLOCK_CELLS // max(1, width))  # gathered in row blocks: no second full copy of t
-    for start in range(0, train.n_rows, block):
-        aug[start : start + block, :width] = train.features[start : start + block, cols]
-    query_x = query_rows[:, cols]
-    for side, values in (("training", aug[:, :width]), ("query", query_x)):
-        if not np.isfinite(values).all():
-            row, col = np.argwhere(~np.isfinite(values))[0]
-            feature = np.arange(train.n_features)[cols][col] + 1
-            raise DataError(
-                f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
-            )
-    return _knn_predict(aug, train.labels, query_x, k)
+    if mask is not None and mask.mask.size != train.n_features:
+        raise ValueError("mask length does not match the feature count")
+    columns = slice(None) if mask is None else mask.columns
+    block = max(1, _BLOCK_CELLS // max(1, train.n_rows))
+    votes = list(_knn_predict(train, query_rows, k, columns, block))
+    return np.concatenate(votes) if votes else np.empty(0, dtype=int)
 
 
 @dataclass(frozen=True)
 class _Holdout:
-    """A training table split into the rows KNN fits on and the held-out rows it scores."""
+    """A training table split into the rows KNN fits on and the held-out rows it scores.
+
+    ``misses[i]`` counts the masks scored to the end that got held-out row i
+    wrong; it only orders the rows that an abandoned mask scores.
+    """
 
     fit: Dataset
     held: Dataset
+    misses: np.ndarray
+
+    def hardest_first(self) -> "_Holdout":
+        """The same split, held-out rows reordered by misses, most first, ties kept in order."""
+        order = np.argsort(-self.misses, kind="stable")
+        return _Holdout(self.fit, self.held.take(order), self.misses[order])
 
 
 def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
@@ -269,18 +289,38 @@ def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
     fit = np.flatnonzero(keep)
     if fit.size == 0 or held.size == 0:
         raise ValueError("degenerate holdout split: one side is empty")
-    return _Holdout(train.take(fit), train.take(held))
+    return _Holdout(train.take(fit), train.take(held), np.zeros(held.size, dtype=int))
 
 
-def subset_fitness(mask: FeatureSubset, train: Dataset | _Holdout, spec: WrapperFitnessSpec) -> float:
+def subset_fitness(
+    mask: FeatureSubset,
+    train: Dataset | _Holdout,
+    spec: WrapperFitnessSpec,
+    cutoff: Optional[float] = None,
+) -> float:
     """Holdout accuracy in [0, 1] of KNN restricted to the masked columns.
 
     ``train`` is a :class:`Dataset`, split by ``spec``, or the split that
-    :func:`select_features` makes once per run.
+    :func:`select_features` makes once per run.  With a ``cutoff``, scoring
+    stops once the errors so far bound the accuracy at or below it, and that
+    bound is returned: a value at most ``cutoff``, as is the exact accuracy.
     """
     split = train if isinstance(train, _Holdout) else _holdout_split(train, spec)
-    preds = knn_classify(split.fit, split.held.features, spec.k_neighbors, mask)
-    return float(np.mean(preds == split.held.labels))
+    labels, n = split.held.labels, split.held.n_rows
+    preds = np.empty(n, dtype=int)
+    block = min(_FITNESS_ROWS, max(1, _BLOCK_CELLS // split.fit.n_rows))
+    errors, start = 0, 0
+    for votes in _knn_predict(split.fit, split.held.features, spec.k_neighbors, mask.columns, block):
+        stop = start + votes.size
+        preds[start:stop] = votes
+        errors += int(np.count_nonzero(votes != labels[start:stop]))
+        start = stop
+        # (n - errors) / n and the mean below round the same integer count.
+        if cutoff is not None and start < n and (n - errors) / n <= cutoff:
+            return (n - errors) / n
+    hits = preds == labels
+    split.misses[~hits] += 1
+    return float(np.mean(hits))
 
 
 def _repair_empty_mask(position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -302,9 +342,12 @@ def select_features(
     resolved = spec if spec.split_seed is not None else replace(spec, split_seed=params.seed)
     split = _holdout_split(train, resolved)  # every evaluation scores the same split
 
-    def objective(rows):
-        # One KNN fitness per mask, through the module-level name.
-        return [subset_fitness(FeatureSubset(row), split, resolved) for row in rows]
+    def objective(rows, cutoff):
+        # One KNN fitness per mask, through the module-level name, the rows
+        # that earlier masks got wrong scored first.
+        nonlocal split
+        split = split.hardest_first()
+        return [subset_fitness(FeatureSubset(row), split, resolved, cutoff) for row in rows]
 
     problem = Problem(
         dimension=train.n_features,

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -57,6 +58,19 @@ def test_rerun_is_byte_identical(files, command):
     assert set(first) == expected
     assert run(*argv, out=out) == 0
     assert primary_bytes(out) == first
+
+
+def test_select_output_is_pinned(files):
+    # Digests from before the optimizer handed fitness a cutoff: stopping a
+    # mask early must change no byte that select writes.
+    out = files["tmp"] / "select"
+    assert run(*command_argv(files)["select"], out=out) == 0
+    names = ("results.json", "convergence.csv")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    assert digests == {
+        "results.json": "c1cd0203add3fbd082b8ccb770877565504922c4bf8ba53d342c0159ea6ce718",
+        "convergence.csv": "a8d08f0ded46bc1273dbeccdd386653f55fa4faf23b56f8c5620114387649b6a",
+    }
 
 
 def test_eval_results_csv(files):

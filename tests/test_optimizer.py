@@ -30,7 +30,7 @@ def sphere_problem(dim=2, bound=100.0, sense="min"):
     return Problem(
         dimension=dim,
         domain=ContinuousBox(np.full(dim, -bound), np.full(dim, bound)),
-        objective=lambda x: sign * (x * x).sum(axis=1),
+        objective=lambda x, cutoff: sign * (x * x).sum(axis=1),
         sense=sense,
     )
 
@@ -161,7 +161,7 @@ class TestRunSeason:
 
     def test_binary_offspring_are_bits(self):
         params = PfmParams(population_size=10, seed=0)
-        problem = Problem(4, Binary(), lambda x: x.sum(axis=1), sense="max")
+        problem = Problem(4, Binary(), lambda x, cutoff: x.sum(axis=1), sense="max")
         rng = np.random.default_rng(2)
         population = initialize_population(problem, params, rng)
         for _ in range(10):
@@ -201,7 +201,7 @@ def reference_initialize(problem, params, rng):
     for position in rows:
         if problem.repair is not None:
             position = problem.repair(position, rng)
-        population.append((float(problem.objective(position[None])[0]), position))
+        population.append((float(problem.objective(position[None], None)[0]), position))
     return reference_ranked(population, problem.sense, params.population_size)
 
 
@@ -252,22 +252,22 @@ def reference_season(population, params, problem, rng):
     pool = list(zip(fitness.tolist(), positions))
     for raw in raws:
         position = reference_adjust(raw, problem, rng)
-        pool.append((float(problem.objective(position[None])[0]), position))
+        pool.append((float(problem.objective(position[None], None)[0]), position))
     return reference_ranked(pool, problem.sense, n)
 
 
 def season_cases():
     box = ContinuousBox(np.full(5, -4.0), np.full(5, 4.0))
     return {
-        "box-min": Problem(5, box, lambda x: (x * x).sum(axis=1)),
-        "box-max": Problem(5, box, lambda x: np.sin(3.0 * x).sum(axis=1), sense="max"),
+        "box-min": Problem(5, box, lambda x, cutoff: (x * x).sum(axis=1)),
+        "box-max": Problem(5, box, lambda x, cutoff: np.sin(3.0 * x).sum(axis=1), sense="max"),
         # a 3-bit space: the transfer layer often emits the empty mask, which the repair fixes
         "binary-repair": Problem(
-            3, Binary(), lambda x: x @ [1.0, 2.0, 4.0], sense="max", repair=_repair_empty_mask
+            3, Binary(), lambda x, cutoff: x @ [1.0, 2.0, 4.0], sense="max", repair=_repair_empty_mask
         ),
         # most newborns tie with each other and with their parents
-        "box-ties": Problem(5, box, lambda x: ((x * x).sum(axis=1) > 40.0).astype(float)),
-        "box-ties-max": Problem(5, box, lambda x: ((x * x).sum(axis=1) < 40.0).astype(float), sense="max"),
+        "box-ties": Problem(5, box, lambda x, cutoff: ((x * x).sum(axis=1) > 40.0).astype(float)),
+        "box-ties-max": Problem(5, box, lambda x, cutoff: ((x * x).sum(axis=1) < 40.0).astype(float), sense="max"),
     }
 
 
@@ -350,10 +350,38 @@ class TestOptimize:
         bests = trace.best_per_iteration
         assert all(a <= b for a, b in zip(bests, bests[1:]))
 
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_cutoff_changes_no_answer(self, sense):
+        # Every row that cannot beat the cutoff reports the cutoff itself:
+        # truncation drops it all the same.
+        exact = sphere_problem(dim=3, sense=sense)
+        sign = 1.0 if sense == "min" else -1.0
+        cutoffs, clipped_rows = [], []
+
+        def clipped(x, cutoff):
+            values = exact.objective(x, None)
+            cutoffs.append(cutoff)
+            if cutoff is None:
+                return values
+            dropped = sign * values >= sign * cutoff
+            clipped_rows.append(int(np.count_nonzero(dropped & (values != cutoff))))
+            return np.where(dropped, cutoff, values)
+
+        params = PfmParams(population_size=10, max_iterations=20, seasons_per_iteration=2, seed=3)
+        want = optimize(exact, params)
+        got = optimize(Problem(3, exact.domain, clipped, sense=sense), params)
+        assert cutoffs[0] is None and None not in cutoffs[1:] and sum(clipped_rows) > 0
+        assert repr(got.best_per_iteration) == repr(want.best_per_iteration)
+        assert got.best_solution.position.tobytes() == want.best_solution.position.tobytes()
+        assert got.best_solution.fitness == want.best_solution.fitness
+        for got_part, want_part in zip(got.final_population, want.final_population):
+            assert got_part.tobytes() == want_part.tobytes()
+        assert (got.evaluations, got.newborns, got.survivors) == (want.evaluations, want.newborns, want.survivors)
+
     def test_counts_objective_calls(self):
         calls = 0
 
-        def objective(x):
+        def objective(x, cutoff):
             nonlocal calls
             calls += len(x)
             return (x * x).sum(axis=1)
@@ -373,12 +401,12 @@ class TestOptimize:
         assert sum(trace.survivors) > 0
 
     def test_objective_must_return_one_value_per_row(self):
-        problem = Problem(2, ContinuousBox(np.full(2, -1.0), np.full(2, 1.0)), lambda x: float(np.sum(x * x)))
+        problem = Problem(2, ContinuousBox(np.full(2, -1.0), np.full(2, 1.0)), lambda x, cutoff: float(np.sum(x * x)))
         with pytest.raises(EvaluationError, match="shape"):
             optimize(problem, PfmParams(population_size=5, max_iterations=2, seed=0))
 
     def test_binary_initialization_is_bernoulli(self):
-        problem = Problem(2000, Binary(), lambda x: x.sum(axis=1), sense="max")
+        problem = Problem(2000, Binary(), lambda x, cutoff: x.sum(axis=1), sense="max")
         rng = np.random.default_rng(0)
         positions, _ = initialize_population(problem, PfmParams(population_size=4), rng)
         frequency = positions.mean()
@@ -388,7 +416,7 @@ class TestOptimize:
         problem = Problem(
             2,
             ContinuousBox(np.full(2, -1.0), np.full(2, 1.0)),
-            lambda x: np.where(x[:, 0] > 0.5, np.nan, 0.0),
+            lambda x, cutoff: np.where(x[:, 0] > 0.5, np.nan, 0.0),
         )
         params = PfmParams(population_size=5, max_iterations=2, seed=0)
         with pytest.raises(EvaluationError, match="position"):
@@ -424,7 +452,7 @@ class TestOptimize:
     @pytest.mark.parametrize("dimension", [2.5, 2.0, True, np.int64(2)])
     def test_non_int_dimension_rejected(self, dimension):
         with pytest.raises(ValueError, match="dimension must be an int"):
-            Problem(dimension, Binary(), lambda x: x.sum(axis=1))
+            Problem(dimension, Binary(), lambda x, cutoff: x.sum(axis=1))
 
     def test_default_params_match_published_settings(self):
         p = PfmParams()

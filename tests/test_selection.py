@@ -17,7 +17,7 @@ from peafowl import (
 )
 from peafowl import selection
 
-from conftest import confusion_oracle, knn_exact_reference, knn_oracle, two_cluster_dataset
+from conftest import confusion_oracle, knn_exact_reference, knn_oracle, planted_dataset, two_cluster_dataset
 
 
 class TestFeatureSubset:
@@ -344,6 +344,27 @@ class TestKnnRandomCorpus:
                 wrong.append(seed)
         assert wrong == []
 
+    @pytest.mark.parametrize("kind", _CORPUS_KINDS)
+    def test_permuted_columns_in_small_blocks(self, kind):
+        # Permuted columns make the key's product sum in another order, with
+        # no BLAS threads; blocks of 1 and 7 queries cross block boundaries.
+        wrong = []
+        for seed in range(134):
+            train_x, train_y, queries, k = _corpus_case(kind, seed)
+            perm = np.random.default_rng([seed, 1]).permutation(train_x.shape[1])
+            # C order, as knn_classify copies rows: the reference's exact sums
+            # then add each row's squares in the same order as knn_classify's.
+            train_x, queries = np.ascontiguousarray(train_x[:, perm]), np.ascontiguousarray(queries[:, perm])
+            expected = knn_exact_reference(train_x, train_y, queries, k)
+            train = Dataset.from_arrays(train_x, train_y)
+            got = [knn_classify(train, queries, k)] + [
+                np.concatenate(list(selection._knn_predict(train, queries, k, slice(None), block)))
+                for block in (1, 7)
+            ]
+            if not all(np.array_equal(g, expected) for g in got):
+                wrong.append(seed)
+        assert wrong == []
+
 
 class TestSubsetFitness:
     def test_separable_clusters_reach_perfect_accuracy(self):
@@ -391,6 +412,77 @@ class TestSubsetFitness:
                 WrapperFitnessSpec(**bad)
 
 
+def _select_digest(ds, seed):
+    best, trace = select_features(ds, PfmParams(population_size=8, max_iterations=5, seed=seed), WrapperFitnessSpec())
+    positions, fitness = trace.final_population
+    return (
+        best.mask.tobytes(),
+        repr(trace.best_per_iteration),
+        positions.tobytes(),
+        fitness.tobytes(),
+        trace.newborns,
+        trace.survivors,
+        trace.evaluations,
+    )
+
+
+class TestEarlyAbandoning:
+    """A mask that cannot beat the cutoff may stop early; no answer changes."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_select_matches_a_cutoff_free_run(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(selection, "_FITNESS_ROWS", block)
+        ds = planted_dataset(n_rows=400, n_features=12, seed=5)
+        scored, predict, fitness = [], selection._knn_predict, selection.subset_fitness
+
+        def counting(train, query_rows, k, columns, size):
+            scored.append(0)
+            for votes in predict(train, query_rows, k, columns, size):
+                scored[-1] += votes.size
+                yield votes
+
+        monkeypatch.setattr(selection, "_knn_predict", counting)
+        with_cutoff = [_select_digest(ds, seed) for seed in range(10)]
+        # 40 held-out rows of each class; some masks stopped short of them
+        assert min(scored) < 80 and max(scored) == 80
+        cutoff_free = lambda mask, split, spec, cutoff=None: fitness(mask, split, spec)  # noqa: E731
+        monkeypatch.setattr(selection, "subset_fitness", cutoff_free)
+        scored.clear()
+        assert [_select_digest(ds, seed) for seed in range(10)] == with_cutoff
+        assert set(scored) == {80}
+
+    def test_fitness_is_exact_or_both_at_most_cutoff(self):
+        ds = planted_dataset(n_rows=600, n_features=10, seed=3)
+        spec = WrapperFitnessSpec(split_seed=4)
+        split = selection._holdout_split(ds, spec)
+        rng = np.random.default_rng(8)
+        abandoned = 0
+        for _ in range(80):
+            bits = rng.random(10) < 0.5
+            bits[rng.integers(0, 10)] = True
+            mask = FeatureSubset(bits.astype(float))
+            preds = knn_classify(split.fit, split.held.features, spec.k_neighbors, mask)
+            exact = subset_fitness(mask, split, spec)
+            assert exact == float(np.mean(preds == split.held.labels))
+            for cutoff in (rng.uniform(0.5, 1.0), exact, np.nextafter(exact, 0.0), 1.0):
+                got = subset_fitness(mask, split, spec, cutoff)
+                assert got == exact or (got <= cutoff and exact <= cutoff)
+                abandoned += got != exact
+            split = split.hardest_first()
+        assert abandoned > 0
+
+    def test_hardest_rows_first(self):
+        split = selection._holdout_split(planted_dataset(n_rows=40, n_features=6), WrapperFitnessSpec())
+        split.misses[:] = [0, 2, 1, 2, 0, 0, 1, 0]
+        ordered = split.hardest_first()
+        order = [1, 3, 2, 6, 0, 4, 5, 7]
+        assert ordered.misses.tolist() == [2, 2, 1, 1, 0, 0, 0, 0]
+        assert np.array_equal(ordered.held.features, split.held.features[order])
+        assert np.array_equal(ordered.held.labels, split.held.labels[order])
+        assert ordered.fit is split.fit
+
+
 class TestSelectFeatures:
     PARAMS = PfmParams(population_size=10, max_iterations=15, seasons_per_iteration=2, seed=1)
 
@@ -411,9 +503,9 @@ class TestSelectFeatures:
         seen = []
         original = subset_fitness
 
-        def spying_objective(mask, train, fitness_spec):
+        def spying_objective(mask, train, fitness_spec, cutoff=None):
             seen.append(mask.cardinality)
-            return original(mask, train, fitness_spec)
+            return original(mask, train, fitness_spec, cutoff)
 
         import peafowl.selection as sel
 
