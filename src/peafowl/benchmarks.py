@@ -320,7 +320,7 @@ def evaluate_benchmark(name: str, x, rng: Optional[np.random.Generator] = None) 
     return float(bench.fn(x[None])[0])
 
 
-def make_problem(name: str, seed: Optional[int] = None) -> Problem:
+def make_problem(name: str, seed: int) -> Problem:
     """Wrap a benchmark as a minimization problem over its box; its objective ignores the cutoff.
 
     For F7 the additive noise comes from a dedicated stream derived from
@@ -332,7 +332,7 @@ def make_problem(name: str, seed: Optional[int] = None) -> Problem:
         upper=np.full(bench.dimension, bench.upper, dtype=float),
     )
     if bench.noisy:
-        noise_rng = np.random.default_rng(None if seed is None else (seed, 0xF7))
+        noise_rng = np.random.default_rng((seed, 0xF7))
         objective = lambda x, cutoff: bench.fn(x, noise_rng)  # noqa: E731
     else:
         objective = lambda x, cutoff: bench.fn(x)  # noqa: E731

@@ -68,12 +68,12 @@ class MetricsReport:
     def as_fractions(self) -> dict:
         return {name: getattr(self, name) for name in METRIC_FIELDS}
 
-    def as_percentages(self, ndigits: int = 3) -> dict:
-        """Percent strings with fixed decimals, 'NA' where undefined."""
+    def as_percentages(self) -> dict:
+        """Percent strings with three decimals, 'NA' where undefined."""
         out = {}
         for name in METRIC_FIELDS:
             v = getattr(self, name)
-            out[name] = "NA" if v is None else f"{100.0 * v:.{ndigits}f}"
+            out[name] = "NA" if v is None else f"{100.0 * v:.3f}"
         return out
 
 

@@ -15,8 +15,10 @@ upper bound on each query's k-th smallest key comes from the minima of column
 groups, and every row within a rounding slack of that bound, derived for the
 key's dtype including the rounding of its inputs and underflow, is re-ranked
 by the exact sum.  So the key's precision never decides a neighbor, and
-predictions do not depend on it.  :func:`select_features` splits the table
-into fit and holdout rows once per run and scores every mask on that split.
+predictions do not depend on it.  Every KNN call runs through
+``_knn_predict``, which alone checks its inputs and sizes its query blocks.
+:func:`select_features` splits the table into fit and holdout rows once per
+run and scores every mask on that split.
 
 Each season the optimizer hands the fitness its cutoff, the worst parent's
 fitness: a newborn that does not beat it is always dropped.  So
@@ -133,19 +135,29 @@ def _key_dtype(width: int, scale: float) -> type:
     return np.float64
 
 
-def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, columns, block: int):
-    """Yield the KNN votes (0 or 1) of ``query_rows`` on ``columns``, ``block`` queries at a time.
+def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block: Optional[int] = None):
+    """Yield the KNN votes (0 or 1) of ``query_rows`` on ``mask``'s columns (None: all), block by block.
 
-    The gather, the finiteness checks, |t|^2 and the key are prepared once
-    per call, so a caller may stop after any block at the cost of the blocks
-    it drew.
+    It checks the query width, mask length, ``k`` and finiteness of the used
+    columns.  A block holds at most ``max_block`` queries and ``_BLOCK_CELLS``
+    query x training-row cells.  The gather, checks, |t|^2 and key are prepared
+    once per call, so a caller may stop after any block at the cost of the
+    blocks it drew.
     """
+    if query_rows.shape[1] != train.n_features:
+        raise ValueError(f"feature counts differ: {query_rows.shape[1]} in queries, {train.n_features} in training")
+    if mask is not None and mask.mask.size != train.n_features:
+        raise ValueError("mask length does not match the feature count")
     if k < 1:
         raise ValueError("k must be >= 1")
     n_train = train.n_rows
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
-    width = train.n_features if isinstance(columns, slice) else columns.size
+    block = max(1, _BLOCK_CELLS // n_train)  # queries per block of keys
+    if max_block is not None:
+        block = min(block, max_block)
+    columns = slice(None) if mask is None else mask.columns
+    width = train.n_features if mask is None else columns.size
     aug = np.empty((n_train, width + 1))  # [t, |t|^2]
     step = max(1, _BLOCK_CELLS // max(1, width))  # gathered in row blocks: no second full copy of t
     for start in range(0, n_train, step):
@@ -246,15 +258,7 @@ def knn_classify(
     query rows raises :class:`DataError` naming its row and feature (1-based).
     """
     query_rows = np.atleast_2d(np.asarray(query_rows, dtype=float))
-    if query_rows.shape[1] != train.n_features:
-        raise ValueError(
-            f"query width {query_rows.shape[1]} does not match {train.n_features} features"
-        )
-    if mask is not None and mask.mask.size != train.n_features:
-        raise ValueError("mask length does not match the feature count")
-    columns = slice(None) if mask is None else mask.columns
-    block = max(1, _BLOCK_CELLS // max(1, train.n_rows))
-    votes = list(_knn_predict(train, query_rows, k, columns, block))
+    votes = list(_knn_predict(train, query_rows, k, mask))
     return np.concatenate(votes) if votes else np.empty(0, dtype=int)
 
 
@@ -307,20 +311,17 @@ def subset_fitness(
     """
     split = train if isinstance(train, _Holdout) else _holdout_split(train, spec)
     labels, n = split.held.labels, split.held.n_rows
-    preds = np.empty(n, dtype=int)
-    block = min(_FITNESS_ROWS, max(1, _BLOCK_CELLS // split.fit.n_rows))
+    wrong = np.empty(n, dtype=bool)
     errors, start = 0, 0
-    for votes in _knn_predict(split.fit, split.held.features, spec.k_neighbors, mask.columns, block):
+    for votes in _knn_predict(split.fit, split.held.features, spec.k_neighbors, mask, _FITNESS_ROWS):
         stop = start + votes.size
-        preds[start:stop] = votes
-        errors += int(np.count_nonzero(votes != labels[start:stop]))
+        errors += int(np.count_nonzero(np.not_equal(votes, labels[start:stop], out=wrong[start:stop])))
         start = stop
-        # (n - errors) / n and the mean below round the same integer count.
         if cutoff is not None and start < n and (n - errors) / n <= cutoff:
-            return (n - errors) / n
-    hits = preds == labels
-    split.misses[~hits] += 1
-    return float(np.mean(hits))
+            break
+    else:  # scored to the end: only such masks count misses
+        split.misses[wrong] += 1
+    return (n - errors) / n
 
 
 def _repair_empty_mask(position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -360,7 +361,7 @@ def select_features(
     return FeatureSubset(trace.best_solution.position), trace
 
 
-def top_subsets(population, n: int = 3) -> list[tuple[FeatureSubset, float]]:
+def top_subsets(population, n: int) -> list[tuple[FeatureSubset, float]]:
     """Best n distinct masks of a final ``(positions, fitness)`` (fitness desc, then smaller)."""
     if n < 1:
         raise ValueError(f"top_subsets must be >= 1, got {n}")
@@ -386,8 +387,6 @@ def evaluate_subset(
 
     ``mask=None`` evaluates on all features (identical to the all-ones mask).
     """
-    if train.n_features != test.n_features:
-        raise ValueError("train and test feature counts differ")
     if (
         train.provenance is not None
         and test.provenance is not None

@@ -65,7 +65,10 @@ def knn_oracle(train_x, train_y, query_x, k):
 
 def knn_exact_reference(train_x, train_y, query_x, k):
     """Per-query KNN on the exact sum of squared differences: a stable sort
-    keeps the lower row on distance ties, even votes predict class 1."""
+    keeps the lower row on distance ties, even votes predict class 1.  Each
+    row is summed from a C-ordered copy, as knn_classify sums it, so that
+    rounding breaks a true tie the same way whatever the input's layout."""
+    train_x = np.ascontiguousarray(train_x, dtype=float)
     preds = []
     for q in np.asarray(query_x, dtype=float):
         nearest = np.argsort(((train_x - q) ** 2).sum(axis=1), kind="stable")[:k]

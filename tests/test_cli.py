@@ -73,6 +73,21 @@ def test_select_output_is_pinned(files):
     }
 
 
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("eval", "24f88ad69d92b9dd8483e84938d892c5541e66be7aa9d68466a52260ac20f78e"),
+        ("cv", "dc17704b218f337d4cf6cafe5e8c6f653d3f5508305b3e5c1b8b4bac7d9b4c1b"),
+    ],
+)
+def test_results_json_is_pinned(files, command, digest):
+    # Digests from before the KNN core took over its callers' checks and
+    # block sizes: eval and cv must write the same bytes.
+    out = files["tmp"] / command
+    assert run(*command_argv(files)[command], out=out) == 0
+    assert hashlib.sha256((out / "results.json").read_bytes()).hexdigest() == digest
+
+
 def test_eval_results_csv(files):
     out = files["tmp"] / "eval"
     argv = ["eval", "--train", files["train"], "--test", files["test"], "--schema", files["schema"]]

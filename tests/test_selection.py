@@ -352,18 +352,62 @@ class TestKnnRandomCorpus:
         for seed in range(134):
             train_x, train_y, queries, k = _corpus_case(kind, seed)
             perm = np.random.default_rng([seed, 1]).permutation(train_x.shape[1])
-            # C order, as knn_classify copies rows: the reference's exact sums
-            # then add each row's squares in the same order as knn_classify's.
-            train_x, queries = np.ascontiguousarray(train_x[:, perm]), np.ascontiguousarray(queries[:, perm])
+            train_x, queries = train_x[:, perm], queries[:, perm]
             expected = knn_exact_reference(train_x, train_y, queries, k)
             train = Dataset.from_arrays(train_x, train_y)
             got = [knn_classify(train, queries, k)] + [
-                np.concatenate(list(selection._knn_predict(train, queries, k, slice(None), block)))
+                np.concatenate(list(selection._knn_predict(train, queries, k, None, block)))
                 for block in (1, 7)
             ]
             if not all(np.array_equal(g, expected) for g in got):
                 wrong.append(seed)
         assert wrong == []
+
+
+_WRONG_MASKS = {"short": [1.0, 0.0, 1.0], "long": [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]}
+
+
+@pytest.fixture
+def five_wide():
+    rng = np.random.default_rng(6)
+    return Dataset.from_arrays(rng.random((60, 5)), np.repeat([0, 1], 30))
+
+
+class TestKnnInputChecks:
+    """Every KNN entry point rejects a mask or a query table of the wrong width."""
+
+    @pytest.mark.parametrize("length", _WRONG_MASKS)
+    def test_knn_classify_mask_length(self, five_wide, length):
+        with pytest.raises(ValueError, match="mask length"):
+            knn_classify(five_wide, five_wide.features, 3, FeatureSubset(_WRONG_MASKS[length]))
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_knn_classify_query_width(self, five_wide, width):
+        with pytest.raises(ValueError, match="feature counts differ"):
+            knn_classify(five_wide, np.zeros((3, width)), 3)
+
+    @pytest.mark.parametrize("length", _WRONG_MASKS)
+    def test_subset_fitness_mask_length_on_a_dataset(self, five_wide, length):
+        with pytest.raises(ValueError, match="mask length"):
+            subset_fitness(FeatureSubset(_WRONG_MASKS[length]), five_wide, WrapperFitnessSpec())
+
+    @pytest.mark.parametrize("length", _WRONG_MASKS)
+    def test_subset_fitness_mask_length_on_a_split(self, five_wide, length):
+        split = selection._holdout_split(five_wide, WrapperFitnessSpec(split_seed=0))
+        with pytest.raises(ValueError, match="mask length"):
+            subset_fitness(FeatureSubset(_WRONG_MASKS[length]), split, WrapperFitnessSpec(), cutoff=0.5)
+        assert not split.misses.any()
+
+    @pytest.mark.parametrize("length", _WRONG_MASKS)
+    def test_evaluate_subset_mask_length(self, five_wide, length):
+        with pytest.raises(ValueError, match="mask length"):
+            evaluate_subset(FeatureSubset(_WRONG_MASKS[length]), five_wide, five_wide, k=3)
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_evaluate_subset_test_width(self, five_wide, width):
+        test = Dataset.from_arrays(np.zeros((4, width)), np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match="feature counts differ"):
+            evaluate_subset(None, five_wide, test, k=3)
 
 
 class TestSubsetFitness:
@@ -397,6 +441,14 @@ class TestSubsetFitness:
             mask = FeatureSubset.from_indices([1 + int(rng.integers(0, 4))], 4)
             value = subset_fitness(mask, ds, WrapperFitnessSpec(split_seed=seed))
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("cutoff", [None, 0.99])
+    def test_returns_a_python_float(self, five_wide, cutoff, monkeypatch):
+        # both the full and the early return are (n - errors) / n of Python ints;
+        # 2-row blocks let the cutoff stop after the first error among 12 rows
+        monkeypatch.setattr(selection, "_FITNESS_ROWS", 2)
+        mask = FeatureSubset([1.0, 0.0, 1.0, 0.0, 0.0])
+        assert type(subset_fitness(mask, five_wide, WrapperFitnessSpec(), cutoff)) is float
 
     def test_bad_spec_rejected(self):
         bad_specs = [
