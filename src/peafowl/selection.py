@@ -12,11 +12,14 @@ which is ``|q - t|^2`` less a constant per query, and it only shortlists.
 The key is float32 unless a value could overflow float32 (or the table is
 too wide for a float32 slack to shortlist anything); then it is float64.  An
 upper bound on each query's k-th smallest key comes from the minima of column
-groups, and every row within a rounding slack of that bound, derived for the
-key's dtype including the rounding of its inputs and underflow, is re-ranked
-by the exact sum.  So the key's precision never decides a neighbor, and
-predictions do not depend on it.  Every KNN call runs through
-``_knn_predict``, which alone checks its inputs and sizes its query blocks.
+groups, and the shortlist is every row within a rounding slack of that bound,
+derived for the key's dtype including the rounding of its inputs and
+underflow.  It holds every row at or below the exact k-th distance, and at
+least k rows, so a query with exactly k candidates takes them as its k
+nearest, ties included; only a longer shortlist is re-ranked by the exact
+sum.  So the key's precision never decides a neighbor, and predictions do
+not depend on it.  Every KNN call runs through ``_knn_predict``, which alone
+checks its inputs and sizes its query blocks.
 :func:`select_features` splits the table into fit and holdout rows once per
 run and scores every mask on that split.
 
@@ -62,7 +65,7 @@ class FeatureSubset:
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=float)
-        if mask.ndim != 1 or not np.all(np.isin(mask, (0.0, 1.0))):
+        if mask.ndim != 1 or not np.all((mask == 0.0) | (mask == 1.0)):
             raise ValueError("mask must be a flat vector of 0s and 1s")
         if mask.sum() < 1:
             raise ValueError("feature subset must select at least one feature")
@@ -117,7 +120,7 @@ class WrapperFitnessSpec:
 
 
 _BLOCK_CELLS = 1_000_000  # query x training-row cells per block of keys (4 MB in float32)
-_FITNESS_ROWS = 50  # held-out rows per block in subset_fitness: it may stop after any block
+_FITNESS_ROWS = 50  # held-out rows per block in subset_fitness with a cutoff: it may stop after any block
 _SLABS = 16  # column slabs whose elementwise minimum bounds each row's k-th smallest key
 _NARROW_KEY = np.float32  # the key's dtype wherever _key_dtype admits it
 
@@ -140,14 +143,20 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
 
     It checks the query width, mask length, ``k`` and finiteness of the used
     columns.  A block holds at most ``max_block`` queries and ``_BLOCK_CELLS``
-    query x training-row cells.  The gather, checks, |t|^2 and key are prepared
-    once per call, so a caller may stop after any block at the cost of the
-    blocks it drew.
+    query x training-row cells.  Once per call it gathers ``[t, |t|^2]``,
+    checks the values, picks the key's dtype and builds every query's ``[-2q,
+    1]`` and slack, so a caller may stop after any block at the cost of the
+    blocks it drew.  Per block it forms the key, the bound and the shortlist;
+    a query with exactly k candidates votes with them as they are, and only
+    longer shortlists get exact distances and a sort.
     """
     if query_rows.shape[1] != train.n_features:
         raise ValueError(f"feature counts differ: {query_rows.shape[1]} in queries, {train.n_features} in training")
     if mask is not None and mask.mask.size != train.n_features:
         raise ValueError("mask length does not match the feature count")
+    # a bool is not a neighbour count; NumPy integers are
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     n_train = train.n_rows
@@ -159,37 +168,44 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
     columns = slice(None) if mask is None else mask.columns
     width = train.n_features if mask is None else columns.size
     aug = np.empty((n_train, width + 1))  # [t, |t|^2]
-    step = max(1, _BLOCK_CELLS // max(1, width))  # gathered in row blocks: no second full copy of t
-    for start in range(0, n_train, step):
+    step = max(1, _BLOCK_CELLS // max(1, width))  # rows per slice of at most _BLOCK_CELLS cells
+    for start in range(0, n_train, step):  # gathered in slices: no second full copy of t
         aug[start : start + step, :width] = train.features[start : start + step, columns]
     query_x = query_rows[:, columns]
     train_x = aug[:, :width]
-    for side, values in (("training", train_x), ("query", query_x)):
-        if not np.isfinite(values).all():
-            row, col = np.argwhere(~np.isfinite(values))[0]
-            feature = np.arange(train.n_features)[columns][col] + 1
-            raise DataError(
-                f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
-            )
     aug[:, width] = train_sq = np.einsum("ij,ij->i", train_x, train_x)
-    query_sq, train_max = np.einsum("ij,ij->i", query_x, query_x), train_sq.max()
+    query_sq = np.einsum("ij,ij->i", query_x, query_x)
+    # A NaN or inf value makes its row's sum of squares non-finite, so only
+    # then are the cells scanned; a finite row may also overflow, and passes.
+    for side, values, sq in (("training", train_x, train_sq), ("query", query_x, query_sq)):
+        if not np.isfinite(sq).all():
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                row, col = bad[0]
+                feature = np.arange(train.n_features)[columns][col] + 1
+                raise DataError(
+                    f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
+                )
+    train_max = train_sq.max()
     dtype = _key_dtype(width, query_sq.max(initial=0.0) + train_max)
     info = np.finfo(dtype)
     key_aug = aug.astype(dtype, copy=False)  # [t, |t|^2] in the key's dtype
+    query_aug = np.empty((query_x.shape[0], width + 1), dtype)  # [-2q, 1]
+    np.multiply(query_x, -2.0, out=query_aug[:, :width])
+    query_aug[:, width] = 1.0
+    # the shortlist slack of each query; see the comment below
+    query_slack = 5.0 * (width + 2) * (info.eps * (query_sq + train_max) + info.smallest_subnormal)
     slabs = max(1, min(_SLABS, n_train // k))
     span = slabs * (n_train // slabs)  # columns in whole slabs; the rest stand alone
     for start in range(0, query_x.shape[0], block):
-        q = query_x[start : start + block]
-        qa = np.empty((q.shape[0], width + 1), dtype)  # [-2q, 1]
-        np.multiply(q, -2.0, out=qa[:, :width])
-        qa[:, width] = 1.0
-        key = qa @ key_aug.T  # |t|^2 - 2q.t, which is |q - t|^2 less the row-constant |q|^2
+        key = query_aug[start : start + block] @ key_aug.T  # |t|^2 - 2q.t: |q - t|^2 less the row-constant |q|^2
+        n_query = key.shape[0]
         # Upper bound on each row's k-th smallest key: split the row into
         # `slabs` equal slabs and take their elementwise minimum, each
         # remainder column a group of its own.  The groups are disjoint and
         # there are at least k of them, so the k smallest group minima are k
         # distinct cells of the row, all at most the k-th of them.
-        groups = key[:, :span].reshape(q.shape[0], slabs, -1).min(axis=1)
+        groups = key[:, :span].reshape(n_query, slabs, -1).min(axis=1)
         if span < n_train:
             groups = np.concatenate([groups, key[:, span:]], axis=1)
         bound = np.partition(groups, k - 1, axis=1)[:, k - 1].copy()  # lets the partitioned copy go
@@ -221,27 +237,35 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
         # dtype.  _key_dtype takes float32 only where 4S fits in it and
         # 5(w + 2)eps < 1, so (w + 1)u < 0.05: every value the key holds
         # (products <= 1.01S, sums and keys < 3S, bound + slack < 4S) is then
-        # finite, and no kept row's key can overflow past the limit.
-        scale = query_sq[start : start + block] + train_max
-        slack = 5.0 * (width + 2) * (info.eps * scale + info.smallest_subnormal)
-        limit = np.nextafter((bound + slack).astype(dtype), dtype(np.inf))
+        # finite, and no kept row's key can overflow past the limit.  Last,
+        # the count: the k cells behind the k smallest group minima have keys
+        # at most bound, so they are kept, and the shortlist holds at least k
+        # rows.  It also holds every row whose exact distance is at most the
+        # exact k-th one, and there are at least k of those.  So a shortlist
+        # of exactly k rows holds those rows and no other: it is the k
+        # nearest, no tie at the k-th distance reaches past it, and their
+        # order cannot change the vote.
+        limit = np.nextafter((bound + query_slack[start : start + block]).astype(dtype), dtype(np.inf))
         # "not greater" also keeps rows whose float64 terms overflowed to inf or NaN
         rows, cols = np.divmod(np.flatnonzero(~(key > limit[:, None])), n_train)
-        # Exact distances in slices of at most _BLOCK_CELLS differences, so a
-        # shortlist swollen by ties (identical rows) keeps memory bounded.
-        pieces = 1 + rows.size * width // _BLOCK_CELLS
-        exact = np.concatenate(
-            [
-                ((q[r] - train_x[c]) ** 2).sum(axis=1)
-                for r, c in zip(np.array_split(rows, pieces), np.array_split(cols, pieces))
-            ]
-        )
-        # Per query by exact distance, lower training row first on ties: the
-        # shortlist comes in (row, col) order and lexsort is stable.
-        order = np.lexsort((exact, rows))
-        rows, cols = rows[order], cols[order]
-        nearest = np.arange(rows.size) - np.searchsorted(rows, rows) < k
-        ones = np.bincount(rows[nearest], weights=train.labels[cols[nearest]], minlength=q.shape[0])
+        ones = np.bincount(rows, weights=train.labels[cols], minlength=n_query)
+        if rows.size > k * n_query:  # some query has more than k candidates: re-rank those
+            wide = np.bincount(rows, minlength=n_query) > k
+            keep = wide[rows]
+            rows, cols = rows[keep], cols[keep]
+            q = query_x[start : start + block]
+            # Exact distances in slices of at most _BLOCK_CELLS differences, so a
+            # shortlist swollen by ties (identical rows) keeps memory bounded.
+            exact = np.empty(rows.size)
+            for at in range(0, rows.size, step):
+                r, c = rows[at : at + step], cols[at : at + step]
+                exact[at : at + step] = ((q[r] - train_x[c]) ** 2).sum(axis=1)
+            # Per query by exact distance, lower training row first on ties: the
+            # shortlist comes in (row, col) order and lexsort is stable.
+            order = np.lexsort((exact, rows))
+            rows, cols = rows[order], cols[order]
+            nearest = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+            ones[wide] = np.bincount(rows[nearest], weights=train.labels[cols[nearest]], minlength=n_query)[wide]
         yield (2 * ones >= k).astype(int)
 
 
@@ -313,7 +337,9 @@ def subset_fitness(
     labels, n = split.held.labels, split.held.n_rows
     wrong = np.empty(n, dtype=bool)
     errors, start = 0, 0
-    for votes in _knn_predict(split.fit, split.held.features, spec.k_neighbors, mask, _FITNESS_ROWS):
+    # Without a cutoff nothing can stop early, so the blocks take their full size.
+    max_block = None if cutoff is None else _FITNESS_ROWS
+    for votes in _knn_predict(split.fit, split.held.features, spec.k_neighbors, mask, max_block):
         stop = start + votes.size
         errors += int(np.count_nonzero(np.not_equal(votes, labels[start:stop], out=wrong[start:stop])))
         start = stop

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,15 @@ class TestKnnClassify:
         last_two = FeatureSubset(np.array([0.0, 1.0, 1.0]))
         with pytest.raises(DataError, match="query row 2, feature 3 is not finite"):
             knn_classify(train, [[0.0, 0.0, 0.0], [0.0, 0.0, np.inf]], k=1, mask=last_two)
+
+    def test_overflowing_row_does_not_hide_a_later_non_finite_one(self):
+        # row 1 is finite but its sum of squares overflows to inf; row 3 holds the NaN
+        rows = [[1e200, 1e200], [0.0, 0.0], [0.5, np.nan], [1.0, 1.0]]
+        with pytest.raises(DataError, match=r"training row 3, feature 2 is not finite \(nan\)"):
+            knn_classify(Dataset.from_arrays(rows, [0, 1, 0, 1]), [[0.0, 0.0]], k=1)
+        train = Dataset.from_arrays([[0.0, 0.0], [1.0, 1.0]], [0, 1])
+        with pytest.raises(DataError, match=r"query row 3, feature 2 is not finite \(nan\)"):
+            knn_classify(train, rows, k=1)
 
 
 def _exactness_case(name, seed=0, n=60, m=40, width=6):
@@ -364,6 +375,81 @@ class TestKnnRandomCorpus:
         assert wrong == []
 
 
+def _cluster_case(k, seed, shared=False):
+    """16 far-apart clusters of k rows each, row i in cluster i % 16, and 40
+    queries each near a cluster.  16 = 1 (mod k) for k in 3 and 5, so with 16
+    slabs of k columns a cluster's rows fall in k distinct column groups: the
+    bound is the k-th nearest key and each query's shortlist is its cluster.
+    ``shared`` puts cluster 1's rows on top of cluster 0's, so a query there
+    has 2k tied candidates."""
+    rng = np.random.default_rng(seed)
+    centres = rng.random((16, 4)) * 100.0
+    offsets = rng.random((16 * k, 4)) * 0.01
+    if shared:
+        centres[1] = centres[0]
+        offsets[1::16] = offsets[0::16]
+    train_x = centres[np.arange(16 * k) % 16] + offsets
+    nearest = rng.integers(0, 16, 40)
+    queries = centres[nearest] + rng.random((40, 4)) * 0.01
+    return train_x, rng.integers(0, 2, 16 * k), queries, nearest
+
+
+@pytest.fixture
+def reranked(monkeypatch):
+    """The query count of each block's exact re-rank, one entry per sort."""
+    seen, lexsort = [], np.lexsort
+
+    def spy(keys):
+        seen.append(np.unique(keys[-1]).size)  # the shortlist's query rows
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    return seen
+
+
+def _votes_in_blocks(train, queries, k):
+    """Predictions of knn_classify, and of the generator drained in 7-query blocks."""
+    return knn_classify(train, queries, k), np.concatenate(list(selection._knn_predict(train, queries, k, None, 7)))
+
+
+class TestKnnShortlistShapes:
+    """A shortlist of exactly k rows is the k nearest and votes unsorted;
+    only longer shortlists are re-ranked by exact distance."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_every_query_has_exactly_k_candidates(self, k, reranked):
+        train_x, train_y, queries, _ = _cluster_case(k, seed=k)
+        expected = knn_exact_reference(train_x, train_y, queries, k)
+        for got in _votes_in_blocks(Dataset.from_arrays(train_x, train_y), queries, k):
+            assert np.array_equal(got, expected)
+        assert reranked == []
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_no_query_has_exactly_k_candidates(self, k, reranked):
+        # every training row is the same point, so every row ties with the
+        # k-th and the lower rows win: the first k labels decide, all 0,
+        # against a majority of 1s among the rest
+        train_x, train_y = np.full((30, 3), 0.25), np.r_[np.zeros(k, int), np.ones(30 - k, int)]
+        queries = np.random.default_rng(k).random((20, 3))
+        expected = knn_exact_reference(train_x, train_y, queries, k)
+        assert not expected.any()
+        for got in _votes_in_blocks(Dataset.from_arrays(train_x, train_y), queries, k):
+            assert np.array_equal(got, expected)
+        assert reranked == [20] + [7, 7, 6]
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_blocks_mix_both_kinds(self, k, reranked):
+        train_x, train_y, queries, nearest = _cluster_case(k, seed=k, shared=True)
+        train_y[0::16], train_y[1::16] = 0, 1  # the two stacked clusters vote apart
+        expected = knn_exact_reference(train_x, train_y, queries, k)
+        for got in _votes_in_blocks(Dataset.from_arrays(train_x, train_y), queries, k):
+            assert np.array_equal(got, expected)
+        tied = nearest <= 1  # queries at the stacked clusters
+        assert 0 < tied.sum() < tied.size
+        per_block = [int(tied[start : start + 7].sum()) for start in range(0, 40, 7)]
+        assert reranked == [int(tied.sum())] + [n for n in per_block if n]
+
+
 _WRONG_MASKS = {"short": [1.0, 0.0, 1.0], "long": [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]}
 
 
@@ -374,7 +460,28 @@ def five_wide():
 
 
 class TestKnnInputChecks:
-    """Every KNN entry point rejects a mask or a query table of the wrong width."""
+    """Every KNN entry point rejects a mask or a query table of the wrong width, and a k that is not an int."""
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, np.float64(3.0)], ids=["2.5", "3.0", "True", "np.float64"])
+    def test_knn_classify_k_must_be_an_int(self, five_wide, k):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+            knn_classify(five_wide, five_wide.features, k)
+
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_evaluate_subset_k_must_be_an_int(self, five_wide, k):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+            evaluate_subset(None, five_wide, five_wide, k)
+
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_cross_validate_k_must_be_an_int(self, five_wide, k):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+            cross_validate(None, five_wide, make_folds(five_wide.n_rows, 3, seed=0), k)
+
+    def test_numpy_integer_k_is_accepted(self, five_wide):
+        expected = knn_classify(five_wide, five_wide.features, 3)
+        assert np.array_equal(knn_classify(five_wide, five_wide.features, np.int64(3)), expected)
+        counts = evaluate_subset(None, five_wide, five_wide, np.int32(3))
+        assert counts == evaluate_subset(None, five_wide, five_wide, 3)
 
     @pytest.mark.parametrize("length", _WRONG_MASKS)
     def test_knn_classify_mask_length(self, five_wide, length):
