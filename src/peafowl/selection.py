@@ -7,19 +7,23 @@ training-row index and even-vote ties predict the attack class.
 
 Neighbors are ranked by the exact sum of squared differences,
 ``((q - t) ** 2).sum()`` in float64, over the masked columns.  One BLAS
-product of ``[-2q, 1]`` with ``[t, |t|^2]`` gives the key ``|t|^2 - 2 q.t``,
+product of ``[t, |t|^2]`` with ``[-2q, 1]`` gives the key ``|t|^2 - 2 q.t``,
 which is ``|q - t|^2`` less a constant per query, and it only shortlists.
-The key is float32 unless a value could overflow float32 (or the table is
-too wide for a float32 slack to shortlist anything); then it is float64.  An
-upper bound on each query's k-th smallest key comes from the minima of column
-groups, and the shortlist is every row within a rounding slack of that bound,
-derived for the key's dtype including the rounding of its inputs and
-underflow.  It holds every row at or below the exact k-th distance, and at
-least k rows, so a query with exactly k candidates takes them as its k
-nearest, ties included; only a longer shortlist is re-ranked by the exact
-sum.  So the key's precision never decides a neighbor, and predictions do
-not depend on it.  Every KNN call runs through ``_knn_predict``, which alone
-checks its inputs and sizes its query blocks.
+The key is training-major, one column per query, as in brute-force GEMM KNN
+(Garcia, Debreuve & Barlaud 2008; Johnson, Douze & Jegou 2019), so the
+bound and the shortlist scan read contiguous memory.  It is float32 unless
+a value could overflow float32 (or the table is too wide for a float32
+slack to shortlist anything); then it is float64.  An upper bound on each
+query's k-th smallest key comes from the minima of groups of training rows,
+the elementwise minimum of equal slabs of the query's column, and the
+shortlist is every row within a rounding slack of that bound, derived for
+the key's dtype including the rounding of its inputs and underflow.  It
+holds every row at or below the exact k-th distance, and at least k rows,
+so a query with exactly k candidates takes them as its k nearest, ties
+included; only a longer shortlist is re-ranked by the exact sum.  So the
+key's precision never decides a neighbor, and predictions do not depend on
+it.  Every KNN call runs through ``_knn_predict``, which alone checks its
+inputs and sizes its query blocks.
 :func:`select_features` splits the table into fit and holdout rows once per
 run and scores every mask on that split.
 
@@ -121,7 +125,7 @@ class WrapperFitnessSpec:
 
 _BLOCK_CELLS = 1_000_000  # query x training-row cells per block of keys (4 MB in float32)
 _FITNESS_ROWS = 50  # held-out rows per block in subset_fitness with a cutoff: it may stop after any block
-_SLABS = 16  # column slabs whose elementwise minimum bounds each row's k-th smallest key
+_SLABS = 16  # slabs of training rows whose elementwise minimum bounds each query's k-th smallest key
 _NARROW_KEY = np.float32  # the key's dtype wherever _key_dtype admits it
 
 
@@ -146,9 +150,11 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
     query x training-row cells.  Once per call it gathers ``[t, |t|^2]``,
     checks the values, picks the key's dtype and builds every query's ``[-2q,
     1]`` and slack, so a caller may stop after any block at the cost of the
-    blocks it drew.  Per block it forms the key, the bound and the shortlist;
-    a query with exactly k candidates votes with them as they are, and only
-    longer shortlists get exact distances and a sort.
+    blocks it drew.  Per block it forms the key, training rows by queries,
+    then the bound and the shortlist, whose candidates come ordered by
+    training row, then query.  A query with exactly k candidates votes with
+    them as they are; only longer shortlists are grouped by query, get exact
+    distances and a sort.
     """
     if query_rows.shape[1] != train.n_features:
         raise ValueError(f"feature counts differ: {query_rows.shape[1]} in queries, {train.n_features} in training")
@@ -196,19 +202,23 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
     # the shortlist slack of each query; see the comment below
     query_slack = 5.0 * (width + 2) * (info.eps * (query_sq + train_max) + info.smallest_subnormal)
     slabs = max(1, min(_SLABS, n_train // k))
-    span = slabs * (n_train // slabs)  # columns in whole slabs; the rest stand alone
+    slab_rows = n_train // slabs
+    span = slabs * slab_rows  # training rows in whole slabs; the rest stand alone
     for start in range(0, query_x.shape[0], block):
-        key = query_aug[start : start + block] @ key_aug.T  # |t|^2 - 2q.t: |q - t|^2 less the row-constant |q|^2
-        n_query = key.shape[0]
-        # Upper bound on each row's k-th smallest key: split the row into
-        # `slabs` equal slabs and take their elementwise minimum, each
-        # remainder column a group of its own.  The groups are disjoint and
-        # there are at least k of them, so the k smallest group minima are k
-        # distinct cells of the row, all at most the k-th of them.
-        groups = key[:, :span].reshape(n_query, slabs, -1).min(axis=1)
-        if span < n_train:
-            groups = np.concatenate([groups, key[:, span:]], axis=1)
-        bound = np.partition(groups, k - 1, axis=1)[:, k - 1].copy()  # lets the partitioned copy go
+        key = key_aug @ query_aug[start : start + block].T  # |t|^2 - 2q.t: |q - t|^2 less the column-constant |q|^2
+        n_query = key.shape[1]
+        # Upper bound on each query's k-th smallest key: split each query's
+        # column into `slabs` slabs of L = slab_rows rows, take their elementwise
+        # minimum, each remainder row a group of its own, so group j holds
+        # rows j, j + L, ...  The groups are disjoint and there are at least k
+        # of them, so the k smallest group minima are k distinct cells of the
+        # column, all at most the k-th of them.  The slabs are contiguous, so
+        # their minimum runs down whole slabs; the bound partitions a
+        # query-major copy of the groups.
+        slabs_view = key[:span].reshape(slabs, -1)  # slab s: rows s*L to s*L + L - 1, every query
+        groups = np.concatenate([slabs_view.min(axis=0).reshape(-1, n_query), key[span:]]).T.copy()
+        groups.partition(k - 1, axis=1)
+        bound = groups[:, k - 1]
         # Shortlist slack, after the dot-product error bounds of Higham,
         # "Accuracy and Stability of Numerical Algorithms", ch. 3.  Let eps be
         # the key dtype's epsilon, u = eps/2 and eta its smallest subnormal;
@@ -246,26 +256,38 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
         # nearest, no tie at the k-th distance reaches past it, and their
         # order cannot change the vote.
         limit = np.nextafter((bound + query_slack[start : start + block]).astype(dtype), dtype(np.inf))
-        # "not greater" also keeps rows whose float64 terms overflowed to inf or NaN
-        rows, cols = np.divmod(np.flatnonzero(~(key > limit[:, None])), n_train)
-        ones = np.bincount(rows, weights=train.labels[cols], minlength=n_query)
-        if rows.size > k * n_query:  # some query has more than k candidates: re-rank those
-            wide = np.bincount(rows, minlength=n_query) > k
-            keep = wide[rows]
-            rows, cols = rows[keep], cols[keep]
+        # "not greater" also keeps rows whose float64 terms overflowed to inf
+        # or NaN.  Each slab is compared with the limit tiled to its length,
+        # the remainder rows after it, so candidates come by training row,
+        # then query: within each query the training rows ascend.
+        flat = np.flatnonzero(~(slabs_view > np.tile(limit, slab_rows)))
+        if span < n_train:
+            flat = np.concatenate([flat, span * n_query + np.flatnonzero(~(key[span:] > limit))])
+        train_ids, query_ids = np.divmod(flat, n_query)
+        ones = np.bincount(query_ids, weights=train.labels[train_ids], minlength=n_query)
+        if query_ids.size > k * n_query:  # some query has more than k candidates: re-rank those
+            wide = np.bincount(query_ids, minlength=n_query) > k
+            keep = wide[query_ids]
+            query_ids, train_ids = query_ids[keep], train_ids[keep]
+            # Group the candidates by query.  The sort is stable, so each
+            # query's training rows stay ascending, also where uint16 wraps
+            # two queries of a block over 65,535 into one group.
+            order = np.argsort(query_ids.astype(np.uint16), kind="stable")
+            query_ids, train_ids = query_ids[order], train_ids[order]
             q = query_x[start : start + block]
             # Exact distances in slices of at most _BLOCK_CELLS differences, so a
             # shortlist swollen by ties (identical rows) keeps memory bounded.
-            exact = np.empty(rows.size)
-            for at in range(0, rows.size, step):
-                r, c = rows[at : at + step], cols[at : at + step]
+            exact = np.empty(query_ids.size)
+            for at in range(0, query_ids.size, step):
+                r, c = query_ids[at : at + step], train_ids[at : at + step]
                 exact[at : at + step] = ((q[r] - train_x[c]) ** 2).sum(axis=1)
-            # Per query by exact distance, lower training row first on ties: the
-            # shortlist comes in (row, col) order and lexsort is stable.
-            order = np.lexsort((exact, rows))
-            rows, cols = rows[order], cols[order]
-            nearest = np.arange(rows.size) - np.searchsorted(rows, rows) < k
-            ones[wide] = np.bincount(rows[nearest], weights=train.labels[cols[nearest]], minlength=n_query)[wide]
+            # Per query by exact distance, lower training row first on ties:
+            # each query's training rows come ascending and lexsort is stable.
+            order = np.lexsort((exact, query_ids))
+            query_ids, train_ids = query_ids[order], train_ids[order]
+            nearest = np.arange(query_ids.size) - np.searchsorted(query_ids, query_ids) < k
+            nearest_ones = np.bincount(query_ids[nearest], weights=train.labels[train_ids[nearest]], minlength=n_query)
+            ones[wide] = nearest_ones[wide]
         yield (2 * ones >= k).astype(int)
 
 

@@ -450,6 +450,74 @@ class TestKnnShortlistShapes:
         assert reranked == [int(tied.sum())] + [n for n in per_block if n]
 
 
+def _remainder_tie_case(k):
+    """69 training rows: 16 slabs of 4 and remainder rows 64-68.  Query i
+    sits 0.25 from slab row 13i + 3 (label 0) and from remainder row 64 + i
+    (label 1), an exact tie, with k - 1 rows nearer; every other row is far.
+    Lower rows win ties, so every vote is 0; the remainder row would make it 1."""
+    rng = np.random.default_rng(k)
+    train_x, train_y = 1000.0 + rng.random((69, 3)), rng.integers(0, 2, 69)
+    centres = 8.0 * np.arange(5)[:, None] + np.zeros(3)
+    for i, c in enumerate(centres):
+        train_x[13 * i + 3], train_x[64 + i] = c + [0.25, 0, 0], c - [0.25, 0, 0]
+        train_y[13 * i + 3], train_y[64 + i] = 0, 1
+        near = [j for j in range(64) if j % 13 != 3][2 * i : 2 * i + k - 1]  # not a tied slab row
+        for step, j in enumerate(near):
+            train_x[j], train_y[j] = c + [0, 0.125, 0], step % 2
+    return train_x, train_y, np.repeat(centres, 2, axis=0)
+
+
+class TestKnnTrainingMajorShapes:
+    """The key holds one column per query.  Slabs, remainder rows, blocks of
+    any query count and the grouping by query before the re-rank leave every
+    answer equal to a per-query exact ranking."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_remainder_row_ties_a_slab_row(self, k, reranked):
+        train_x, train_y, queries = _remainder_tie_case(k)
+        expected = knn_exact_reference(train_x, train_y, queries, k)
+        assert not expected.any()
+        train = Dataset.from_arrays(train_x, train_y)
+        single = np.concatenate(list(selection._knn_predict(train, queries, k, None, 1)))
+        for got in (*_votes_in_blocks(train, queries, k), single):
+            assert np.array_equal(got, expected)
+        assert reranked and all(reranked)  # every block re-ranked its tied queries
+
+    def test_block_of_more_than_65535_queries(self, reranked):
+        # 8 training rows, the corners of the unit cube: one block holds
+        # _BLOCK_CELLS // 8 queries, so all 70,000, and uint16 query ids wrap.
+        # Every query has first coordinate 1/2, so the corners tie in pairs
+        # and the third nearest is always a tie: every query is re-ranked.
+        rng = np.random.default_rng(12)
+        corners = np.array([[(c >> b) & 1 for b in range(3)] for c in range(8)], dtype=float)
+        train_x, train_y = corners[rng.permutation(8)], rng.integers(0, 2, 8)
+        queries = np.column_stack([np.full(70_000, 0.5), rng.integers(0, 5, (70_000, 2)) / 4])
+        expected = knn_exact_reference(train_x, train_y, queries, 3)
+        assert np.array_equal(knn_classify(Dataset.from_arrays(train_x, train_y), queries, 3), expected)
+        assert reranked == [70_000]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_single_query_blocks(self, k, reranked):
+        # 37 rows on a coarse grid: whole slabs and a remainder for every k
+        rng = np.random.default_rng(k)
+        points = rng.integers(0, 3, (67, 4)) / 2
+        train_x, train_y, queries = points[:37], rng.integers(0, 2, 37), points[37:]
+        expected = knn_exact_reference(train_x, train_y, queries, k)
+        got = np.concatenate(list(selection._knn_predict(Dataset.from_arrays(train_x, train_y), queries, k, None, 1)))
+        assert np.array_equal(got, expected)
+        assert reranked and set(reranked) == {1}
+
+    @pytest.mark.parametrize(("n_train", "k"), [(5, 5), (7, 3), (40, 3), (79, 5)])
+    def test_fewer_training_rows_than_slabs_times_k(self, n_train, k):
+        assert n_train < selection._SLABS * k  # so fewer than _SLABS slabs
+        rng = np.random.default_rng(n_train)
+        points = rng.integers(0, 3, (n_train + 30, 3)) / 2  # a coarse grid: many ties
+        train_x, train_y, queries = points[:n_train], rng.integers(0, 2, n_train), points[n_train:]
+        expected = knn_exact_reference(train_x, train_y, queries, k)
+        for got in _votes_in_blocks(Dataset.from_arrays(train_x, train_y), queries, k):
+            assert np.array_equal(got, expected)
+
+
 _WRONG_MASKS = {"short": [1.0, 0.0, 1.0], "long": [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]}
 
 
