@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -516,6 +517,143 @@ class TestKnnTrainingMajorShapes:
         expected = knn_exact_reference(train_x, train_y, queries, k)
         for got in _votes_in_blocks(Dataset.from_arrays(train_x, train_y), queries, k):
             assert np.array_equal(got, expected)
+
+
+def _extra_row_case(k):
+    """16 far-apart clusters of k rows, row i in cluster i % 16 as in
+    ``_cluster_case``, and for clusters 0-7 one more row at the centre, a
+    remainder row and so a group of its own: a query on such a centre has
+    exactly k + 1 candidates, one on another centre exactly k.  The extra row
+    (label 1) is the nearest and the cluster's farthest row (label 0) is not
+    among the k nearest, so taking the first k by training row, or the k
+    after the nearest, turns the vote to 0; the other k - 1 rows hold
+    (k - 1) / 2 votes for 1."""
+    rng = np.random.default_rng(k)
+    centres = rng.random((16, 4)) * 100.0
+    train_x = centres[np.arange(16 * k) % 16] + rng.random((16 * k, 4)) * 0.01
+    train_y = np.zeros(16 * k, int)
+    for c in range(16):
+        rows = np.arange(c, 16 * k, 16)
+        by_distance = rows[np.argsort(((train_x[rows] - centres[c]) ** 2).sum(axis=1))]
+        train_y[by_distance[: (k - 1) // 2]] = 1
+    train_x, train_y = np.concatenate([train_x, centres[:8]]), np.r_[train_y, np.ones(8, int)]
+    return train_x, train_y, centres
+
+
+@pytest.fixture
+def candidates(monkeypatch):
+    """The candidate count of each re-ranked query, one array per sort."""
+    seen, lexsort = [], np.lexsort
+
+    def spy(keys):
+        counts = np.bincount(keys[-1])
+        seen.append(counts[counts > 0])
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    return seen
+
+
+class TestKnnGroupStarts:
+    """After the sort the k nearest of a re-ranked query are the first k of
+    its group, whose start is the candidate count of the queries before it."""
+
+    @staticmethod
+    def _all_ways(train_x, train_y, queries, k):
+        """Predictions of knn_classify, then of the generator in 1- and 7-query blocks."""
+        train = Dataset.from_arrays(train_x, train_y)
+        blocks = (np.concatenate(list(selection._knn_predict(train, queries, k, None, n))) for n in (1, 7))
+        return [knn_classify(train, queries, k), *blocks]
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_every_query_of_every_block_is_wide(self, k, candidates):
+        train_x, train_y, centres = _extra_row_case(k)
+        queries = centres[np.random.default_rng(k).integers(0, 8, 30)]
+        expected = knn_exact_reference(train_x, train_y, queries, k)
+        assert expected.all()
+        for got in self._all_ways(train_x, train_y, queries, k):
+            assert np.array_equal(got, expected)
+        sizes = [part.size for part in candidates]
+        assert sizes == [30] + [1] * 30 + [7, 7, 7, 7, 2]
+        assert all((part == k + 1).all() for part in candidates)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_k_plus_one_candidates_next_to_exactly_k(self, k, candidates):
+        train_x, train_y, centres = _extra_row_case(k)
+        nearest = np.random.default_rng(k).integers(0, 16, 40)
+        wide = nearest < 8  # queries on a centre with an extra row
+        expected = knn_exact_reference(train_x, train_y, centres[nearest], k)
+        assert np.array_equal(expected, wide.astype(int))
+        for got in self._all_ways(train_x, train_y, centres[nearest], k):
+            assert np.array_equal(got, expected)
+        per_block = [int(wide[start : start + 7].sum()) for start in range(0, 40, 7)]
+        assert [part.size for part in candidates] == [int(wide.sum())] + [1] * int(wide.sum()) + [
+            n for n in per_block if n
+        ]
+        assert all((part == k + 1).all() for part in candidates)
+
+
+def _traced_peak(call):
+    """Bytes that ``call()`` held at its peak beyond what was held before, as
+    tracemalloc counts them; NumPy reports its array buffers to it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    """A 50,000 x 41 table (16.4 MB of float64) and 30 queries."""
+    rng = np.random.default_rng(41)
+    return rng.random((50_000, 41)), rng.integers(0, 2, 50_000), rng.random((30, 41))
+
+
+def _knn_budget(n_rows, used, key, copied):
+    """Bytes one KNN call may hold, counted as _knn_predict's docstring does:
+    a float64 copy of the used columns unless the table is used as it is,
+    their |t|^2 in float64, [t, |t|^2] in the key's dtype, and two blocks of
+    keys (the next is formed while the previous one is held) with the scan's
+    two boolean arrays."""
+    item = np.dtype(key).itemsize
+    cells = selection._BLOCK_CELLS
+    return copied * n_rows * used * 8 + n_rows * 8 + n_rows * (used + 1) * item + cells * (2 * item + 2)
+
+
+class TestKnnMemory:
+    """The memory one knn_classify call holds (k = 5, 30 queries).  Before
+    the key buffer took [t, |t|^2] straight from the table, a float64 copy of
+    the table came first: 31.9 MB at its peak without a mask and 10.3 MB with
+    a 5-feature one, in either memory order."""
+
+    def test_c_ordered_table_is_not_copied(self, wide_table):
+        x, y, queries = wide_table
+        train = Dataset.from_arrays(x, y)
+        assert _traced_peak(lambda: knn_classify(train, queries, 5)) < x.nbytes
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("columns", [None, [1, 2, 3, 4, 5]], ids=["all", "mask5"])
+    @pytest.mark.parametrize(("scale", "key"), [(1.0, np.float32), (1e19, np.float64)], ids=["f32", "f64"])
+    def test_peak_within_budget(self, wide_table, order, columns, scale, key):
+        # A float64 key (values near 1e19 overflow float32) makes [t, |t|^2] a
+        # second float64 copy beside the used columns, which the re-rank reads
+        x, y, queries = wide_table
+        x, queries = x * scale, queries * scale
+        used = x.shape[1] if columns is None else len(columns)
+        scale_sq = (queries[:, :used] ** 2).sum(axis=1).max() + (x[:, :used] ** 2).sum(axis=1).max()
+        assert selection._key_dtype(used, scale_sq) is key
+        train = Dataset.from_arrays(np.asarray(x, order=order), y)
+        mask = None if columns is None else FeatureSubset.from_indices(columns, 41)
+        copied = not (columns is None and order == "C")
+        budget = _knn_budget(x.shape[0], used, key, copied)
+        assert _traced_peak(lambda: knn_classify(train, queries, 5, mask)) <= budget
 
 
 _WRONG_MASKS = {"short": [1.0, 0.0, 1.0], "long": [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]}
