@@ -10,9 +10,12 @@ position matrix and an ``(n,)`` fitness vector, kept best-first.
 Randomness discipline: every run owns a single ``numpy.random.Generator``
 seeded from ``PfmParams.seed`` and consumes from it in a fixed order, making
 runs bit-reproducible.  Initialization draws the position matrix in one call,
-then runs any repair per row.  A season draws (1) the male fraction, (2) all
-mate counts in one call, (3) all partner indices in one call, (4) all mating
-noise in one call, then (5) per newborn any transfer and repair draws.
+then runs any repair per row.  A season draws (1) the male fraction, as
+``Generator.uniform`` draws it, (2) all mate counts in one call, only when a
+dominant male can take more than one mate, (3) all partner indices in one
+call, (4) all mating noise in one call, then (5) per newborn any transfer and
+repair draws.  Skipping (2) consumes nothing: a bounded draw over the single
+count 1 leaves the generator's state as it is.
 """
 
 from __future__ import annotations
@@ -185,7 +188,9 @@ class RunTrace:
 
 def attractiveness(d, params: PfmParams):
     """I0·exp(-γ1·d) + C0·exp(-γ2·d), elementwise: strictly decreasing in d >= 0, at most I0 + C0."""
-    return params.call_intensity * np.exp(-params.gamma1 * d) + params.colorfulness * np.exp(-params.gamma2 * d)
+    call = np.exp(-params.gamma1 * d)
+    color = call if params.gamma2 == params.gamma1 else np.exp(-params.gamma2 * d)
+    return params.call_intensity * call + params.colorfulness * color
 
 
 def split_population(n: int, r: float, alpha: float) -> PopulationSplit:
@@ -241,9 +246,9 @@ def _evaluate(problem: Problem, rows: np.ndarray, cutoff: Optional[float]) -> np
     values = np.asarray(problem.objective(rows, cutoff), dtype=float)
     if values.shape != (len(rows),):
         raise EvaluationError(f"objective returned shape {values.shape} for {len(rows)} rows")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise EvaluationError(f"objective returned {float(values[bad[0]])!r} at position {rows[bad[0]].tolist()}")
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise EvaluationError(f"objective returned {float(values[bad])!r} at position {rows[bad].tolist()}")
     return values
 
 
@@ -274,9 +279,14 @@ def run_season(
 ) -> Population:
     """One mating season: from a best-first ``(positions, fitness)`` to the next one.
 
-    Draw order: (1) the male fraction r, uniform in r_range; (2) in one call,
-    the mate count of each dominant male in rank order, uniform over
-    {1..max(1, floor(n_females / n_dominant))}, while normal males take one;
+    Draw order: (1) the male fraction r, uniform in r_range, as
+    ``Generator.uniform`` draws it: lo + (hi - lo) times one ``random()``
+    double; (2) if m = floor(n_females / n_dominant) exceeds 1, in one call,
+    the mate count of each dominant male in rank order, uniform over {1..m},
+    while normal males take one; otherwise every male takes one mate and
+    nothing is drawn, as a draw over {1} would leave the generator as it is
+    (at the published population size 30 and dominance factor 0.8, m is
+    always 1);
     (3) in one call, a female partner for every pair, pairs ordered by father
     rank, then by mate; (4) in one call in :func:`mate`, the (pairs, dimension)
     mating noise; (5) per newborn in pair order, for binary domains its
@@ -292,13 +302,17 @@ def run_season(
     n = params.population_size
     if len(fitness) != n:
         raise ValueError(f"expected population of size {n}, got {len(fitness)}")
-    split = split_population(n, rng.uniform(*params.r_range), params.dominance_factor)
-    mates = np.ones(split.n_males, dtype=int)
-    max_mates = max(1, split.n_females // split.n_dominant)
-    mates[: split.n_dominant] = rng.integers(1, max_mates + 1, size=split.n_dominant)
-    fathers = np.repeat(np.arange(split.n_males), mates)
-    mothers = rng.integers(split.n_males, n, size=fathers.size)
-    newborns = mate(positions[fathers], positions[mothers], params, rng)
+    lo, hi = params.r_range
+    split = split_population(n, lo + (hi - lo) * rng.random(), params.dominance_factor)
+    max_mates = split.n_females // split.n_dominant
+    if max_mates > 1:
+        mates = np.ones(split.n_males, dtype=int)
+        mates[: split.n_dominant] = rng.integers(1, max_mates + 1, size=split.n_dominant)
+        fathers = positions[np.repeat(np.arange(split.n_males), mates)]
+    else:
+        fathers = positions[: split.n_males]  # every male takes one mate
+    mothers = rng.integers(split.n_males, n, size=len(fathers))
+    newborns = mate(fathers, positions[mothers], params, rng)
 
     binary = isinstance(problem.domain, Binary)
     if not binary:

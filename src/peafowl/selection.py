@@ -180,7 +180,8 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
     one column wider, in the key's dtype (4 bytes a value in float32); and
     per block a key of at most ``_BLOCK_CELLS`` cells with two boolean arrays
     of its size, or re-rank slices of at most ``_BLOCK_CELLS`` differences.
-    The previous block's key is still held while the next one is formed.
+    A block's group minima are released before its scan and its key after
+    it, so no two keys are held at once and the re-rank holds none.
     A float64 key makes ``[t, |t|^2]`` a second float64 copy of the training
     columns beside ``train_x``, which the re-rank reads contiguous; a copied
     table then holds about twice its used columns, where a float32 key holds
@@ -285,6 +286,7 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
         # nearest, no tie at the k-th distance reaches past it, and their
         # order cannot change the vote.
         limit = np.nextafter((bound + query_slack[start : start + block]).astype(dtype), dtype(np.inf))
+        del groups, bound
         # "not greater" also keeps rows whose float64 terms overflowed to inf
         # or NaN.  Each slab is compared with the limit tiled to its length,
         # the remainder rows after it, so candidates come by training row,
@@ -292,6 +294,7 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
         flat = np.flatnonzero(~(slabs_view > np.tile(limit, slab_rows)))
         if span < n_train:
             flat = np.concatenate([flat, span * n_query + np.flatnonzero(~(key[span:] > limit))])
+        del key, slabs_view
         train_ids, query_ids = np.divmod(flat, n_query)
         ones = np.bincount(query_ids, weights=train.labels[train_ids], minlength=n_query)
         if query_ids.size > k * n_query:  # some query has more than k candidates: re-rank those

@@ -74,6 +74,35 @@ def test_select_output_is_pinned(files):
 
 
 @pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (
+            ["bench", "--functions", "F1,F10,F14", "--runs", "2", "--iterations", "20"],
+            {
+                "results.json": "f12bdc86134d3633aa2d59b7542084a668dfa1600cf332cd7abe6756883b1972",
+                "convergence.csv": "d1e20bacc16677a4d1cad8aad08a2e1ac37ab5870a1981b51b12956da6008f76",
+            },
+        ),
+        (
+            BENCH,
+            {
+                "results.json": "5ab4ee796ecb322bc8600e8fe42ca566d5cfbfed40ae0839ef591099fb3111eb",
+                "convergence.csv": "9eb1daa40d1c36558107d3acce0b2c4a2e5ed6dbb87b4644d542ee77ec00c184",
+            },
+        ),
+    ],
+    ids=["population-30", "population-6"],
+)
+def test_bench_output_is_pinned(files, argv, digests):
+    # Digests from before a season skipped the mate-count draw where no male
+    # can take two mates.  At population 30 every male mates once; at 6 a
+    # season with 2 males lets each take up to 2, so both paths run.
+    out = files["tmp"] / "bench"
+    assert run(*argv, out=out) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+@pytest.mark.parametrize(
     "command, digest",
     [
         ("eval", "24f88ad69d92b9dd8483e84938d892c5541e66be7aa9d68466a52260ac20f78e"),

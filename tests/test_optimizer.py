@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ class TestAttractiveness:
         params = PfmParams(call_intensity=0.3, colorfulness=0.5, gamma1=2.0, gamma2=0.5)
         expected = 0.3 * math.exp(-2.0 * 1.5) + 0.5 * math.exp(-0.5 * 1.5)
         assert attractiveness(1.5, params) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma2", [1.0, 0.5])
+    def test_both_exponentials_bit_for_bit(self, gamma2):
+        # mate and the season reference both take A from this function, so pin it to the formula
+        params = PfmParams(call_intensity=0.3, colorfulness=0.05, gamma1=1.0, gamma2=gamma2)
+        d = np.random.default_rng(5).uniform(0.0, 30.0, 1000)
+        expected = 0.3 * np.exp(-1.0 * d) + 0.05 * np.exp(-gamma2 * d)
+        assert attractiveness(d, params).tobytes() == expected.tobytes()
 
 
 class TestSplitPopulation:
@@ -271,23 +280,38 @@ def season_cases():
     }
 
 
+def twenty_seasons_match_reference(problem, params, seed):
+    """Run 21 seasons on both sides, comparing every population and the generator state; return the newborn count."""
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = initialize_population(problem, params, got_rng)
+    want = reference_initialize(problem, params, want_rng)
+    tally = [0, 0]
+    for _ in range(21):
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        got = run_season(got, params, problem, got_rng, tally)
+        want = reference_season(want, params, problem, want_rng)
+    return got, tally[0]
+
+
 class TestSeasonMatchesReference:
     @pytest.mark.parametrize("n", [4, 7, 30])
     @pytest.mark.parametrize("case", list(season_cases()))
     def test_twenty_seasons_bit_identical(self, case, n):
-        problem = season_cases()[case]
-        params = PfmParams(population_size=n)
-        got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
-        got = initialize_population(problem, params, got_rng)
-        want = reference_initialize(problem, params, want_rng)
-        for _ in range(21):
-            assert got[1].tobytes() == want[1].tobytes()
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
-            got = run_season(got, params, problem, got_rng)
-            want = reference_season(want, params, problem, want_rng)
+        got, _ = twenty_seasons_match_reference(season_cases()[case], PfmParams(population_size=n), n)
         if case.startswith("box-ties"):
             assert len(set(got[1].tolist())) < n
+
+    @pytest.mark.parametrize("case", list(season_cases()))
+    def test_dominant_males_take_several_mates(self, case):
+        # At dominance 0.3 a season has 4 or 5 dominant males among 12 to 18,
+        # so each may take up to 2, 3 or 4 mates, where at the default 0.8
+        # every male takes one.  More than 18 newborns a season on average
+        # shows that some took several.
+        params = PfmParams(population_size=30, dominance_factor=0.3)
+        _, newborns = twenty_seasons_match_reference(season_cases()[case], params, 30)
+        assert newborns > 18 * 21
 
     def test_mate_matches_reference(self):
         rng = np.random.default_rng(3)
@@ -447,6 +471,13 @@ class TestOptimize:
         params = PfmParams(population_size=5, max_iterations=2, seed=0)
         with pytest.raises(EvaluationError, match="position"):
             optimize(problem, params)
+
+    def test_first_non_finite_value_is_named(self):
+        values = np.array([0.0, 1.0, np.inf, np.nan, 2.0])
+        problem = Problem(2, ContinuousBox(np.full(2, -1.0), np.full(2, 1.0)), lambda x, cutoff: values)
+        position = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 2))[2]
+        with pytest.raises(EvaluationError, match=re.escape(f"returned inf at position {position.tolist()}")):
+            initialize_population(problem, PfmParams(population_size=5), np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "bad",

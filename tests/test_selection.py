@@ -619,12 +619,12 @@ def wide_table():
 def _knn_budget(n_rows, used, key, copied):
     """Bytes one KNN call may hold, counted as _knn_predict's docstring does:
     a float64 copy of the used columns unless the table is used as it is,
-    their |t|^2 in float64, [t, |t|^2] in the key's dtype, and two blocks of
-    keys (the next is formed while the previous one is held) with the scan's
-    two boolean arrays."""
+    their |t|^2 in float64, [t, |t|^2] in the key's dtype, and one block of
+    keys (each is released after its scan) with the scan's two boolean
+    arrays."""
     item = np.dtype(key).itemsize
     cells = selection._BLOCK_CELLS
-    return copied * n_rows * used * 8 + n_rows * 8 + n_rows * (used + 1) * item + cells * (2 * item + 2)
+    return copied * n_rows * used * 8 + n_rows * 8 + n_rows * (used + 1) * item + cells * (item + 2)
 
 
 class TestKnnMemory:
