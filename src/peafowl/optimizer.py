@@ -142,7 +142,9 @@ class Problem:
 
     ``objective(rows, cutoff)`` maps an ``(m, dimension)`` matrix to ``m``
     fitness values, each a pure function of its row (a noisy benchmark may
-    close over its own generator).  ``cutoff`` is None or a fitness value: for
+    close over its own generator).  :func:`optimize` passes ``rows`` as a
+    C-ordered float64 array, the layout in which the benchmark functions
+    give a row the same bits in any batch.  ``cutoff`` is None or a fitness value: for
     a row whose value would not beat it (at or above it for ``"min"``, at or
     below it for ``"max"``) the objective may instead return any finite value
     that does not beat it either, such as a bound reached before the exact

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,16 @@ class TestCampaign:
             run_campaign(["F1"], SMALL, runs=0)
 
 
+# The classical foxhole table, one column per foxhole.
+FOXHOLES_A = np.array(
+    [
+        [-32, -16, 0, 16, 32] * 5,
+        [-32] * 5 + [-16] * 5 + [0] * 5 + [16] * 5 + [32] * 5,
+    ],
+    dtype=float,
+)
+
+
 # The per-vector formulas the suite had before it was row-batched, kept as the
 # oracle for the row form.  Coefficient tables come from the module.
 def _penalty_1d(x, a, k, m):
@@ -242,7 +254,7 @@ PER_VECTOR = {
         1.0
         / (
             1.0 / 500.0
-            + (1.0 / (np.arange(1, 26) + ((x[:, None] - benchmarks._FOXHOLES_A) ** 6).sum(axis=0))).sum()
+            + (1.0 / (np.arange(1, 26) + ((x[:, None] - FOXHOLES_A) ** 6).sum(axis=0))).sum()
         )
     ),
     "F15": _f15_1d,
@@ -270,3 +282,72 @@ class TestRowBatches:
         assert batch.tobytes() == alone.tobytes()
         want = [PER_VECTOR[name](row, *streams[2]) for row in rows]
         np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0)
+
+
+# F14 as it was before it took the sixth power per grid offset, with one
+# power per foxhole coordinate: the oracle that _f14 must match bit for bit.
+def f14_oracle(x):
+    inner = np.arange(1, 26) + ((x[:, :, None] - FOXHOLES_A) ** 6).sum(axis=1)
+    return 1.0 / (1.0 / 500.0 + (1.0 / inner).sum(axis=1))
+
+
+def f14_batches():
+    """Seeded C-ordered batches: uniform in the box, mostly clipped to +-65, and on foxhole centres."""
+    rng = np.random.default_rng(14)
+    for m in (1, 2, 15, 45, 1000):
+        for _ in range(20):
+            yield rng.uniform(-65.0, 65.0, (m, 2))
+            # about 97% of the coordinates on the bound, as in a campaign's clipped newborns
+            yield np.clip(rng.uniform(-2000.0, 2000.0, (m, 2)), -65.0, 65.0)
+            yield FOXHOLES_A.T[rng.integers(0, 25, m)]
+
+
+def assert_matches_f14_oracle(f14):
+    for x in f14_batches():
+        assert x.flags.c_contiguous and x.dtype == np.float64
+        assert f14(x).tobytes() == f14_oracle(x).tobytes(), f"{len(x)} rows"
+
+
+class TestFoxholes:
+    def test_matches_per_foxhole_oracle_bit_for_bit(self):
+        assert_matches_f14_oracle(benchmarks._f14)
+
+    def test_oracle_catches_a_term_array_out_of_c_order(self):
+        # The same terms, gathered by fancy indexing into a non-C (m, 25)
+        # array: its row sum adds them in another order.
+        col, row = np.tile(np.arange(5), 5), np.repeat(np.arange(5), 5)
+
+        def strided_f14(x):
+            p = (x[:, :, None] - benchmarks._FOXHOLES_GRID) ** 6
+            terms = p[:, 0, col] + p[:, 1, row]
+            assert len(x) == 1 or not terms.flags.c_contiguous
+            inner = np.arange(1, 26) + terms
+            return 1.0 / (1.0 / 500.0 + (1.0 / inner).sum(axis=1))
+
+        with pytest.raises(AssertionError, match="rows"):
+            assert_matches_f14_oracle(strided_f14)
+
+
+def run_trace_digest(trace):
+    positions, fitness = trace.final_population
+    counts = np.array([trace.newborns, trace.survivors], dtype=np.int64)
+    return hashlib.sha256(positions.tobytes() + fitness.tobytes() + counts.tobytes()).hexdigest()
+
+
+class TestRunTraceDigests:
+    # The final population, newborns and survivors of seeded 20-iteration
+    # runs.  The bench goldens hold best values only, which a stalled search
+    # never changes, so they miss a changed draw; these see it.  At
+    # population 6 some seasons let a dominant male take two mates.
+    CASES = {
+        ("F1", 30): "651eb4b505c20a60552cac245e0896ec8d2ce6494c27a305ec43f7bd48f3f309",
+        ("F10", 30): "576fb69b0c37fe1ddf87157653337d9a554b48566248bb2054e7af90f1ece9a6",
+        ("F14", 30): "93143d47bdfc2e7758cea69de5acece3a9353876b2b7a0c97fed4fe130a143c9",
+        ("F14", 6): "46935dcad695e447e50423873f89de4baa379a6dacc8d5e5aee0fd8bb104fb81",
+    }
+
+    @pytest.mark.parametrize("name,population_size", list(CASES), ids=[f"{n}-population-{p}" for n, p in CASES])
+    def test_run_trace_is_pinned(self, name, population_size):
+        params = PfmParams(population_size=population_size, seed=0, max_iterations=20)
+        trace = optimize(make_problem(name, seed=0), params)
+        assert run_trace_digest(trace) == self.CASES[name, population_size]

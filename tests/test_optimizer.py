@@ -186,6 +186,27 @@ class TestRunSeason:
             population = run_season(population, params, problem, rng)
         assert np.all(population[0] >= -2.0) and np.all(population[0] <= 2.0)
 
+    @pytest.mark.parametrize("binary", [False, True], ids=["box", "binary-repair"])
+    def test_objective_gets_c_ordered_float64_batches(self, binary):
+        # The benchmark functions give a row the same bits in any batch only
+        # in C order.  At population 7 some seasons take the multi-mate path.
+        batches = []
+
+        def spy(x, cutoff):
+            batches.append((x.shape[1], x.dtype, x.flags.c_contiguous))
+            return x.sum(axis=1)
+
+        if binary:
+            problem = Problem(3, Binary(), spy, sense="max", repair=_repair_empty_mask)
+        else:
+            problem = Problem(3, ContinuousBox(np.full(3, -2.0), np.full(3, 2.0)), spy)
+        params = PfmParams(population_size=7, seed=0)
+        rng = np.random.default_rng(0)
+        population = initialize_population(problem, params, rng)
+        for _ in range(20):
+            population = run_season(population, params, problem, rng)
+        assert batches == [(3, np.float64, True)] * 21
+
     def test_wrong_population_size_rejected(self):
         params = PfmParams(population_size=10, seed=0)
         problem = sphere_problem(dim=2)
