@@ -4,7 +4,6 @@ from .benchmarks import (
     BENCHMARKS,
     BenchmarkFunction,
     CampaignResult,
-    benchmark_names,
     evaluate_benchmark,
     get_benchmark,
     make_problem,
@@ -29,7 +28,6 @@ from .optimizer import (
     ContinuousBox,
     Peafowl,
     PfmParams,
-    PopulationSplit,
     Problem,
     RunTrace,
     attractiveness,

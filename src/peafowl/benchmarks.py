@@ -25,7 +25,6 @@ from .optimizer import ContinuousBox, PfmParams, Problem, optimize
 __all__ = [
     "BenchmarkFunction",
     "BENCHMARKS",
-    "benchmark_names",
     "get_benchmark",
     "evaluate_benchmark",
     "make_problem",
@@ -254,7 +253,6 @@ def _f23(x):
 
 @dataclass(frozen=True)
 class BenchmarkFunction:
-    name: str
     dimension: int
     lower: float
     upper: float
@@ -290,13 +288,8 @@ _SPECS = [
 ]
 
 BENCHMARKS: dict[str, BenchmarkFunction] = {
-    name: BenchmarkFunction(name, dim, lo, hi, fmin, fn, noisy)
-    for name, dim, lo, hi, fmin, fn, noisy in _SPECS
+    name: BenchmarkFunction(dim, lo, hi, fmin, fn, noisy) for name, dim, lo, hi, fmin, fn, noisy in _SPECS
 }
-
-
-def benchmark_names() -> list[str]:
-    return list(BENCHMARKS)
 
 
 def get_benchmark(name: str) -> BenchmarkFunction:

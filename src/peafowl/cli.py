@@ -39,10 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmarks import benchmark_names, get_benchmark, run_campaign
+from .benchmarks import BENCHMARKS, get_benchmark, run_campaign
 from .data import TableSchema, load_dataset, make_folds, read_yaml_settings
 from .errors import ConfigError, DataError, EvaluationError
-from .metrics import METRIC_FIELDS, ConfusionCounts, MetricsReport, compute_metrics
+from .metrics import ConfusionCounts, MetricsReport, compute_metrics
 from .optimizer import PfmParams
 from .selection import (
     FeatureSubset,
@@ -111,7 +111,7 @@ _HELP = {  # --help texts, by command and by setting
     "baseline": "also report the all-features row",
 }
 
-_METRIC_HEADER = [*(f.name for f in dataclasses.fields(ConfusionCounts)), *METRIC_FIELDS]
+_METRIC_HEADER = [f.name for cls in (ConfusionCounts, MetricsReport) for f in dataclasses.fields(cls)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,9 +250,11 @@ def _metric_cells(entry: dict) -> list:
 def cmd_bench(config: dict) -> int:
     out = _out_dir(config)
     requested = config["functions"]
-    names = benchmark_names() if requested.strip().lower() == "all" else [
+    names = list(BENCHMARKS) if requested.strip().lower() == "all" else [
         tok.strip() for tok in requested.split(",") if tok.strip()
     ]
+    if not names:
+        raise ConfigError("function list is empty")
     for name in names:
         get_benchmark(name)
     params = _from_config(PfmParams, config)
@@ -308,12 +310,13 @@ def cmd_select(config: dict) -> int:
         "select: %d rows x %d features, pop %d, %d iterations",
         train.n_rows, train.n_features, params.population_size, params.max_iterations,
     )
-    best, trace = select_features(train, params, spec)
+    _, trace = select_features(train, params, spec)
     tops = top_subsets(trace.final_population, n=config["top_subsets"])
     subsets = [
         {"subset_id": f"FSs{i + 1}", "n_features": s.cardinality, "features": s.indices, "fitness": fitness}
         for i, (s, fitness) in enumerate(tops)
     ]
+    best = {key: subsets[0][key] for key in ("n_features", "features", "fitness")}  # FSs1
     _write_csv(
         out / "results.csv",
         ["subset_id", "n_features", "features", "fitness"],
@@ -322,14 +325,10 @@ def cmd_select(config: dict) -> int:
     _write_json(
         out / "results.json",
         {
-            "best": {
-                "n_features": best.cardinality,
-                "features": best.indices,
-                "fitness": trace.best_solution.fitness,
-            },
+            "best": best,
             "subsets": subsets,
             "evaluations": trace.evaluations,
-            "seed": trace.seed,
+            "seed": params.seed,
         },
     )
     _write_csv(
@@ -338,7 +337,7 @@ def cmd_select(config: dict) -> int:
         [[i, v] for i, v in enumerate(trace.best_per_iteration)],
     )
     _write_manifest(out, "select", config, inputs)
-    log.info("select: best subset has %d features (fitness %.4f)", best.cardinality, trace.best_solution.fitness)
+    log.info("select: best subset has %d features (fitness %.4f)", best["n_features"], best["fitness"])
     return 0
 
 

@@ -146,36 +146,26 @@ class TableSchema:
         skip = set(self.ignored_columns) | {self.label_column}
         return [c for c in range(self.column_count) if c not in skip]
 
-    def resolved_feature_names(self) -> list[str]:
-        if self.feature_names is not None:
-            return list(self.feature_names)
-        return [f"f{i + 1}" for i in range(len(self.feature_columns))]
-
     @classmethod
     def from_yaml(cls, path) -> "TableSchema":
         """The schema in a YAML file, typed by :func:`read_yaml_settings`.
 
         ``column_count`` and ``label_column`` are required ints, column lists
         hold ints, ``drop_duplicates`` is a bool, and label and feature-name
-        lists hold strings or ints, kept as strings.  An unreadable file is a
+        lists hold strings or ints, kept as strings.  A null or empty column
+        list or ``normal_labels`` takes the field's default; an empty
+        ``attack_labels`` stays empty.  An unreadable file is a
         ``DataError``; a bad value, or a bad layout, a ``ConfigError``.
         """
         required = ("column_count", "label_column")
         raw = read_yaml_settings(path, "schema", _SCHEMA_TYPES, required, unreadable=DataError)
-
-        def texts(key):
-            return None if raw.get(key) is None else tuple(map(str, raw[key]))
-
-        return cls(
-            column_count=raw["column_count"],
-            label_column=raw["label_column"],
-            categorical_columns=raw.get("categorical_columns") or (),
-            ignored_columns=raw.get("ignored_columns") or (),
-            normal_labels=texts("normal_labels") or ("normal",),
-            attack_labels=texts("attack_labels"),
-            feature_names=texts("feature_names"),
-            drop_duplicates=raw.get("drop_duplicates", False),
-        )
+        for key in ("normal_labels", "attack_labels", "feature_names"):
+            if raw.get(key) is not None:
+                raw[key] = tuple(map(str, raw[key]))
+        for key in ("categorical_columns", "ignored_columns", "normal_labels"):
+            if key in raw and not raw[key]:
+                del raw[key]
+        return cls(**raw)
 
     def fingerprint(self) -> str:
         payload = {
@@ -222,7 +212,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: list[str]
     encoding_map: dict = field(default_factory=dict)
     normalization_bounds: Optional[tuple[np.ndarray, np.ndarray]] = None
     provenance: Optional[str] = None
@@ -240,21 +229,18 @@ class Dataset:
         return Dataset(
             features=self.features[rows],
             labels=self.labels[rows],
-            feature_names=self.feature_names,
             encoding_map=self.encoding_map,
             normalization_bounds=self.normalization_bounds,
             provenance=self.provenance,
         )
 
     @classmethod
-    def from_arrays(cls, features, labels, feature_names=None) -> "Dataset":
+    def from_arrays(cls, features, labels) -> "Dataset":
         features = np.asarray(features, dtype=float)
         labels = np.asarray(labels, dtype=int)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError("features must be 2-D with one label per row")
-        if feature_names is None:
-            feature_names = [f"f{i + 1}" for i in range(features.shape[1])]
-        return cls(features=features, labels=labels, feature_names=list(feature_names))
+        return cls(features=features, labels=labels)
 
 
 # A line that holds only its line break, as a file opened with ``newline=""`` reads it.
@@ -470,7 +456,6 @@ def build_dataset(table: RawTable, schema: TableSchema, fit_from: Optional[Datas
     return Dataset(
         features=scaled,
         labels=labels,
-        feature_names=schema.resolved_feature_names(),
         encoding_map=encoding,
         normalization_bounds=bounds,
         provenance=_provenance(schema, encoding, bounds) if fit_from is None else fit_from.provenance,

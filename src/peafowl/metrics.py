@@ -6,14 +6,12 @@ is zero is reported as None (rendered "NA"), never as 0 or NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["ConfusionCounts", "MetricsReport", "compute_metrics", "METRIC_FIELDS"]
-
-METRIC_FIELDS = ("accuracy", "detection_rate", "fpr", "tnr", "fnr", "precision", "f1")
+__all__ = ["ConfusionCounts", "MetricsReport", "compute_metrics"]
 
 
 @dataclass(frozen=True)
@@ -66,15 +64,11 @@ class MetricsReport:
     f1: Optional[float]
 
     def as_fractions(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_FIELDS}
+        return asdict(self)
 
     def as_percentages(self) -> dict:
         """Percent strings with three decimals, 'NA' where undefined."""
-        out = {}
-        for name in METRIC_FIELDS:
-            v = getattr(self, name)
-            out[name] = "NA" if v is None else f"{100.0 * v:.3f}"
-        return out
+        return {name: "NA" if v is None else f"{100.0 * v:.3f}" for name, v in asdict(self).items()}
 
 
 def _ratio(num: int, den: int) -> Optional[float]:

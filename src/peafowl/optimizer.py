@@ -32,7 +32,6 @@ from .transfer import binarize
 __all__ = [
     "Peafowl",
     "PfmParams",
-    "PopulationSplit",
     "ContinuousBox",
     "Binary",
     "Problem",
@@ -104,16 +103,6 @@ class PfmParams:
 
 
 @dataclass(frozen=True)
-class PopulationSplit:
-    """Season head-count: males, females, dominant and normal males."""
-
-    n_males: int
-    n_females: int
-    n_dominant: int
-    n_normal: int
-
-
-@dataclass(frozen=True)
 class ContinuousBox:
     """Box domain; newborn coordinates are clamped into it."""
 
@@ -182,7 +171,6 @@ class RunTrace:
     best_per_iteration: list[float]
     best_solution: Peafowl
     evaluations: int
-    seed: int
     final_population: Population
     newborns: list[int]
     survivors: list[int]
@@ -195,19 +183,17 @@ def attractiveness(d, params: PfmParams):
     return params.call_intensity * call + params.colorfulness * color
 
 
-def split_population(n: int, r: float, alpha: float) -> PopulationSplit:
-    """Head-count split for one season.
+def split_population(n: int, r: float, alpha: float) -> tuple[int, int]:
+    """Head-count split for one season: ``(n_males, n_dominant)``.
 
-    Males are round(n*r) clamped into [1, n-1]; dominant males are
-    round(n_males*alpha) clamped into [1, n_males].  Rounding is half-up.
+    Males are round(n*r) clamped into [1, n-1], the other n - n_males are
+    females; dominant males are round(n_males*alpha) clamped into
+    [1, n_males].  Rounding is half-up.
     """
     if n < 4:
         raise ValueError(f"population too small to split: need n >= 4, got {n}")
     n_males = min(max(math.floor(n * r + 0.5), 1), n - 1)
-    n_females = n - n_males
-    n_dominant = min(max(math.floor(n_males * alpha + 0.5), 1), n_males)
-    n_normal = n_males - n_dominant
-    return PopulationSplit(n_males, n_females, n_dominant, n_normal)
+    return n_males, min(max(math.floor(n_males * alpha + 0.5), 1), n_males)
 
 
 def mate(fathers: np.ndarray, mothers: np.ndarray, params: PfmParams, rng: np.random.Generator) -> np.ndarray:
@@ -305,15 +291,15 @@ def run_season(
     if len(fitness) != n:
         raise ValueError(f"expected population of size {n}, got {len(fitness)}")
     lo, hi = params.r_range
-    split = split_population(n, lo + (hi - lo) * rng.random(), params.dominance_factor)
-    max_mates = split.n_females // split.n_dominant
+    n_males, n_dominant = split_population(n, lo + (hi - lo) * rng.random(), params.dominance_factor)
+    max_mates = (n - n_males) // n_dominant
     if max_mates > 1:
-        mates = np.ones(split.n_males, dtype=int)
-        mates[: split.n_dominant] = rng.integers(1, max_mates + 1, size=split.n_dominant)
-        fathers = positions[np.repeat(np.arange(split.n_males), mates)]
+        mates = np.ones(n_males, dtype=int)
+        mates[:n_dominant] = rng.integers(1, max_mates + 1, size=n_dominant)
+        fathers = positions[np.repeat(np.arange(n_males), mates)]
     else:
-        fathers = positions[: split.n_males]  # every male takes one mate
-    mothers = rng.integers(split.n_males, n, size=len(fathers))
+        fathers = positions[:n_males]  # every male takes one mate
+    mothers = rng.integers(n_males, n, size=len(fathers))
     newborns = mate(fathers, positions[mothers], params, rng)
 
     binary = isinstance(problem.domain, Binary)
@@ -353,7 +339,6 @@ def optimize(problem: Problem, params: PfmParams) -> RunTrace:
         best_per_iteration=best_per_iteration,
         best_solution=Peafowl(position=positions[0].copy(), fitness=float(fitness[0])),
         evaluations=params.population_size + sum(newborns),
-        seed=params.seed,
         final_population=population,
         newborns=newborns,
         survivors=survivors,

@@ -8,7 +8,6 @@ from peafowl import (
     BENCHMARKS,
     ConfigError,
     PfmParams,
-    benchmark_names,
     evaluate_benchmark,
     get_benchmark,
     make_problem,
@@ -21,7 +20,7 @@ SMALL = PfmParams(population_size=8, max_iterations=5, seasons_per_iteration=1, 
 
 class TestRegistry:
     def test_twenty_three_functions(self):
-        assert benchmark_names() == [f"F{i}" for i in range(1, 24)]
+        assert list(BENCHMARKS) == [f"F{i}" for i in range(1, 24)]
 
     def test_dimensions_and_ranges(self):
         assert all(BENCHMARKS[f"F{i}"].dimension == 30 for i in range(1, 14))
@@ -270,7 +269,7 @@ PER_VECTOR = {
 
 
 class TestRowBatches:
-    @pytest.mark.parametrize("name", benchmark_names())
+    @pytest.mark.parametrize("name", list(BENCHMARKS))
     def test_row_alone_equals_row_in_batch_and_per_vector_formula(self, name):
         bench = BENCHMARKS[name]
         rows = np.random.default_rng(int(name[1:])).uniform(bench.lower, bench.upper, (45, bench.dimension))

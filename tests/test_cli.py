@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,19 @@ def test_select_output_is_pinned(files):
         "results.json": "c1cd0203add3fbd082b8ccb770877565504922c4bf8ba53d342c0159ea6ce718",
         "convergence.csv": "a8d08f0ded46bc1273dbeccdd386653f55fa4faf23b56f8c5620114387649b6a",
     }
+
+
+def test_select_best_is_the_first_subset(files, caplog):
+    # At seed 2 the final population's row 0 is the mask of features 1 and 2,
+    # and FSs1 is feature 1 alone at the same fitness: fewer features rank first.
+    caplog.set_level(logging.INFO, logger="peafowl")
+    out = files["tmp"] / "select"
+    assert run(*command_argv(files)["select"], "--seed", "2", out=out) == 0
+    result = json.loads((out / "results.json").read_text())
+    first = result["subsets"][0]
+    assert result["best"] == {"n_features": 1, "features": [1], "fitness": first["fitness"]}
+    assert first["features"] == [1]
+    assert "best subset has 1 features (fitness 1.0000)" in caplog.text
 
 
 @pytest.mark.parametrize(
@@ -263,6 +277,40 @@ def test_missing_out_exits_2():
 def test_bad_config_file_exits_2(files, text):
     config = write_config(files, text)
     assert run("bench", "--config", config, "--functions", "F1", out=files["tmp"] / "out") == 2
+
+
+def test_missing_train_flag_exits_2(files, caplog):
+    assert run("cv", "--schema", files["schema"], out=files["tmp"] / "out") == 2
+    assert "--train is required for this command" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "features, message",
+    [("1,x", "cannot parse feature list '1,x'"), (",", "feature list is empty")],
+    ids=["not-an-int", "empty"],
+)
+def test_bad_feature_list_exits_2(files, features, message, caplog):
+    argv = ["cv", "--train", files["train"], "--schema", files["schema"], "--features", features]
+    assert run(*argv, out=files["tmp"] / "out") == 2
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize("functions", [",", ""], ids=["comma", "blank"])
+def test_empty_function_list_exits_2(files, functions, caplog):
+    out = files["tmp"] / "out"
+    assert run("bench", "--functions", functions, "--runs", "1", out=out) == 2
+    assert "function list is empty" in caplog.text
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flag, status", [("--config", 2), ("--schema", 3)])
+def test_unreadable_config_exits_2_and_unreadable_schema_exits_3(files, flag, status, caplog):
+    unreadable = files["tmp"] / "directory.yaml"
+    unreadable.mkdir()
+    paths = {"--train": files["train"], "--schema": files["schema"], flag: str(unreadable)}
+    argv = ["cv", *(item for pair in paths.items() for item in pair)]
+    assert run(*argv, out=files["tmp"] / "out") == status
+    assert f"cannot read {flag[2:]} file {unreadable}" in caplog.text
 
 
 def test_missing_train_file_exits_3(files):

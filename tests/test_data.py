@@ -10,6 +10,7 @@ import pytest
 from peafowl import (
     ConfigError,
     DataError,
+    Dataset,
     RawTable,
     TableSchema,
     build_dataset,
@@ -411,6 +412,76 @@ class TestSchema:
         with pytest.raises(ConfigError):
             TableSchema(column_count=3, label_column=3)
 
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("categorical_columns", "null", ()),
+            ("categorical_columns", "[]", ()),
+            ("ignored_columns", "null", ()),
+            ("ignored_columns", "[]", ()),
+            ("normal_labels", "null", ("normal",)),
+            ("normal_labels", "[]", ("normal",)),
+            ("attack_labels", "null", None),
+            ("attack_labels", "[]", ()),
+            ("feature_names", "null", None),
+        ],
+    )
+    def test_yaml_null_and_empty_lists(self, tmp_path, key, value, expected):
+        """A null or empty list takes the field's default, but an empty attack_labels stays empty."""
+        path = tmp_path / "schema.yaml"
+        path.write_text(f"column_count: 3\nlabel_column: 2\n{key}: {value}\n")
+        schema = TableSchema.from_yaml(path)
+        assert getattr(schema, key) == expected
+        assert schema == TableSchema(column_count=3, label_column=2, **{key: expected})
+
+    def test_yaml_feature_names_are_strings_of_the_feature_count(self, tmp_path):
+        path = tmp_path / "schema.yaml"
+        path.write_text("column_count: 3\nlabel_column: 2\nfeature_names: [1, b]\n")
+        assert TableSchema.from_yaml(path).feature_names == ("1", "b")
+        path.write_text("column_count: 3\nlabel_column: 2\nfeature_names: []\n")
+        with pytest.raises(ConfigError, match="feature_names has 0 entries, expected 2"):
+            TableSchema.from_yaml(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("- 3\n- 2\n", "must hold a mapping"),
+            ("column_count: 3\n", "missing required key 'label_column'"),
+        ],
+        ids=["not-a-mapping", "missing-key"],
+    )
+    def test_yaml_layout_checked(self, tmp_path, text, message):
+        path = tmp_path / "schema.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"schema file {re.escape(str(path))}:? .*{re.escape(message)}"):
+            TableSchema.from_yaml(path)
+
+    def test_unreadable_yaml_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read schema file"):
+            TableSchema.from_yaml(tmp_path)  # a directory
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(column_count=1, label_column=0), "at least one feature column"),
+            (dict(categorical_columns=(3,)), "column index 3 outside table width"),
+            (dict(ignored_columns=(-1,)), "column index -1 outside table width"),
+            (dict(categorical_columns=(2,)), "may not include label or ignored columns"),
+            (dict(categorical_columns=(0,), ignored_columns=(0,)), "may not include label or ignored columns"),
+            (dict(ignored_columns=(2,)), "label column cannot be ignored"),
+            (dict(ignored_columns=(0, 1)), "schema leaves no feature columns"),
+            (dict(feature_names=("a",)), "feature_names has 1 entries, expected 2"),
+        ],
+        ids=[
+            "one-column", "categorical-outside", "ignored-outside", "categorical-label",
+            "categorical-ignored", "label-ignored", "no-features", "feature-names-length",
+        ],
+    )
+    def test_layout_errors(self, fields, message):
+        fields = {"column_count": 3, "label_column": 2, **fields}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            TableSchema(**fields)
+
     def test_fingerprint_stable_and_sensitive(self):
         a = simple_schema()
         b = simple_schema()
@@ -420,6 +491,14 @@ class TestSchema:
 
 
 class TestBuildDataset:
+    def test_fit_from_needs_normalization_bounds(self, tmp_path):
+        schema = simple_schema()
+        path = tmp_path / "t.csv"
+        path.write_text("0,tcp,10,5,normal\n4,udp,20,5,attack\n")
+        fit_from = Dataset.from_arrays(np.zeros((2, 4)), [0, 1])
+        with pytest.raises(DataError, match="carries no normalization bounds"):
+            build_dataset(load_csv(path, schema), schema, fit_from=fit_from)
+
     def test_nsl_fixture_ingests_clean(self, tmp_path):
         csv_path = tmp_path / "nsl.csv"
         expected_maps = write_nsl_fixture(csv_path)
@@ -431,7 +510,6 @@ class TestBuildDataset:
         assert np.all(ds.features >= 0.0) and np.all(ds.features <= 1.0)
         assert ds.encoding_map == expected_maps
         assert int(ds.labels.sum()) == 25  # half the fixture rows are attacks
-        assert ds.feature_names[0] == "f1" and len(ds.feature_names) == 41
 
     def test_test_time_transform_reuses_training_state(self, tmp_path):
         schema = simple_schema(normal_labels=("normal",), attack_labels=("attack",))

@@ -71,14 +71,13 @@ class TestSplitPopulation:
     @pytest.mark.parametrize(
         "n,r,alpha,expected",
         [
-            (30, 0.5, 0.8, (15, 15, 12, 3)),
-            (30, 0.4, 0.8, (12, 18, 10, 2)),
-            (4, 0.4, 0.8, (2, 2, 2, 0)),
+            (30, 0.5, 0.8, (15, 12)),
+            (30, 0.4, 0.8, (12, 10)),
+            (4, 0.4, 0.8, (2, 2)),
         ],
     )
     def test_worked_examples(self, n, r, alpha, expected):
-        split = split_population(n, r, alpha)
-        assert (split.n_males, split.n_females, split.n_dominant, split.n_normal) == expected
+        assert split_population(n, r, alpha) == expected
 
     def test_population_too_small(self):
         with pytest.raises(ValueError, match="population too small"):
@@ -90,13 +89,9 @@ class TestSplitPopulation:
             n = int(rng.integers(4, 200))
             r = float(rng.uniform(0.0, 1.0))
             alpha = float(rng.uniform(0.0, 1.0))
-            s = split_population(n, r, alpha)
-            assert s.n_males + s.n_females == n
-            assert s.n_dominant + s.n_normal == s.n_males
-            assert 1 <= s.n_males <= n - 1
-            assert s.n_females >= 1
-            assert 1 <= s.n_dominant <= s.n_males
-            assert s.n_normal >= 0
+            n_males, n_dominant = split_population(n, r, alpha)
+            assert 1 <= n_males <= n - 1
+            assert 1 <= n_dominant <= n_males
 
 
 class TestMate:
@@ -266,14 +261,15 @@ def reference_season(population, params, problem, rng):
     n = params.population_size
     lo, hi = params.r_range
     r = rng.uniform(lo, hi)
-    split = split_population(n, r, params.dominance_factor)
-    max_mates = max(1, split.n_females // split.n_dominant)
+    n_males, n_dominant = split_population(n, r, params.dominance_factor)
+    n_females = n - n_males
+    max_mates = max(1, n_females // n_dominant)
 
     fathers = []
-    for rank in range(split.n_dominant):
+    for rank in range(n_dominant):
         fathers += [rank] * int(rng.integers(1, max_mates + 1))
-    fathers += list(range(split.n_dominant, split.n_males))
-    mothers = [split.n_males + int(rng.integers(0, split.n_females)) for _ in fathers]
+    fathers += list(range(n_dominant, n_males))
+    mothers = [n_males + int(rng.integers(0, n_females)) for _ in fathers]
     a = pair_attractiveness(positions[fathers], positions[mothers], params)
     raws = [
         reference_mate(positions[f], positions[m], a[i], params, rng) for i, (f, m) in enumerate(zip(fathers, mothers))
@@ -531,6 +527,34 @@ class TestOptimize:
     def test_non_int_dimension_rejected(self, dimension):
         with pytest.raises(ValueError, match="dimension must be an int"):
             Problem(dimension, Binary(), lambda x, cutoff: x.sum(axis=1))
+
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [
+            ([0.0, 0.0], [1.0], "same length"),
+            ([0.0, 1.0], [1.0, 1.0], "strictly below"),
+            ([0.0, 2.0], [1.0, 1.0], "strictly below"),
+        ],
+        ids=["unequal-lengths", "lower-equals-upper", "lower-above-upper"],
+    )
+    def test_bad_box_rejected(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            ContinuousBox(lower, upper)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"dimension": 0}, "dimension must be positive"),
+            ({"sense": "best"}, "sense must be 'min' or 'max', got 'best'"),
+            ({"dimension": 3}, "bound vectors must match the problem dimension"),
+        ],
+        ids=["dimension-0", "bad-sense", "bound-length"],
+    )
+    def test_bad_problem_rejected(self, fields, message):
+        box = ContinuousBox(np.full(2, -1.0), np.full(2, 1.0))
+        fields = {"dimension": 2, "domain": box, "objective": lambda x, cutoff: x.sum(axis=1), **fields}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Problem(**fields)
 
     def test_default_params_match_published_settings(self):
         p = PfmParams()

@@ -683,6 +683,10 @@ class TestKnnInputChecks:
         with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
             cross_validate(None, five_wide, make_folds(five_wide.n_rows, 3, seed=0), k)
 
+    def test_knn_classify_k_must_be_positive(self, five_wide):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            knn_classify(five_wide, five_wide.features, 0)
+
     def test_numpy_integer_k_is_accepted(self, five_wide):
         expected = knn_classify(five_wide, five_wide.features, 3)
         assert np.array_equal(knn_classify(five_wide, five_wide.features, np.int64(3)), expected)
@@ -762,6 +766,11 @@ class TestSubsetFitness:
         monkeypatch.setattr(selection, "_FITNESS_ROWS", 2)
         mask = FeatureSubset([1.0, 0.0, 1.0, 0.0, 0.0])
         assert type(subset_fitness(mask, five_wide, WrapperFitnessSpec(), cutoff)) is float
+
+    def test_one_row_per_class_leaves_nothing_to_fit(self):
+        ds = Dataset.from_arrays(np.array([[0.0], [1.0]]), [0, 1])
+        with pytest.raises(ValueError, match="degenerate holdout split"):
+            selection._holdout_split(ds, WrapperFitnessSpec(split_seed=0))
 
     def test_bad_spec_rejected(self):
         bad_specs = [
