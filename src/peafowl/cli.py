@@ -206,10 +206,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> 
 
 
 def _out_dir(config: dict) -> Path:
-    out = config.get("out")
-    if not out:
-        raise ConfigError("--out directory is required")
-    path = Path(out)
+    """Create ``--out``; a command calls it once its settings and inputs have passed their checks."""
+    path = Path(config["out"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -248,7 +246,7 @@ def _metric_cells(entry: dict) -> list:
 
 
 def cmd_bench(config: dict) -> int:
-    out = _out_dir(config)
+    _require(config, "out")
     requested = config["functions"]
     names = list(BENCHMARKS) if requested.strip().lower() == "all" else [
         tok.strip() for tok in requested.split(",") if tok.strip()
@@ -258,6 +256,7 @@ def cmd_bench(config: dict) -> int:
     for name in names:
         get_benchmark(name)
     params = _from_config(PfmParams, config)
+    out = _out_dir(config)
 
     log.info("bench: %d functions x %s runs (seed %d)", len(names), config["runs"], params.seed)
     with _config_errors():
@@ -298,14 +297,14 @@ def _load_train(config: dict):
 
 
 def cmd_select(config: dict) -> int:
-    _require(config, "train", "schema")
-    out = _out_dir(config)
+    _require(config, "out", "train", "schema")
     _, train, inputs = _load_train(config)
     params = _from_config(PfmParams, config)
     spec = _from_config(WrapperFitnessSpec, config)
     with _config_errors():
         # Rejects a count below 1 before the search.
         top_subsets((np.empty((0, 1)), np.empty(0)), config["top_subsets"])
+    out = _out_dir(config)
     log.info(
         "select: %d rows x %d features, pop %d, %d iterations",
         train.n_rows, train.n_features, params.population_size, params.max_iterations,
@@ -342,8 +341,7 @@ def cmd_select(config: dict) -> int:
 
 
 def cmd_eval(config: dict) -> int:
-    _require(config, "train", "test", "schema")
-    out = _out_dir(config)
+    _require(config, "out", "train", "test", "schema")
     schema, train, inputs = _load_train(config)
     test = load_dataset(config["test"], schema, fit_from=train)
     inputs["test"] = {"path": config["test"], "sha256": _file_sha256(config["test"])}
@@ -353,6 +351,7 @@ def cmd_eval(config: dict) -> int:
     requested = [("selected", mask)]
     if config["baseline"] and mask is not None:
         requested.append(("all_features", None))
+    out = _out_dir(config)
 
     entries = []
     for label, row_mask in requested:
@@ -373,13 +372,13 @@ def cmd_eval(config: dict) -> int:
 
 
 def cmd_cv(config: dict) -> int:
-    _require(config, "train", "schema")
-    out = _out_dir(config)
+    _require(config, "out", "train", "schema")
     _, data, inputs = _load_train(config)
     k = _from_config(WrapperFitnessSpec, config).k_neighbors
     mask = _parse_feature_list(config["features"], data.n_features)
     with _config_errors():
         folds = make_folds(data.n_rows, config["folds"], config["seed"])
+    out = _out_dir(config)
     log.info("cv: %d folds over %d rows", folds.k, data.n_rows)
     per_fold, pooled_report = cross_validate(mask, data, folds, k)
 

@@ -31,11 +31,19 @@ run and scores every mask on that split.
 
 Each season the optimizer hands the fitness its cutoff, the worst parent's
 fitness: a newborn that does not beat it is always dropped.  So
-:func:`subset_fitness` scores the held-out rows in blocks and stops once the
-errors so far hold the accuracy at or below the cutoff, returning that bound.
-Only the dropped masks stop, so no output changes.  Before each season the
-held-out rows are reordered, those that fully scored masks got wrong most
-often first, so that a hopeless mask meets its errors early.
+:func:`subset_fitness` abandons a mask early, as the UCR suite does a
+distance (Rakthanmanon et al. 2012): it scores the held-out rows in blocks
+and stops once the errors so far hold the accuracy at or below the cutoff,
+returning that bound.  Only the dropped masks stop, so no output changes.
+The first block holds ``_FITNESS_ROWS`` rows and each later one all that the
+cell budget allows, so at ``select`` size (800 fit and 200 held-out rows) a
+mask is scored in one block or two.  There a block costs about 30 us of
+NumPy calls whatever its row count, and of the cutoff fitnesses in ten
+perfbench ``select`` passes, 59% stopped within the first 50 rows and 32%
+never stopped: the short first block serves the former, and the latter pay
+that cost twice, not once per 50 rows.  Before each season the held-out rows
+are reordered, those that fully scored masks got wrong most often first, so
+that a hopeless mask meets its errors early.
 """
 
 from __future__ import annotations
@@ -126,7 +134,10 @@ class WrapperFitnessSpec:
 
 
 _BLOCK_CELLS = 1_000_000  # query x training-row cells per block of keys (4 MB in float32)
-_FITNESS_ROWS = 50  # held-out rows per block in subset_fitness with a cutoff: it may stop after any block
+_MIN_BLOCK = 40  # queries per block however many training rows: the floor under _BLOCK_CELLS // n_train
+# held-out rows in subset_fitness's first block with a cutoff; the rest follow in full blocks.
+# At select size uniform blocks of 20-200 rows and first blocks of 16-40 were slower.
+_FITNESS_ROWS = 50
 _SLABS = 16  # slabs of training rows whose elementwise minimum bounds each query's k-th smallest key
 _NARROW_KEY = np.float32  # the key's dtype wherever _key_dtype admits it
 
@@ -158,28 +169,32 @@ def _used_columns(x: np.ndarray, columns) -> np.ndarray:
     return np.ascontiguousarray(x[:, columns], dtype=float)
 
 
-def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block: Optional[int] = None):
+def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_block: Optional[int] = None):
     """Yield the KNN votes (0 or 1) of ``query_rows`` on ``mask``'s columns (None: all), block by block.
 
     It checks the query width, mask length, ``k`` and finiteness of the used
-    columns.  A block holds at most ``max_block`` queries and ``_BLOCK_CELLS``
-    query x training-row cells.  Once per call it takes the used columns of
-    the training and query rows as C-ordered float64 arrays, checks the
-    values, picks the key's dtype, writes ``[t, |t|^2]`` into a buffer of
-    that dtype and builds every query's ``[-2q, 1]`` and slack, so a caller
-    may stop after any block at the cost of the blocks it drew.  Per block it
-    forms the key, training rows by queries, then the bound and the
-    shortlist, whose candidates come ordered by training row, then query.  A
-    query with exactly k candidates votes with them as they are; only longer
-    shortlists are grouped by query, get exact distances from rows that
-    ``np.take`` gathers, and a sort, after which each query's k nearest are
-    the first k of its group.
+    columns.  A block holds ``max(_BLOCK_CELLS // n_train, _MIN_BLOCK)``
+    queries, and the first at most ``first_block``: the cell budget, with a
+    floor so that a large training table does not pay the per-block cost
+    for every few queries (at 100,779 training rows the budget alone gives
+    9).  Once per call it takes the used columns of the training and query
+    rows as C-ordered float64 arrays, checks the values, picks the key's
+    dtype, writes ``[t, |t|^2]`` into a buffer of that dtype and builds every
+    query's ``[-2q, 1]`` and slack, so a caller may stop after any block at
+    the cost of the blocks it drew.  Per block it forms the key, training
+    rows by queries, then the bound and the shortlist, whose candidates come
+    ordered by training row, then query.  A query with exactly k candidates
+    votes with them as they are; only longer shortlists are grouped by
+    query, get exact distances from rows that ``np.take`` gathers, and a
+    sort, after which each query's k nearest are the first k of its group.
 
     Memory held: the training columns, which are the table itself for
     ``mask=None`` on a C-ordered table and one copy otherwise; ``[t, |t|^2]``,
     one column wider, in the key's dtype (4 bytes a value in float32); and
-    per block a key of at most ``_BLOCK_CELLS`` cells with two boolean arrays
-    of its size, or re-rank slices of at most ``_BLOCK_CELLS`` differences.
+    per block a key of at most ``max(_BLOCK_CELLS, _MIN_BLOCK * n_train)``
+    cells (the floor passes the budget above 25,000 training rows: 16 MB of
+    float32 at 100,779) with two boolean arrays of its size, or re-rank
+    slices of at most ``_BLOCK_CELLS`` differences.
     A block's group minima are released before its scan and its key after
     it, so no two keys are held at once and the re-rank holds none.
     A float64 key makes ``[t, |t|^2]`` a second float64 copy of the training
@@ -199,9 +214,8 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
     n_train = train.n_rows
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
-    block = max(1, _BLOCK_CELLS // n_train)  # queries per block of keys
-    if max_block is not None:
-        block = min(block, max_block)
+    block = max(_BLOCK_CELLS // n_train, _MIN_BLOCK)  # queries per block of keys
+    stop = block if first_block is None else min(block, first_block)
     columns = slice(None) if mask is None else mask.columns
     train_x = _used_columns(train.features, columns)
     query_x = _used_columns(query_rows, columns)
@@ -234,8 +248,9 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
     slab_rows = n_train // slabs
     span = slabs * slab_rows  # training rows in whole slabs; the rest stand alone
     step = max(1, _BLOCK_CELLS // max(1, width))  # candidates per slice of the exact re-rank
-    for start in range(0, query_x.shape[0], block):
-        key = key_aug @ query_aug[start : start + block].T  # |t|^2 - 2q.t: |q - t|^2 less the column-constant |q|^2
+    start = 0
+    while start < query_x.shape[0]:
+        key = key_aug @ query_aug[start:stop].T  # |t|^2 - 2q.t: |q - t|^2 less the column-constant |q|^2
         n_query = key.shape[1]
         # Upper bound on each query's k-th smallest key: split each query's
         # column into `slabs` slabs of L = slab_rows rows, take their elementwise
@@ -285,7 +300,7 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
         # of exactly k rows holds those rows and no other: it is the k
         # nearest, no tie at the k-th distance reaches past it, and their
         # order cannot change the vote.
-        limit = np.nextafter((bound + query_slack[start : start + block]).astype(dtype), dtype(np.inf))
+        limit = np.nextafter((bound + query_slack[start:stop]).astype(dtype), dtype(np.inf))
         del groups, bound
         # "not greater" also keeps rows whose float64 terms overflowed to inf
         # or NaN.  Each slab is compared with the limit tiled to its length,
@@ -307,7 +322,7 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
             # two queries of a block over 65,535 into one group.
             order = np.argsort(query_ids.astype(np.uint16), kind="stable")
             query_ids, train_ids = query_ids[order], train_ids[order]
-            q = query_x[start : start + block]
+            q = query_x[start:stop]
             # Exact distances in slices of at most _BLOCK_CELLS differences, so a
             # shortlist swollen by ties (identical rows) keeps memory bounded.
             # ``.sum(axis=1)`` keeps NumPy's own order: a column-by-column sum
@@ -326,6 +341,7 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, max_block
             firsts = (np.cumsum(sizes) - sizes)[:, None] + np.arange(k)
             ones[wide] = train.labels[train_ids[order[firsts]]].sum(axis=1)
         yield (2 * ones >= k).astype(int)
+        start, stop = stop, stop + block
 
 
 def knn_classify(
@@ -396,9 +412,9 @@ def subset_fitness(
     labels, n = split.held.labels, split.held.n_rows
     wrong = np.empty(n, dtype=bool)
     errors, start = 0, 0
-    # Without a cutoff nothing can stop early, so the blocks take their full size.
-    max_block = None if cutoff is None else _FITNESS_ROWS
-    for votes in _knn_predict(split.fit, split.held.features, spec.k_neighbors, mask, max_block):
+    # Without a cutoff nothing can stop early, so the first block takes its full size too.
+    first_block = None if cutoff is None else _FITNESS_ROWS
+    for votes in _knn_predict(split.fit, split.held.features, spec.k_neighbors, mask, first_block):
         stop = start + votes.size
         errors += int(np.count_nonzero(np.not_equal(votes, labels[start:stop], out=wrong[start:stop])))
         start = stop

@@ -272,6 +272,24 @@ def test_missing_out_exits_2():
 
 
 @pytest.mark.parametrize(
+    "command, flag, value, status",
+    [
+        ("bench", "--functions", "F99", 2),
+        ("select", "--schema", "missing.yaml", 3),
+        ("eval", "--features", "99", 2),
+        ("cv", "--folds", "1", 2),
+    ],
+)
+def test_failed_command_leaves_no_out_directory(files, command, flag, value, status):
+    # the flag comes after the command's own and overrides it
+    if flag == "--schema":
+        value = str(files["tmp"] / value)
+    out = files["tmp"] / "out"
+    assert run(*command_argv(files)[command], flag, value, out=out) == status
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "text", ["bogus: 1\n", "seed: [1,\n", "1: a\nbogus: b\n"], ids=["unknown-key", "invalid-yaml", "mixed-key-types"]
 )
 def test_bad_config_file_exits_2(files, text):

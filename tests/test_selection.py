@@ -201,16 +201,71 @@ def _knn_answers(data):
     )
 
 
+def _votes_in_blocks_of(train, queries, k, n):
+    """The generator's votes drained in blocks of n queries: the cell budget
+    holds n queries of this table, and the floor is one query."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "_BLOCK_CELLS", n * train.n_rows)
+        patch.setattr(selection, "_MIN_BLOCK", 1)
+        return np.concatenate(list(selection._knn_predict(train, queries, k, None)))
+
+
 class TestKnnBlocks:
     """The per-block cell budget changes how queries are grouped, never the answer."""
 
     def test_block_size_does_not_change_answers(self, knn_data, monkeypatch):
         default = _knn_answers(knn_data)
         monkeypatch.setattr(selection, "_BLOCK_CELLS", 1)  # one query per block
+        monkeypatch.setattr(selection, "_MIN_BLOCK", 1)
         one_query = _knn_answers(knn_data)
         monkeypatch.setattr(selection, "_BLOCK_CELLS", 10**12)  # all queries in one block
         one_block = _knn_answers(knn_data)
         assert one_query == default and one_block == default
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The query count of each block, one list per _knn_predict call."""
+    seen, predict = [], selection._knn_predict
+
+    def spy(*args):
+        seen.append([])
+        for votes in predict(*args):
+            seen[-1].append(votes.size)
+            yield votes
+
+    monkeypatch.setattr(selection, "_knn_predict", spy)
+    return seen
+
+
+class TestBlockSchedule:
+    """A block holds the queries of the cell budget, at least _MIN_BLOCK; a
+    fitness with a cutoff caps only its first block, at _FITNESS_ROWS."""
+
+    def test_fitness_scores_a_mask_in_one_block_or_two(self, block_sizes):
+        ds = planted_dataset(n_rows=1000, n_features=12, seed=5)
+        spec = WrapperFitnessSpec(split_seed=0)
+        split = selection._holdout_split(ds, spec)
+        assert (split.fit.n_rows, split.held.n_rows) == (800, 200)
+        mask = FeatureSubset.from_indices([1, 2, 7], 12)
+        exact = subset_fitness(mask, split, spec)
+        assert 0.0 < exact < 1.0
+        assert subset_fitness(mask, split, spec, cutoff=0.0) == exact  # never stops
+        assert subset_fitness(mask, split, spec, cutoff=1.0) <= 1.0  # stops after its first block
+        assert block_sizes == [[200], [50, 150], [50]]
+
+    def test_floor_under_the_cell_budget(self, monkeypatch, block_sizes):
+        rng = np.random.default_rng(3)
+        points = rng.integers(0, 3, (220, 4)) / 2  # a coarse grid: many ties
+        train_x, train_y, queries = points[:120], rng.integers(0, 2, 120), points[120:]
+        monkeypatch.setattr(selection, "_BLOCK_CELLS", 10 * 120)  # the budget alone: 10 queries
+        expected = knn_exact_reference(train_x, train_y, queries, 3)
+        train = Dataset.from_arrays(train_x, train_y)
+        assert np.array_equal(knn_classify(train, queries, 3), expected)
+        for first_block in (7, 50):
+            got = np.concatenate(list(selection._knn_predict(train, queries, 3, None, first_block)))
+            assert np.array_equal(got, expected)
+        assert block_sizes == [[40, 40, 20], [7, 40, 40, 13], [40, 40, 20]]
 
 
 class TestKnnSlabs:
@@ -367,10 +422,7 @@ class TestKnnRandomCorpus:
             train_x, queries = train_x[:, perm], queries[:, perm]
             expected = knn_exact_reference(train_x, train_y, queries, k)
             train = Dataset.from_arrays(train_x, train_y)
-            got = [knn_classify(train, queries, k)] + [
-                np.concatenate(list(selection._knn_predict(train, queries, k, None, block)))
-                for block in (1, 7)
-            ]
+            got = [knn_classify(train, queries, k)] + [_votes_in_blocks_of(train, queries, k, n) for n in (1, 7)]
             if not all(np.array_equal(g, expected) for g in got):
                 wrong.append(seed)
         assert wrong == []
@@ -410,7 +462,7 @@ def reranked(monkeypatch):
 
 def _votes_in_blocks(train, queries, k):
     """Predictions of knn_classify, and of the generator drained in 7-query blocks."""
-    return knn_classify(train, queries, k), np.concatenate(list(selection._knn_predict(train, queries, k, None, 7)))
+    return knn_classify(train, queries, k), _votes_in_blocks_of(train, queries, k, 7)
 
 
 class TestKnnShortlistShapes:
@@ -479,7 +531,7 @@ class TestKnnTrainingMajorShapes:
         expected = knn_exact_reference(train_x, train_y, queries, k)
         assert not expected.any()
         train = Dataset.from_arrays(train_x, train_y)
-        single = np.concatenate(list(selection._knn_predict(train, queries, k, None, 1)))
+        single = _votes_in_blocks_of(train, queries, k, 1)
         for got in (*_votes_in_blocks(train, queries, k), single):
             assert np.array_equal(got, expected)
         assert reranked and all(reranked)  # every block re-ranked its tied queries
@@ -504,7 +556,7 @@ class TestKnnTrainingMajorShapes:
         points = rng.integers(0, 3, (67, 4)) / 2
         train_x, train_y, queries = points[:37], rng.integers(0, 2, 37), points[37:]
         expected = knn_exact_reference(train_x, train_y, queries, k)
-        got = np.concatenate(list(selection._knn_predict(Dataset.from_arrays(train_x, train_y), queries, k, None, 1)))
+        got = _votes_in_blocks_of(Dataset.from_arrays(train_x, train_y), queries, k, 1)
         assert np.array_equal(got, expected)
         assert reranked and set(reranked) == {1}
 
@@ -562,7 +614,7 @@ class TestKnnGroupStarts:
     def _all_ways(train_x, train_y, queries, k):
         """Predictions of knn_classify, then of the generator in 1- and 7-query blocks."""
         train = Dataset.from_arrays(train_x, train_y)
-        blocks = (np.concatenate(list(selection._knn_predict(train, queries, k, None, n))) for n in (1, 7))
+        blocks = (_votes_in_blocks_of(train, queries, k, n) for n in (1, 7))
         return [knn_classify(train, queries, k), *blocks]
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -616,14 +668,17 @@ def wide_table():
     return rng.random((50_000, 41)), rng.integers(0, 2, 50_000), rng.random((30, 41))
 
 
-def _knn_budget(n_rows, used, key, copied):
+def _knn_budget(n_rows, n_queries, used, key, copied):
     """Bytes one KNN call may hold, counted as _knn_predict's docstring does:
     a float64 copy of the used columns unless the table is used as it is,
     their |t|^2 in float64, [t, |t|^2] in the key's dtype, and one block of
     keys (each is released after its scan) with the scan's two boolean
-    arrays."""
+    arrays.  A block holds the queries that the cell budget allows, at least
+    the floor's: at 50,000 rows that is 40, so the 30 queries make one block
+    of 1.5M cells, where the budget alone made blocks of 1.0M."""
     item = np.dtype(key).itemsize
-    cells = selection._BLOCK_CELLS
+    block = max(selection._BLOCK_CELLS // n_rows, selection._MIN_BLOCK)
+    cells = min(n_queries, block) * n_rows
     return copied * n_rows * used * 8 + n_rows * 8 + n_rows * (used + 1) * item + cells * (item + 2)
 
 
@@ -633,7 +688,11 @@ class TestKnnMemory:
     the table came first: 31.9 MB at its peak without a mask and 10.3 MB with
     a 5-feature one, in either memory order."""
 
-    def test_c_ordered_table_is_not_copied(self, wide_table):
+    def test_c_ordered_table_is_not_copied(self, wide_table, monkeypatch):
+        # Without the floor the 30 queries make the budget's 1.0M-cell blocks,
+        # not one of 1.5M: the call then holds less than the table (14.1 MB
+        # against 16.4 MB), and a copy of the table would add its whole size.
+        monkeypatch.setattr(selection, "_MIN_BLOCK", 1)
         x, y, queries = wide_table
         train = Dataset.from_arrays(x, y)
         assert _traced_peak(lambda: knn_classify(train, queries, 5)) < x.nbytes
@@ -652,7 +711,7 @@ class TestKnnMemory:
         train = Dataset.from_arrays(np.asarray(x, order=order), y)
         mask = None if columns is None else FeatureSubset.from_indices(columns, 41)
         copied = not (columns is None and order == "C")
-        budget = _knn_budget(x.shape[0], used, key, copied)
+        budget = _knn_budget(x.shape[0], queries.shape[0], used, key, copied)
         assert _traced_peak(lambda: knn_classify(train, queries, 5, mask)) <= budget
 
 
@@ -762,7 +821,7 @@ class TestSubsetFitness:
     @pytest.mark.parametrize("cutoff", [None, 0.99])
     def test_returns_a_python_float(self, five_wide, cutoff, monkeypatch):
         # both the full and the early return are (n - errors) / n of Python ints;
-        # 2-row blocks let the cutoff stop after the first error among 12 rows
+        # a 2-row first block, with an error among 12 rows, lets the cutoff stop
         monkeypatch.setattr(selection, "_FITNESS_ROWS", 2)
         mask = FeatureSubset([1.0, 0.0, 1.0, 0.0, 0.0])
         assert type(subset_fitness(mask, five_wide, WrapperFitnessSpec(), cutoff)) is float
