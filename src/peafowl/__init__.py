@@ -3,11 +3,9 @@
 from .benchmarks import (
     BENCHMARKS,
     BenchmarkFunction,
-    CampaignResult,
     evaluate_benchmark,
     get_benchmark,
     make_problem,
-    run_campaign,
 )
 from .data import (
     Dataset,

@@ -1,4 +1,4 @@
-"""Classical 23-function benchmark suite and a seeded campaign runner.
+"""Classical 23-function benchmark suite.
 
 F1-F7 are unimodal, F8-F13 multimodal (30 dimensions each) and F14-F23
 fixed-dimension multimodal.  Coefficient tables for F14, F15 and F19-F23 are
@@ -13,14 +13,13 @@ bits for a Fortran-ordered copy of 45 rows.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .optimizer import ContinuousBox, PfmParams, Problem, optimize
+from .optimizer import ContinuousBox, Problem
 
 __all__ = [
     "BenchmarkFunction",
@@ -28,8 +27,6 @@ __all__ = [
     "get_benchmark",
     "evaluate_benchmark",
     "make_problem",
-    "CampaignResult",
-    "run_campaign",
 ]
 
 
@@ -337,57 +334,3 @@ def make_problem(name: str, seed: int) -> Problem:
     else:
         objective = lambda x, cutoff: bench.fn(x)  # noqa: E731
     return Problem(dimension=bench.dimension, domain=box, objective=objective, sense="min")
-
-
-@dataclass
-class CampaignResult:
-    function: str
-    dimension: int
-    runs: int
-    avg: float
-    std: float
-    best: float
-    worst: float
-    per_run_best: list[float]
-    params: dict
-    wall_ms: float
-    traces: list[list[float]]
-
-
-def run_campaign(names: list[str], params: PfmParams, runs: int) -> list[CampaignResult]:
-    """Independent seeded runs per function; aggregates final-best statistics.
-
-    Run i uses seed ``params.seed + i``.  ``std`` is the population standard
-    deviation of the per-run finals (divisor = runs).
-    """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    results = []
-    for name in names:
-        bench = get_benchmark(name)
-        t0 = time.perf_counter()
-        finals = []
-        traces = []
-        for i in range(runs):
-            run_params = replace(params, seed=params.seed + i)
-            trace = optimize(make_problem(name, seed=run_params.seed), run_params)
-            finals.append(trace.best_per_iteration[-1])
-            traces.append(trace.best_per_iteration)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        finals_arr = np.asarray(finals)
-        results.append(
-            CampaignResult(
-                function=name,
-                dimension=bench.dimension,
-                runs=runs,
-                avg=float(finals_arr.mean()),
-                std=float(finals_arr.std()),
-                best=float(finals_arr.min()),
-                worst=float(finals_arr.max()),
-                per_run_best=finals,
-                params=asdict(params),
-                wall_ms=wall_ms,
-                traces=traces,
-            )
-        )
-    return results

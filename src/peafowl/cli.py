@@ -1,6 +1,7 @@
 """Batch command-line front end.
 
-Four commands: ``bench`` (benchmark campaign), ``select`` (wrapper feature
+Four commands: ``bench`` (benchmark campaign: ``runs`` independent runs of
+each function, run i with seed ``seed + i``), ``select`` (wrapper feature
 selection), ``eval`` (train/test metrics for a feature set) and ``cv``
 (k-fold cross validation).  ``_COMMAND_KEYS`` lists the settings each
 command reads; its flags, its resolved settings and its manifest all come
@@ -33,17 +34,18 @@ import json
 import logging
 import os
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .benchmarks import BENCHMARKS, get_benchmark, run_campaign
+from .benchmarks import BENCHMARKS, get_benchmark, make_problem
 from .data import TableSchema, load_dataset, make_folds, read_yaml_settings
 from .errors import ConfigError, DataError, EvaluationError
 from .metrics import ConfusionCounts, MetricsReport, compute_metrics
-from .optimizer import PfmParams
+from .optimizer import PfmParams, optimize
 from .selection import (
     FeatureSubset,
     WrapperFitnessSpec,
@@ -255,29 +257,43 @@ def cmd_bench(config: dict) -> int:
         raise ConfigError("function list is empty")
     for name in names:
         get_benchmark(name)
+    runs = config["runs"]
+    if runs < 1:
+        raise ConfigError("runs must be >= 1")
     params = _from_config(PfmParams, config)
     out = _out_dir(config)
 
-    log.info("bench: %d functions x %s runs (seed %d)", len(names), config["runs"], params.seed)
-    with _config_errors():
-        results = run_campaign(names, params, config["runs"])
-
-    summaries = []
-    for r in results:
-        summary = dataclasses.asdict(r)
-        del summary["traces"], summary["wall_ms"]  # in convergence.csv and timings.csv
-        summaries.append(summary)
+    log.info("bench: %d functions x %d runs (seed %d)", len(names), runs, params.seed)
+    summaries, conv_rows, timings = [], [], []
+    for name in names:
+        started = time.perf_counter()
+        traces = []
+        for i in range(runs):
+            run_params = dataclasses.replace(params, seed=params.seed + i)
+            traces.append(optimize(make_problem(name, seed=run_params.seed), run_params).best_per_iteration)
+        timings.append([name, (time.perf_counter() - started) * 1000.0])
+        finals = np.array([trace[-1] for trace in traces])
+        summaries.append(
+            {
+                "function": name,
+                "dimension": BENCHMARKS[name].dimension,
+                "runs": runs,
+                "avg": float(finals.mean()),
+                "std": float(finals.std()),  # the population std: divisor = runs
+                "best": float(finals.min()),
+                "worst": float(finals.max()),
+                "per_run_best": finals.tolist(),
+                "params": dataclasses.asdict(params),
+            }
+        )
+        for run_idx, trace in enumerate(traces):
+            conv_rows.extend([name, run_idx, iteration, best] for iteration, best in enumerate(trace))
     header = ["function", "dimension", "runs", "avg", "std", "best", "worst"]
-    _write_csv(out / "results.csv", header, [[s[name] for name in header] for s in summaries])
+    _write_csv(out / "results.csv", header, [[s[key] for key in header] for s in summaries])
     _write_json(out / "results.json", summaries)
-    conv_rows = []
-    for r in results:
-        for run_idx, trace in enumerate(r.traces):
-            for iteration, best in enumerate(trace):
-                conv_rows.append([r.function, run_idx, iteration, best])
     _write_csv(out / "convergence.csv", ["function", "run", "iteration", "best"], conv_rows)
     # Wall times vary between runs; kept apart so primary files stay reproducible.
-    _write_csv(out / "timings.csv", ["function", "wall_ms"], [[r.function, r.wall_ms] for r in results])
+    _write_csv(out / "timings.csv", ["function", "wall_ms"], timings)
     _write_manifest(out, "bench", config, {})
     log.info("bench: wrote %s", out / "results.csv")
     return 0

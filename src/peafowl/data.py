@@ -236,11 +236,15 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, features, labels) -> "Dataset":
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=int)
+        """A dataset of C-ordered float64 features and 0/1 labels; any other label is a DataError."""
+        features = np.ascontiguousarray(features, dtype=float)
+        labels = np.asarray(labels)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError("features must be 2-D with one label per row")
-        return cls(features=features, labels=labels)
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise DataError(f"row {bad[0] + 1}: label {labels[bad[0]]} is not 0 or 1")
+        return cls(features=features, labels=labels.astype(int))
 
 
 # A line that holds only its line break, as a file opened with ``newline=""`` reads it.

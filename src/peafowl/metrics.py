@@ -24,7 +24,7 @@ class ConfusionCounts:
     def __post_init__(self):
         for name in ("tp", "tn", "fp", "fn"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:  # type(), not isinstance: a bool is not a count
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
 
     @classmethod

@@ -155,18 +155,18 @@ def _key_dtype(width: int, scale: float) -> type:
     return np.float64
 
 
-def _used_columns(x: np.ndarray, columns) -> np.ndarray:
-    """``x[:, columns]`` as a C-ordered float64 array, with no copy where ``x`` already is one.
+def _used_columns(x: np.ndarray, mask) -> np.ndarray:
+    """``mask``'s columns of ``x`` (None: all) as a C-ordered float64 array.
 
-    On a C-ordered table the fancy index returns a Fortran-ordered array, and
-    with its reorder it took 2 to 6 times as long as ``np.take`` (17 to 56
-    against 8.7 us for 33 of 800 x 41 columns).  But ``np.take`` copies any
-    other table whole first, so such a table takes the fancy index and one
-    reorder, there 2 to 4 times faster than ``np.take``.
+    Without a mask a C-ordered float64 table, as ``Dataset.from_arrays`` and
+    ``knn_classify`` make, is used as it is.  A mask's columns come from
+    ``np.take``: on a C-ordered table the fancy index returns a
+    Fortran-ordered array, and with its reorder it took 2 to 6 times as long
+    (17 to 56 against 8.7 us for 33 of 800 x 41 columns).
     """
-    if isinstance(columns, np.ndarray) and x.flags.c_contiguous:
-        return np.take(x, columns, axis=1).astype(float, copy=False)
-    return np.ascontiguousarray(x[:, columns], dtype=float)
+    if mask is None:
+        return np.ascontiguousarray(x, dtype=float)
+    return np.take(x, mask.columns, axis=1).astype(float, copy=False)
 
 
 def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_block: Optional[int] = None):
@@ -216,9 +216,8 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
     block = max(_BLOCK_CELLS // n_train, _MIN_BLOCK)  # queries per block of keys
     stop = block if first_block is None else min(block, first_block)
-    columns = slice(None) if mask is None else mask.columns
-    train_x = _used_columns(train.features, columns)
-    query_x = _used_columns(query_rows, columns)
+    train_x = _used_columns(train.features, mask)
+    query_x = _used_columns(query_rows, mask)
     width = train_x.shape[1]
     train_sq = np.einsum("ij,ij->i", train_x, train_x)
     query_sq = np.einsum("ij,ij->i", query_x, query_x)
@@ -229,7 +228,7 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
             bad = np.argwhere(~np.isfinite(values))
             if bad.size:
                 row, col = bad[0]
-                feature = np.arange(train.n_features)[columns][col] + 1
+                feature = (col if mask is None else mask.columns[col]) + 1
                 raise DataError(
                     f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
                 )
@@ -356,7 +355,7 @@ def knn_classify(
     class 1.  A NaN or infinite value in a used column of the training or
     query rows raises :class:`DataError` naming its row and feature (1-based).
     """
-    query_rows = np.atleast_2d(np.asarray(query_rows, dtype=float))
+    query_rows = np.atleast_2d(np.ascontiguousarray(query_rows, dtype=float))
     votes = list(_knn_predict(train, query_rows, k, mask))
     return np.concatenate(votes) if votes else np.empty(0, dtype=int)
 
@@ -504,6 +503,8 @@ def cross_validate(
     """Per-fold confusion counts plus metrics of the elementwise-pooled counts."""
     if folds.assignments.size != data.n_rows:
         raise ValueError("fold plan does not cover the dataset")
+    if not np.array_equal(np.unique(folds.assignments), np.arange(folds.k)):
+        raise ValueError(f"fold plan must assign rows to every fold 0..{folds.k - 1} and to no other")
     per_fold = []
     for fold in range(folds.k):
         test_idx = folds.fold_indices(fold)

@@ -12,11 +12,7 @@ from peafowl import (
     get_benchmark,
     make_problem,
     optimize,
-    run_campaign,
 )
-
-SMALL = PfmParams(population_size=8, max_iterations=5, seasons_per_iteration=1, seed=0)
-
 
 class TestRegistry:
     def test_twenty_three_functions(self):
@@ -115,40 +111,6 @@ class TestProperties:
         for _ in range(1000):
             noise = evaluate_benchmark("F7", x, rng) - deterministic
             assert 0.0 <= noise < 1.0
-
-
-class TestCampaign:
-    def test_matches_manual_runs(self):
-        from dataclasses import replace
-
-        results = run_campaign(["F1"], SMALL, runs=2)
-        manual = [
-            optimize(make_problem("F1", seed=SMALL.seed + i), replace(SMALL, seed=SMALL.seed + i))
-            for i in range(2)
-        ]
-        assert results[0].per_run_best == [t.best_per_iteration[-1] for t in manual]
-        assert len(results[0].per_run_best) == 2
-
-    def test_single_run_has_zero_std(self):
-        results = run_campaign(["F16"], SMALL, runs=1)
-        assert results[0].std == 0.0
-        assert results[0].best == results[0].worst == results[0].avg
-
-    def test_noisy_function_campaign_is_reproducible(self):
-        a = run_campaign(["F7"], SMALL, runs=2)
-        b = run_campaign(["F7"], SMALL, runs=2)
-        assert a[0].per_run_best == b[0].per_run_best
-
-    def test_params_snapshot_echoed(self):
-        results = run_campaign(["F16"], SMALL, runs=1)
-        snap = results[0].params
-        assert snap["gamma1"] == 1.0 and snap["gamma2"] == 1.0
-        assert snap["call_intensity"] == 0.1 and snap["colorfulness"] == 0.1
-        assert snap["dominance_factor"] == 0.8
-
-    def test_zero_runs_rejected(self):
-        with pytest.raises(ValueError):
-            run_campaign(["F1"], SMALL, runs=0)
 
 
 # The classical foxhole table, one column per foxhole.

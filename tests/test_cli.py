@@ -7,9 +7,10 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from peafowl import PfmParams, WrapperFitnessSpec, cli, run_campaign
+from peafowl import PfmParams, WrapperFitnessSpec, cli, make_problem, optimize
 
 from conftest import TOY_SCHEMA_YAML, write_toy_csv
 
@@ -180,16 +181,93 @@ def test_cv_results_csv(files):
     assert pooled == {"tp": 14, "tn": 11, "fp": 19, "fn": 16}
 
 
-def test_bench_results_json_matches_run_campaign(files):
+# A small campaign: 8 birds, 5 iterations of one season each.
+SMALL = ["--population", "8", "--iterations", "5", "--seasons", "1"]
+SMALL_PARAMS = PfmParams(population_size=8, max_iterations=5, seasons_per_iteration=1)
+
+
+def bench_results(files, *argv):
     out = files["tmp"] / "bench"
-    assert run(*BENCH, out=out) == 0
+    assert run("bench", *argv, out=out) == 0
+    return json.loads((out / "results.json").read_text())
+
+
+def manual_traces(name, params, runs):
+    """Each run's best per iteration, run i by a direct optimize at seed ``params.seed + i``."""
+    traces = []
+    for i in range(runs):
+        run_params = dataclasses.replace(params, seed=params.seed + i)
+        traces.append(optimize(make_problem(name, seed=run_params.seed), run_params).best_per_iteration)
+    return traces
+
+
+def test_bench_results_json_matches_manual_runs(files):
     params = PfmParams(population_size=6, max_iterations=4)
     expected = []
-    for result in run_campaign(["F1", "F10"], params, 2):
-        row = dataclasses.asdict(result)
-        del row["traces"], row["wall_ms"]
-        expected.append(row)
-    assert json.loads((out / "results.json").read_text()) == json.loads(json.dumps(expected))
+    for name in ("F1", "F10"):
+        finals = [trace[-1] for trace in manual_traces(name, params, 2)]
+        expected.append(
+            {
+                "function": name,
+                "dimension": 30,
+                "runs": 2,
+                "avg": float(np.mean(finals)),
+                "std": float(np.std(finals, ddof=0)),  # the population std: divisor = runs
+                "best": min(finals),
+                "worst": max(finals),
+                "per_run_best": finals,
+                "params": dataclasses.asdict(params),
+            }
+        )
+    assert bench_results(files, *BENCH[1:]) == json.loads(json.dumps(expected))
+
+
+def test_bench_per_run_best_matches_manual_runs_at_seed_plus_i(files):
+    (row,) = bench_results(files, "--functions", "F1", "--runs", "3", "--seed", "4", *SMALL)
+    traces = manual_traces("F1", dataclasses.replace(SMALL_PARAMS, seed=4), 3)
+    assert row["per_run_best"] == [trace[-1] for trace in traces]
+    assert len(set(row["per_run_best"])) == 3  # three seeds, three runs
+    convergence = (files["tmp"] / "bench" / "convergence.csv").read_text().splitlines()
+    assert convergence[1:] == [
+        f"F1,{run_idx},{iteration},{best}"
+        for run_idx, trace in enumerate(traces)
+        for iteration, best in enumerate(trace)
+    ]
+
+
+def test_bench_single_run_has_zero_std(files):
+    (row,) = bench_results(files, "--functions", "F16", "--runs", "1", *SMALL)
+    assert row["runs"] == 1 and len(row["per_run_best"]) == 1
+    assert row["std"] == 0.0
+    assert row["best"] == row["worst"] == row["avg"] == row["per_run_best"][0]
+
+
+def test_bench_noisy_function_rerun_is_byte_identical(files):
+    out = files["tmp"] / "bench"
+    argv = ["bench", "--functions", "F7", "--runs", "2", *SMALL]
+    assert run(*argv, out=out) == 0
+    first = primary_bytes(out)
+    assert run(*argv, out=out) == 0
+    assert primary_bytes(out) == first
+    per_run_best = json.loads(first["results.json"])[0]["per_run_best"]
+    assert per_run_best[0] != per_run_best[1]
+
+
+def test_bench_echoes_its_params(files):
+    (row,) = bench_results(files, "--functions", "F16", "--runs", "1", *SMALL)
+    assert row["params"] == json.loads(json.dumps(dataclasses.asdict(SMALL_PARAMS)))
+    snap = row["params"]
+    assert snap["gamma1"] == 1.0 and snap["gamma2"] == 1.0
+    assert snap["call_intensity"] == 0.1 and snap["colorfulness"] == 0.1
+    assert snap["dominance_factor"] == 0.8
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_bench_runs_below_one_exits_2(files, runs, caplog):
+    out = files["tmp"] / "bench"
+    assert run("bench", "--functions", "F1", "--runs", runs, out=out) == 2
+    assert "runs must be >= 1" in caplog.text
+    assert not out.exists()
 
 
 def write_config(files, text):
@@ -269,6 +347,20 @@ def test_config_ints_and_null_dedup_read_as_flags(files):
 
 def test_missing_out_exits_2():
     assert cli.main(["bench", "--functions", "F1", "--runs", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, status, stream, text",
+    [
+        (["--version"], 0, "out", f"peafowl {cli.__version__}"),
+        ([], 2, "err", "the following arguments are required: command"),
+        (["bench", "--bogus"], 2, "err", "unrecognized arguments: --bogus"),
+    ],
+    ids=["version", "no-command", "unknown-flag"],
+)
+def test_argparse_exits_return_their_status(argv, status, stream, text, capsys):
+    assert cli.main(argv) == status
+    assert text in getattr(capsys.readouterr(), stream)
 
 
 @pytest.mark.parametrize(

@@ -585,6 +585,44 @@ class TestBuildDataset:
         assert test.provenance == train.provenance
 
 
+class TestFromArrays:
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 1, 2, 1], "row 3: label 2 is not 0 or 1"),
+            ([0, 0.7, 1, 0], "row 2: label 0.7 is not 0 or 1"),
+            ([1, 0, 1, -1], "row 4: label -1 is not 0 or 1"),
+            ([np.nan, 0, 1, 0], "row 1: label nan is not 0 or 1"),
+        ],
+        ids=["two", "fraction", "minus-one", "nan"],
+    )
+    def test_label_other_than_0_or_1_is_rejected(self, labels, message):
+        # Truncated to int, 0.7 became 0; a 2 counted double in the KNN vote
+        # and fell out of every confusion cell.
+        with pytest.raises(DataError, match=re.escape(message)):
+            Dataset.from_arrays(np.zeros((4, 2)), labels)
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0, 1.0, 0.0], [False, True, True, False]], ids=["float", "bool"])
+    def test_zero_one_labels_are_stored_as_ints(self, labels):
+        ds = Dataset.from_arrays(np.zeros((4, 2)), labels)
+        assert ds.labels.dtype.kind == "i" and ds.labels.tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize(
+        "features, labels",
+        [(np.zeros(4), [0, 1, 0, 1]), (np.zeros((4, 2)), [0, 1, 0]), (np.zeros((4, 2)), np.zeros((4, 1)))],
+        ids=["1-d-features", "short-labels", "2-d-labels"],
+    )
+    def test_shape_mismatch_is_a_value_error(self, features, labels):
+        with pytest.raises(ValueError, match="features must be 2-D with one label per row"):
+            Dataset.from_arrays(features, labels)
+
+    def test_features_are_c_ordered_float64(self):
+        x = np.asfortranarray(np.arange(12).reshape(4, 3))
+        ds = Dataset.from_arrays(x, [0, 1, 0, 1])
+        assert ds.features.flags.c_contiguous and ds.features.dtype == np.float64
+        assert np.array_equal(ds.features, x)
+
+
 class TestFolds:
     def test_even_split(self):
         plan = make_folds(10, 10, seed=0)

@@ -61,6 +61,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             ConfusionCounts(tp=1.5, tn=0, fp=0, fn=0)
 
+    @pytest.mark.parametrize("field", ["tp", "tn", "fp", "fn"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected(self, field, value):
+        # a bool is not a count
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer, got {value}"):
+            ConfusionCounts(**{field: value})
+
     def test_pooling(self):
         total = ConfusionCounts(1, 2, 3, 4) + ConfusionCounts(10, 20, 30, 40)
         assert (total.tp, total.tn, total.fp, total.fn) == (11, 22, 33, 44)

@@ -710,7 +710,7 @@ class TestKnnMemory:
         assert selection._key_dtype(used, scale_sq) is key
         train = Dataset.from_arrays(np.asarray(x, order=order), y)
         mask = None if columns is None else FeatureSubset.from_indices(columns, 41)
-        copied = not (columns is None and order == "C")
+        copied = columns is not None  # from_arrays stores either order C-ordered, used as it is
         budget = _knn_budget(x.shape[0], queries.shape[0], used, key, copied)
         assert _traced_peak(lambda: knn_classify(train, queries, 5, mask)) <= budget
 
@@ -1056,4 +1056,19 @@ class TestCrossValidate:
         ds = two_cluster_dataset(n_rows=40)
         folds = make_folds(30, 3, seed=0)
         with pytest.raises(ValueError, match="cover"):
+            cross_validate(None, ds, folds, k=1)
+
+    @pytest.mark.parametrize(
+        "assignments",
+        [[0, 1, 0, 1, 5, 5], [0, 1, 0, 1, -1, 0], [0, 0, 0, 0, 0, 0], [0, 1, 0, 1, 2, 3]],
+        ids=["fold-5-of-2", "fold-minus-1", "fold-1-empty", "four-folds-of-2"],
+    )
+    def test_fold_plan_must_use_exactly_folds_0_to_k_minus_1(self, assignments):
+        # A row in a fold outside 0..k-1 was never scored (4 of 6 rows with
+        # no error), and an empty fold made cv's per-fold metrics fail.
+        from peafowl import FoldPlan
+
+        ds = Dataset.from_arrays(np.arange(12.0).reshape(6, 2), [0, 1, 0, 1, 0, 1])
+        folds = FoldPlan(k=2, assignments=np.array(assignments), seed=0)
+        with pytest.raises(ValueError, match=re.escape("every fold 0..1")):
             cross_validate(None, ds, folds, k=1)
