@@ -208,13 +208,27 @@ class FoldPlan:
 
 @dataclass
 class Dataset:
-    """Normalized feature matrix plus binary labels and transform state."""
+    """Normalized feature matrix plus binary labels and transform state.
+
+    Features are stored as a C-ordered float64 matrix and labels as 0/1
+    ints, one per row; any other label is a DataError naming its row.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     encoding_map: dict = field(default_factory=dict)
     normalization_bounds: Optional[tuple[np.ndarray, np.ndarray]] = None
     provenance: Optional[str] = None
+
+    def __post_init__(self):
+        self.features = np.ascontiguousarray(self.features, dtype=float)
+        labels = np.asarray(self.labels)
+        if self.features.ndim != 2 or labels.shape != (self.features.shape[0],):
+            raise ValueError("features must be 2-D with one label per row")
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise DataError(f"row {bad[0] + 1}: label {labels[bad[0]]} is not 0 or 1")
+        self.labels = labels.astype(int, copy=False)
 
     @property
     def n_rows(self) -> int:
@@ -236,15 +250,8 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, features, labels) -> "Dataset":
-        """A dataset of C-ordered float64 features and 0/1 labels; any other label is a DataError."""
-        features = np.ascontiguousarray(features, dtype=float)
-        labels = np.asarray(labels)
-        if features.ndim != 2 or labels.shape != (features.shape[0],):
-            raise ValueError("features must be 2-D with one label per row")
-        bad = np.flatnonzero((labels != 0) & (labels != 1))
-        if bad.size:
-            raise DataError(f"row {bad[0] + 1}: label {labels[bad[0]]} is not 0 or 1")
-        return cls(features=features, labels=labels.astype(int))
+        """A dataset of ``features`` and ``labels`` with no transform state."""
+        return cls(features=features, labels=labels)
 
 
 # A line that holds only its line break, as a file opened with ``newline=""`` reads it.
@@ -389,10 +396,11 @@ def min_max_normalize(matrix, lines, bounds=None):
     mins, maxs = bounds
     span = maxs - mins
     safe_span = np.where(span > 0, span, 1.0)
-    scaled = (matrix - mins) / safe_span
+    scaled = matrix - mins  # the one temporary: each step below works in place
+    scaled /= safe_span
     scaled[:, span <= 0] = 0.0
     if not fitted:
-        scaled = np.clip(scaled, 0.0, 1.0)
+        np.clip(scaled, 0.0, 1.0, out=scaled)
     return scaled, (np.asarray(mins, dtype=float), np.asarray(maxs, dtype=float))
 
 

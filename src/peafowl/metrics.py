@@ -29,16 +29,25 @@ class ConfusionCounts:
 
     @classmethod
     def from_predictions(cls, preds, actual) -> "ConfusionCounts":
-        """Tally 0/1 predictions against 0/1 labels, 1 being attack."""
+        """Tally 0/1 predictions against 0/1 labels, 1 being attack.
+
+        Any other value is a ValueError naming the first position that holds one.
+        """
         preds, actual = np.asarray(preds), np.asarray(actual)
         if preds.shape != actual.shape:
             raise ValueError(f"{preds.shape} predictions for {actual.shape} labels")
-        return cls(
+        counts = cls(
             tp=int(np.sum((preds == 1) & (actual == 1))),
             tn=int(np.sum((preds == 0) & (actual == 0))),
             fp=int(np.sum((preds == 1) & (actual == 0))),
             fn=int(np.sum((preds == 0) & (actual == 1))),
         )
+        if counts.total != preds.size:  # some pair was counted in no cell
+            bad = np.flatnonzero(((preds != 0) & (preds != 1)) | ((actual != 0) & (actual != 1)))[0]
+            raise ValueError(
+                f"position {bad}: prediction {preds.flat[bad]} and label {actual.flat[bad]} must both be 0 or 1"
+            )
+        return counts
 
     @property
     def total(self) -> int:

@@ -5,7 +5,8 @@ split into males and females; the strongest males are dominant and take
 several mates.  A newborn combines its parents coordinate-wise and carries an
 additive mutation term.  Elitist truncation keeps the population size fixed,
 so the best solution found is never lost.  The population is an ``(n, d)``
-position matrix and an ``(n,)`` fitness vector, kept best-first.
+position matrix and an ``(n,)`` fitness vector, kept best-first; a season
+where no newborn enters returns its input arrays, not copies.
 
 Randomness discipline: every run owns a single ``numpy.random.Generator``
 seeded from ``PfmParams.seed`` and consumes from it in a fixed order, making
@@ -283,8 +284,10 @@ def run_season(
     ``population_size``, ties keeping parents in rank order, then newborns in
     birth order.  So a newborn that does not beat the worst parent is always
     dropped, and the objective gets that parent's fitness as its cutoff: a
-    dropped newborn's exact value reaches no output.  A ``tally`` list gains
-    the newborns at [0], the kept at [1].
+    dropped newborn's exact value reaches no output.  A season where no
+    newborn enters skips the sort and returns its input arrays themselves,
+    the population the sort would keep.  A ``tally`` list gains the newborns
+    at [0], the kept at [1].
     """
     positions, fitness = population
     n = params.population_size
@@ -308,10 +311,15 @@ def run_season(
         np.minimum(np.maximum(newborns, problem.domain.lower, out=newborns), problem.domain.upper, out=newborns)
     newborns = _per_row(newborns, problem, rng, transfer=binary)
 
-    pool = np.concatenate([fitness, _evaluate(problem, newborns, float(fitness[-1]))])
-    keep = _best_first(pool, problem.sense)[:n]
+    worst = float(fitness[-1])
+    values = _evaluate(problem, newborns, worst)
     if tally is not None:
         tally[0] += len(newborns)
+    if not (values.min() < worst if problem.sense == "min" else values.max() > worst):
+        return positions, fitness  # what the stable sort below would keep
+    pool = np.concatenate([fitness, values])
+    keep = _best_first(pool, problem.sense)[:n]
+    if tally is not None:
         tally[1] += int(np.count_nonzero(keep >= n))
     return np.concatenate([positions, newborns])[keep], pool[keep]
 

@@ -1,6 +1,7 @@
 """Shared test helpers: stub generators, brute-force oracles, fixture builders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,3 +189,19 @@ def toy_csv(tmp_path):
     write_toy_csv(csv_path)
     schema_path.write_text(TOY_SCHEMA_YAML)
     return csv_path, schema_path
+
+
+def traced_peak(call):
+    """Bytes that ``call()`` held at its peak beyond what was held before, as
+    tracemalloc counts them; NumPy reports its array buffers to it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

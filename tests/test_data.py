@@ -22,7 +22,7 @@ from peafowl import (
 )
 from peafowl.data import binarize_labels
 
-from conftest import NSL_SCHEMA_YAML, write_nsl_fixture, write_toy_csv
+from conftest import NSL_SCHEMA_YAML, traced_peak, write_nsl_fixture, write_toy_csv
 
 
 def first_lines(n):
@@ -339,6 +339,26 @@ class TestMinMaxNormalize:
         with pytest.raises(DataError, match="row 2, feature 1"):
             min_max_normalize(np.array([[1.0], [np.inf]]), first_lines(2))
 
+    @pytest.mark.parametrize("fitted", [True, False], ids=["fit", "apply"])
+    def test_one_temporary_same_bits_input_untouched(self, fitted):
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(0.0, 100.0, (20_000, 8))
+        matrix[:, 3] = 7.0  # a constant column
+        original = matrix.copy()
+        bounds = None if fitted else (original.min(axis=0) + 20.0, original.max(axis=0) - 20.0)
+        peak = traced_peak(lambda: min_max_normalize(matrix, first_lines(20_000), bounds))
+        scaled, _ = min_max_normalize(matrix, first_lines(20_000), bounds)
+        mins, maxs = (original.min(axis=0), original.max(axis=0)) if fitted else bounds
+        span = maxs - mins
+        want = (original - mins) / np.where(span > 0, span, 1.0)
+        want[:, span <= 0] = 0.0
+        if not fitted:
+            want = np.clip(want, 0.0, 1.0)
+        assert scaled.tobytes() == want.tobytes()
+        assert matrix.tobytes() == original.tobytes()
+        # the result, the finiteness mask (an eighth of it) and small vectors; a second temporary would double it
+        assert peak < 1.5 * matrix.nbytes
+
 
 def label_table(labels):
     """A table for ``simple_schema`` holding ``labels`` as codes in column 4."""
@@ -621,6 +641,39 @@ class TestFromArrays:
         ds = Dataset.from_arrays(x, [0, 1, 0, 1])
         assert ds.features.flags.c_contiguous and ds.features.dtype == np.float64
         assert np.array_equal(ds.features, x)
+
+
+class TestDatasetChecks:
+    """Direct construction and ``take`` get the checks that ``from_arrays`` gets."""
+
+    def test_direct_construction_rejects_label_other_than_0_or_1(self):
+        with pytest.raises(DataError, match=re.escape("row 2: label 2 is not 0 or 1")):
+            Dataset(features=np.zeros((3, 2)), labels=np.array([0, 2, 1]))
+
+    def test_direct_construction_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="features must be 2-D with one label per row"):
+            Dataset(features=np.zeros((3, 2)), labels=np.array([0, 1]))
+
+    def test_direct_construction_stores_c_ordered_float64_and_int_labels(self):
+        x = np.asfortranarray(np.arange(12).reshape(4, 3))
+        ds = Dataset(features=x, labels=np.array([0.0, 1.0, 1.0, 0.0]))
+        assert ds.features.flags.c_contiguous and ds.features.dtype == np.float64
+        assert np.array_equal(ds.features, x)
+        assert ds.labels.dtype.kind == "i" and ds.labels.tolist() == [0, 1, 1, 0]
+
+    def test_take_keeps_rows_and_transform_state(self):
+        ds = Dataset(
+            features=np.arange(8.0).reshape(4, 2),
+            labels=np.array([0, 1, 1, 0]),
+            encoding_map={1: {"tcp": 2.0}},
+            normalization_bounds=(np.zeros(2), np.ones(2)),
+            provenance="p",
+        )
+        part = ds.take(np.array([3, 1]))
+        assert part.features.tolist() == [[6.0, 7.0], [2.0, 3.0]] and part.labels.tolist() == [0, 1]
+        assert part.features.flags.c_contiguous
+        assert part.encoding_map is ds.encoding_map and part.normalization_bounds is ds.normalization_bounds
+        assert part.provenance == "p"
 
 
 class TestFolds:

@@ -51,6 +51,20 @@ class TestFromPredictions:
         with pytest.raises(ValueError, match="predictions"):
             ConfusionCounts.from_predictions([1, 0], [1, 0, 1])
 
+    @pytest.mark.parametrize(
+        "preds, actual, message",
+        [
+            ([2, 0, 1], [1, 0, 5], "position 0: prediction 2 and label 1 must both be 0 or 1"),
+            ([0, 1, 1, 0], [0, 1, -1, 0], "position 2: prediction 1 and label -1 must both be 0 or 1"),
+            ([0.0, 0.5], [0.0, 1.0], "position 1: prediction 0.5 and label 1.0 must both be 0 or 1"),
+        ],
+        ids=["two-and-five", "minus-one", "fraction"],
+    )
+    def test_value_other_than_0_or_1_rejected(self, preds, actual, message):
+        # Such a pair fell into no cell: the first case counted 1 of 3 rows.
+        with pytest.raises(ValueError, match=message):
+            ConfusionCounts.from_predictions(preds, actual)
+
 
 class TestValidation:
     def test_negative_counts_rejected(self):

@@ -209,6 +209,50 @@ class TestRunSeason:
         with pytest.raises(ValueError, match="population of size"):
             run_season((positions[:-1], fitness[:-1]), params, problem, np.random.default_rng(0))
 
+    @staticmethod
+    def _entry_season(sense, newborn_values):
+        """One season from fitness 0..9 (negated for "max"), newborns valued by ``newborn_values(worst, rows)``.
+
+        Returns the parents, the result, the newborn rows and the tally.
+        """
+        sign = 1.0 if sense == "min" else -1.0
+        positions = np.random.default_rng(0).uniform(-1.0, 1.0, (10, 3))
+        fitness = sign * np.arange(10.0)
+        born = []
+
+        def objective(x, cutoff):
+            born.append(x.copy())
+            return sign * newborn_values(sign * cutoff, len(x))
+
+        problem = Problem(3, ContinuousBox(np.full(3, -1.0), np.full(3, 1.0)), objective, sense=sense)
+        tally = [0, 0]
+        out = run_season((positions, fitness), PfmParams(population_size=10), problem, np.random.default_rng(0), tally)
+        return (positions, fitness), out, born[0], tally
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    @pytest.mark.parametrize(
+        "newborn_values",
+        [lambda worst, m: np.full(m, worst), lambda worst, m: worst + np.arange(m) % 2],
+        ids=["all-tie", "tie-or-lose"],
+    )
+    def test_season_without_an_entrant_returns_its_input(self, sense, newborn_values):
+        (positions, fitness), out, born, tally = self._entry_season(sense, newborn_values)
+        parent_bytes = positions.tobytes(), fitness.tobytes()
+        assert out[0] is positions and out[1] is fitness
+        assert (out[0].tobytes(), out[1].tobytes()) == parent_bytes
+        assert tally == [len(born), 0] and len(born) > 1
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_newborn_tying_the_worst_parent_does_not_enter(self, sense):
+        # The first newborn beats five parents and takes the worst one's place; the rest tie it and stay out.
+        (positions, fitness), out, born, tally = self._entry_season(
+            sense, lambda worst, m: np.r_[4.5, np.full(m - 1, worst)]
+        )
+        sign = 1.0 if sense == "min" else -1.0
+        assert out[1].tobytes() == (sign * np.array([0, 1, 2, 3, 4, 4.5, 5, 6, 7, 8])).tobytes()
+        assert out[0].tobytes() == np.vstack([positions[:5], born[:1], positions[5:9]]).tobytes()
+        assert tally == [len(born), 1] and len(born) > 1
+
 
 # Initialization and a season in per-child Python, drawing in the documented
 # order (np.clip, Python's stable sort): the reference that initialize_population
@@ -329,6 +373,25 @@ class TestSeasonMatchesReference:
         params = PfmParams(population_size=30, dominance_factor=0.3)
         _, newborns = twenty_seasons_match_reference(season_cases()[case], params, 30)
         assert newborns > 18 * 21
+
+    @pytest.mark.parametrize("case", list(season_cases()))
+    def test_seasons_compared_take_both_branches(self, case):
+        # The 20 seasons that each comparison above checks, at the same sizes and seeds,
+        # include seasons that return their input (no newborn enters) and seasons that merge.
+        problem = season_cases()[case]
+        returned_input = merged = 0
+        for n in (4, 7, 30):
+            params = PfmParams(population_size=n)
+            rng = np.random.default_rng(n)
+            population = initialize_population(problem, params, rng)
+            for _ in range(20):
+                out = run_season(population, params, problem, rng)
+                if out[0] is population[0] and out[1] is population[1]:
+                    returned_input += 1
+                else:
+                    merged += 1
+                population = out
+        assert returned_input > 0 and merged > 0
 
     def test_mate_matches_reference(self):
         rng = np.random.default_rng(3)

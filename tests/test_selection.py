@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,14 @@ from peafowl import (
 )
 from peafowl import selection
 
-from conftest import confusion_oracle, knn_exact_reference, knn_oracle, planted_dataset, two_cluster_dataset
+from conftest import (
+    confusion_oracle,
+    knn_exact_reference,
+    knn_oracle,
+    planted_dataset,
+    traced_peak,
+    two_cluster_dataset,
+)
 
 
 class TestFeatureSubset:
@@ -645,22 +651,6 @@ class TestKnnGroupStarts:
         assert all((part == k + 1).all() for part in candidates)
 
 
-def _traced_peak(call):
-    """Bytes that ``call()`` held at its peak beyond what was held before, as
-    tracemalloc counts them; NumPy reports its array buffers to it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def wide_table():
     """A 50,000 x 41 table (16.4 MB of float64) and 30 queries."""
@@ -695,7 +685,7 @@ class TestKnnMemory:
         monkeypatch.setattr(selection, "_MIN_BLOCK", 1)
         x, y, queries = wide_table
         train = Dataset.from_arrays(x, y)
-        assert _traced_peak(lambda: knn_classify(train, queries, 5)) < x.nbytes
+        assert traced_peak(lambda: knn_classify(train, queries, 5)) < x.nbytes
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("columns", [None, [1, 2, 3, 4, 5]], ids=["all", "mask5"])
@@ -712,7 +702,7 @@ class TestKnnMemory:
         mask = None if columns is None else FeatureSubset.from_indices(columns, 41)
         copied = columns is not None  # from_arrays stores either order C-ordered, used as it is
         budget = _knn_budget(x.shape[0], queries.shape[0], used, key, copied)
-        assert _traced_peak(lambda: knn_classify(train, queries, 5, mask)) <= budget
+        assert traced_peak(lambda: knn_classify(train, queries, 5, mask)) <= budget
 
 
 _WRONG_MASKS = {"short": [1.0, 0.0, 1.0], "long": [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]}
