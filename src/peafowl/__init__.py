@@ -1,50 +1,16 @@
 """Peafowl-mating metaheuristic with a benchmark suite and wrapper feature selection."""
 
-from .benchmarks import (
-    BENCHMARKS,
-    BenchmarkFunction,
-    evaluate_benchmark,
-    get_benchmark,
-    make_problem,
-)
-from .data import (
-    Dataset,
-    FoldPlan,
-    RawTable,
-    TableSchema,
-    build_dataset,
-    frequency_encode,
-    load_csv,
-    load_dataset,
-    make_folds,
-    min_max_normalize,
-)
-from .errors import ConfigError, DataError, EvaluationError, PeafowlError
-from .metrics import ConfusionCounts, MetricsReport, compute_metrics
-from .optimizer import (
-    Binary,
-    ContinuousBox,
-    Peafowl,
-    PfmParams,
-    Problem,
-    RunTrace,
-    attractiveness,
-    initialize_population,
-    mate,
-    optimize,
-    run_season,
-    split_population,
-)
-from .selection import (
-    FeatureSubset,
-    WrapperFitnessSpec,
-    cross_validate,
-    evaluate_subset,
-    knn_classify,
-    select_features,
-    subset_fitness,
-    top_subsets,
-)
-from .transfer import binarize, transfer_s
+from . import benchmarks, data, errors, metrics, optimizer, selection, transfer
+from .benchmarks import *  # noqa: F403
+from .data import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .optimizer import *  # noqa: F403
+from .selection import *  # noqa: F403
+from .transfer import *  # noqa: F403
+
+__all__ = [
+    name for module in (benchmarks, data, errors, metrics, optimizer, selection, transfer) for name in module.__all__
+]
 
 __version__ = "0.1.0"

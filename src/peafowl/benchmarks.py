@@ -258,34 +258,30 @@ class BenchmarkFunction:
     noisy: bool = False
 
 
-_SPECS = [
-    ("F1", 30, -100, 100, 0.0, _f1, False),
-    ("F2", 30, -10, 10, 0.0, _f2, False),
-    ("F3", 30, -100, 100, 0.0, _f3, False),
-    ("F4", 30, -100, 100, 0.0, _f4, False),
-    ("F5", 30, -5, 10, 0.0, _f5, False),
-    ("F6", 30, -100, 100, 0.0, _f6, False),
-    ("F7", 30, -1.28, 1.28, 0.0, _f7, True),
-    ("F8", 30, -500, 500, -418.9892 * 30, _f8, False),
-    ("F9", 30, -5.12, 5.12, 0.0, _f9, False),
-    ("F10", 30, -32, 32, 0.0, _f10, False),
-    ("F11", 30, -600, 600, 0.0, _f11, False),
-    ("F12", 30, -50, 50, 0.0, _f12, False),
-    ("F13", 30, -50, 50, 0.0, _f13, False),
-    ("F14", 2, -65, 65, 1.0, _f14, False),
-    ("F15", 4, -5, 5, 0.00030, _f15, False),
-    ("F16", 2, -5, 5, -1.0316, _f16, False),
-    ("F17", 2, -5, 5, 0.398, _f17, False),
-    ("F18", 2, -2, 2, 3.0, _f18, False),
-    ("F19", 3, 0, 1, -3.86, _f19, False),
-    ("F20", 6, 0, 1, -3.32, _f20, False),
-    ("F21", 4, 0, 10, -10.1532, _f21, False),
-    ("F22", 4, 0, 10, -10.4028, _f22, False),
-    ("F23", 4, 0, 10, -10.5363, _f23, False),
-]
-
 BENCHMARKS: dict[str, BenchmarkFunction] = {
-    name: BenchmarkFunction(dim, lo, hi, fmin, fn, noisy) for name, dim, lo, hi, fmin, fn, noisy in _SPECS
+    "F1": BenchmarkFunction(30, -100, 100, 0.0, _f1),
+    "F2": BenchmarkFunction(30, -10, 10, 0.0, _f2),
+    "F3": BenchmarkFunction(30, -100, 100, 0.0, _f3),
+    "F4": BenchmarkFunction(30, -100, 100, 0.0, _f4),
+    "F5": BenchmarkFunction(30, -5, 10, 0.0, _f5),
+    "F6": BenchmarkFunction(30, -100, 100, 0.0, _f6),
+    "F7": BenchmarkFunction(30, -1.28, 1.28, 0.0, _f7, noisy=True),
+    "F8": BenchmarkFunction(30, -500, 500, -418.9892 * 30, _f8),
+    "F9": BenchmarkFunction(30, -5.12, 5.12, 0.0, _f9),
+    "F10": BenchmarkFunction(30, -32, 32, 0.0, _f10),
+    "F11": BenchmarkFunction(30, -600, 600, 0.0, _f11),
+    "F12": BenchmarkFunction(30, -50, 50, 0.0, _f12),
+    "F13": BenchmarkFunction(30, -50, 50, 0.0, _f13),
+    "F14": BenchmarkFunction(2, -65, 65, 1.0, _f14),
+    "F15": BenchmarkFunction(4, -5, 5, 0.00030, _f15),
+    "F16": BenchmarkFunction(2, -5, 5, -1.0316, _f16),
+    "F17": BenchmarkFunction(2, -5, 5, 0.398, _f17),
+    "F18": BenchmarkFunction(2, -2, 2, 3.0, _f18),
+    "F19": BenchmarkFunction(3, 0, 1, -3.86, _f19),
+    "F20": BenchmarkFunction(6, 0, 1, -3.32, _f20),
+    "F21": BenchmarkFunction(4, 0, 10, -10.1532, _f21),
+    "F22": BenchmarkFunction(4, 0, 10, -10.4028, _f22),
+    "F23": BenchmarkFunction(4, 0, 10, -10.5363, _f23),
 }
 
 

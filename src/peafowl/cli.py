@@ -20,7 +20,10 @@ stderr) and every output directory receives a manifest echoing the
 effective value of exactly the settings ``_COMMAND_KEYS`` lists for its
 command, so a run can be reproduced byte-for-byte from it.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 runtime error.
+Exit codes: 0 success; 2 usage/config error, an ``--out`` that cannot be made
+a directory included; 3 data error, such as an input file that cannot be read
+or is not UTF-8; 4 runtime error, a result file that cannot be written
+included.
 """
 
 from __future__ import annotations
@@ -208,9 +211,15 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> 
 
 
 def _out_dir(config: dict) -> Path:
-    """Create ``--out``; a command calls it once its settings and inputs have passed their checks."""
+    """Create ``--out``; a command calls it once its settings and inputs have passed their checks.
+
+    A path that cannot be made a directory is a ConfigError.
+    """
     path = Path(config["out"])
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
@@ -433,7 +442,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         log.error("%s", exc)
         return 3
-    except (EvaluationError, ValueError, ArithmeticError) as exc:
+    except (EvaluationError, ValueError, ArithmeticError, OSError) as exc:  # OSError: a result write failed
         log.error("%s", exc)
         return 4
 

@@ -21,7 +21,7 @@ import hashlib
 import itertools
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -66,11 +66,12 @@ def read_yaml_settings(path, kind: str, types: dict, required=(), unreadable=Con
     entries' types (entries come back as a tuple; null stays None).  Types
     are compared with ``type()``, so a YAML bool never passes as an int; an
     int passes as a float, widened.  Each fault is a ``ConfigError`` naming
-    the file and the key, except an unreadable file, which raises ``unreadable``.
+    the file and the key, except a file that cannot be read or is not UTF-8,
+    which raises ``unreadable``.
     """
     try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except OSError as exc:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise unreadable(f"cannot read {kind} file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{kind} file {path} is not valid YAML: {exc}") from exc
@@ -240,13 +241,7 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         """Row subset sharing this dataset's transform state."""
-        return Dataset(
-            features=self.features[rows],
-            labels=self.labels[rows],
-            encoding_map=self.encoding_map,
-            normalization_bounds=self.normalization_bounds,
-            provenance=self.provenance,
-        )
+        return replace(self, features=self.features[rows], labels=self.labels[rows])
 
     @classmethod
     def from_arrays(cls, features, labels) -> "Dataset":
@@ -265,16 +260,19 @@ def load_csv(path, schema: TableSchema) -> RawTable:
     per cell; other cells become codes (see ``RawTable``).  Blank lines are
     skipped and every other row must be ``schema.column_count`` wide.  A
     quoted cell may span lines and keeps its line breaks, as in ``csv``.
+    The file is read as UTF-8.
     """
     path = Path(path)
     try:
         # Untranslated, as ``csv`` reads: lines end at "\r\n", "\r" or "\n" and keep
         # that ending, so a quoted cell keeps its own.  A form feed or U+2028 is
         # cell data (str.splitlines would break there).
-        with path.open(newline="") as handle:
+        with path.open(newline="", encoding="utf-8") as handle:
             text_lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _decode_error(path) from exc
     blank = np.fromiter(map(_BLANK.__contains__, text_lines), dtype=bool, count=len(text_lines))
     lines = np.flatnonzero(~blank) + 1
     if lines.size == 0:
@@ -307,6 +305,22 @@ def load_csv(path, schema: TableSchema) -> RawTable:
         matrix[:, c] = recode[matrix[:, c].astype(np.intp)]
         cells[c] = tuple(stripped)
     return RawTable(values=matrix, cells=cells, lines=lines)
+
+
+def _decode_error(path: Path) -> DataError:
+    """The error for a file that is not UTF-8, naming the 1-based line of its first bad byte.
+
+    The reader's error places that byte in the chunk it decoded, not in the
+    file, so only this error path decodes the whole file again.
+    """
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return DataError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8")
+    return DataError(f"{path}: not UTF-8")
 
 
 def _records(text_lines):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["PeafowlError", "ConfigError", "DataError", "EvaluationError"]
+
 
 class PeafowlError(Exception):
     """Base class for package-specific failures."""

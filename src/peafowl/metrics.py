@@ -6,7 +6,7 @@ is zero is reported as None (rendered "NA"), never as 0 or NaN.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -22,10 +22,10 @@ class ConfusionCounts:
     fn: int = 0
 
     def __post_init__(self):
-        for name in ("tp", "tn", "fp", "fn"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if type(v) is not int or v < 0:  # type(), not isinstance: a bool is not a count
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+                raise ValueError(f"{f.name} must be a non-negative integer, got {v!r}")
 
     @classmethod
     def from_predictions(cls, preds, actual) -> "ConfusionCounts":
@@ -54,12 +54,7 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            tp=self.tp + other.tp,
-            tn=self.tn + other.tn,
-            fp=self.fp + other.fp,
-            fn=self.fn + other.fn,
-        )
+        return ConfusionCounts(*map(sum, zip(astuple(self), astuple(other))))
 
 
 @dataclass(frozen=True)

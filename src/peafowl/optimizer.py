@@ -170,11 +170,20 @@ class RunTrace:
     """
 
     best_per_iteration: list[float]
-    best_solution: Peafowl
-    evaluations: int
     final_population: Population
     newborns: list[int]
     survivors: list[int]
+
+    @property
+    def best_solution(self) -> Peafowl:
+        """Row 0 of the best-first final population, its position a copy."""
+        positions, fitness = self.final_population
+        return Peafowl(positions[0].copy(), float(fitness[0]))
+
+    @property
+    def evaluations(self) -> int:
+        """Objective calls: the initial population, then every newborn."""
+        return len(self.final_population[1]) + sum(self.newborns)
 
 
 def attractiveness(d, params: PfmParams):
@@ -342,12 +351,4 @@ def optimize(problem: Problem, params: PfmParams) -> RunTrace:
         newborns.append(tally[0])
         survivors.append(tally[1])
 
-    positions, fitness = population
-    return RunTrace(
-        best_per_iteration=best_per_iteration,
-        best_solution=Peafowl(position=positions[0].copy(), fitness=float(fitness[0])),
-        evaluations=params.population_size + sum(newborns),
-        final_population=population,
-        newborns=newborns,
-        survivors=survivors,
-    )
+    return RunTrace(best_per_iteration, population, newborns, survivors)

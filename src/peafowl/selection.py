@@ -390,17 +390,17 @@ def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
     keep[held] = False
     fit = np.flatnonzero(keep)
     if fit.size == 0 or held.size == 0:
-        raise ValueError("degenerate holdout split: one side is empty")
+        raise DataError("degenerate holdout split: one side is empty")
     return _Holdout(train.take(fit), train.take(held), np.zeros(held.size, dtype=int))
 
 
 def subset_fitness(
-    mask: FeatureSubset,
+    mask: Optional[FeatureSubset],
     train: Dataset | _Holdout,
     spec: WrapperFitnessSpec,
     cutoff: Optional[float] = None,
 ) -> float:
-    """Holdout accuracy in [0, 1] of KNN restricted to the masked columns.
+    """Holdout accuracy in [0, 1] of KNN restricted to the masked columns (None: all).
 
     ``train`` is a :class:`Dataset`, split by ``spec``, or the split that
     :func:`select_features` makes once per run.  With a ``cutoff``, scoring
@@ -437,7 +437,7 @@ def select_features(
 ) -> tuple[FeatureSubset, RunTrace]:
     """Search feature masks maximizing wrapper fitness; returns best + trace."""
     if train.n_features < 2:
-        raise ValueError("need at least 2 features to select from")
+        raise DataError("need at least 2 features to select from")
     if np.unique(train.labels).size < 2:
         raise DataError("training data contains a single class")
     resolved = spec if spec.split_seed is not None else replace(spec, split_seed=params.seed)

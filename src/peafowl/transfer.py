@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import DataError
 
+__all__ = ["transfer_s", "binarize"]
+
 # float64 tanh rounds to exactly 1.0 for |x| >~ 19; keep the open upper bound.
 _S_MAX = np.nextafter(1.0, 0.0)
 

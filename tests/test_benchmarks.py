@@ -17,6 +17,7 @@ from peafowl import (
 class TestRegistry:
     def test_twenty_three_functions(self):
         assert list(BENCHMARKS) == [f"F{i}" for i in range(1, 24)]
+        assert [name for name, bench in BENCHMARKS.items() if bench.noisy] == ["F7"]
 
     def test_dimensions_and_ranges(self):
         assert all(BENCHMARKS[f"F{i}"].dimension == 30 for i in range(1, 14))

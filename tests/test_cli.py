@@ -423,6 +423,56 @@ def test_unreadable_config_exits_2_and_unreadable_schema_exits_3(files, flag, st
     assert f"cannot read {flag[2:]} file {unreadable}" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "flag, status, text",
+    [
+        ("--config", 2, b"seed: 1\n# caf\xe9\n"),
+        ("--schema", 3, TOY_SCHEMA_YAML.encode() + b"# caf\xe9\n"),
+        ("--train", 3, b"0.5,caf\xe9,1.0,normal\n"),
+    ],
+    ids=["config", "schema", "train"],
+)
+def test_input_not_utf8_exits_2_for_config_and_3_for_data(files, flag, status, text, caplog):
+    path = files["tmp"] / "latin1"
+    path.write_bytes(text)
+    paths = {"--train": files["train"], "--schema": files["schema"], flag: str(path)}
+    argv = ["cv", *(item for pair in paths.items() for item in pair)]
+    assert run(*argv, out=files["tmp"] / "out") == status
+    assert str(path) in caplog.text and "0xe9" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "rows, schema, message",
+    [
+        ("0.1,normal\n0.9,anomaly\n0.2,normal\n0.8,anomaly\n", "column_count: 2\nlabel_column: 1\n",
+         "need at least 2 features to select from"),
+        ("0.1,tcp,1.0,normal\n0.9,udp,2.0,anomaly\n", TOY_SCHEMA_YAML, "degenerate holdout split"),
+    ],
+    ids=["one-feature", "two-rows"],
+)
+def test_select_table_faults_exit_3(files, rows, schema, message, caplog):
+    (files["tmp"] / "t.csv").write_text(rows)
+    (files["tmp"] / "t.yaml").write_text(schema)
+    argv = ["select", "--train", str(files["tmp"] / "t.csv"), "--schema", str(files["tmp"] / "t.yaml")]
+    assert run(*argv, "--iterations", "1", out=files["tmp"] / "out") == 3
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["existing-file", "below-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2(files, out, caplog):
+    (files["tmp"] / "afile").write_text("kept\n")
+    assert run("bench", "--functions", "F1", "--runs", "1", out=files["tmp"] / out) == 2
+    assert f"cannot create output directory {files['tmp'] / out}" in caplog.text
+    assert (files["tmp"] / "afile").read_text() == "kept\n"
+
+
+def test_result_that_cannot_be_written_exits_4(files, caplog):
+    out = files["tmp"] / "out"
+    (out / "results.csv").mkdir(parents=True)
+    assert run("bench", "--functions", "F1", "--runs", "1", "--iterations", "1", out=out) == 4
+    assert str(out / "results.csv") in caplog.text
+
+
 def test_missing_train_file_exits_3(files):
     missing = str(files["tmp"] / "missing.csv")
     assert run("cv", "--train", missing, "--schema", files["schema"], out=files["tmp"] / "out") == 3

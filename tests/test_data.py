@@ -68,6 +68,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot read"):
             load_csv(tmp_path / "nope.csv", simple_schema())
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (b"1,caf\xe9,2,3,normal\n", 1),
+            (b"1,tcp,2,3,normal\r\n\r\n4,udp,5,6,normal\r7,caf\xe9,8,9,normal\n", 4),
+            # past the reader's first chunk: the line counts from the start of the file
+            (b"1,tcp,2,3,normal\n" * 2000 + b"4,caf\xe9,5,6,normal\n", 2001),
+        ],
+        ids=["first-line", "mixed-line-breaks", "later-chunk"],
+    )
+    def test_byte_not_utf8_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))}: line {line}: byte 0xe9 is not UTF-8"):
+            load_csv(path, simple_schema())
+
 
 # label, numeric, categorical, numeric, ignored, numeric: features 1-4 are CSV columns 1, 2, 3 and 5
 EDGE_SCHEMA = TableSchema(column_count=6, label_column=0, categorical_columns=(2,), ignored_columns=(4,))
@@ -479,6 +495,12 @@ class TestSchema:
     def test_unreadable_yaml_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read schema file"):
             TableSchema.from_yaml(tmp_path)  # a directory
+
+    def test_yaml_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "schema.yaml"
+        path.write_bytes(b"column_count: 2\nlabel_column: 1\nnormal_labels: [caf\xe9]\n")
+        with pytest.raises(DataError, match=f"cannot read schema file {re.escape(str(path))}: .*0xe9"):
+            TableSchema.from_yaml(path)
 
     @pytest.mark.parametrize(
         "fields, message",

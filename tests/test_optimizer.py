@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -10,6 +11,7 @@ from peafowl import (
     EvaluationError,
     PfmParams,
     Problem,
+    RunTrace,
     attractiveness,
     initialize_population,
     mate,
@@ -521,6 +523,19 @@ class TestOptimize:
         trace = optimize(problem, params)
         assert trace.evaluations == calls
         assert trace.evaluations > params.population_size
+
+    def test_trace_holds_four_fields_and_derives_its_best_and_evaluations(self):
+        params = PfmParams(population_size=10, max_iterations=5, seasons_per_iteration=2, seed=4)
+        trace = optimize(sphere_problem(dim=3), params)
+        names = [f.name for f in dataclasses.fields(RunTrace)]
+        assert names == ["best_per_iteration", "final_population", "newborns", "survivors"]
+        positions, fitness = trace.final_population
+        best = trace.best_solution
+        assert best.position.tobytes() == positions[0].tobytes() and best.fitness == fitness[0]
+        assert type(best.fitness) is float and not np.shares_memory(best.position, positions)
+        best.position[:] = 1e9  # a copy: the final population keeps its row 0
+        assert trace.best_solution.position.tobytes() == positions[0].tobytes()
+        assert trace.evaluations == params.population_size + sum(trace.newborns)
 
     def test_newborns_and_survivors_per_iteration(self):
         params = PfmParams(population_size=30, max_iterations=50, seasons_per_iteration=3, seed=0)

@@ -818,7 +818,7 @@ class TestSubsetFitness:
 
     def test_one_row_per_class_leaves_nothing_to_fit(self):
         ds = Dataset.from_arrays(np.array([[0.0], [1.0]]), [0, 1])
-        with pytest.raises(ValueError, match="degenerate holdout split"):
+        with pytest.raises(DataError, match="degenerate holdout split"):
             selection._holdout_split(ds, WrapperFitnessSpec(split_seed=0))
 
     def test_bad_spec_rejected(self):
@@ -947,7 +947,7 @@ class TestSelectFeatures:
 
     def test_single_feature_rejected(self):
         ds = Dataset.from_arrays(np.random.default_rng(0).random((20, 1)), np.arange(20) % 2)
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(DataError, match="at least 2"):
             select_features(ds, self.PARAMS, WrapperFitnessSpec())
 
     def test_top_subsets_distinct_and_ordered(self):
