@@ -18,7 +18,11 @@ file: ``dedup`` (a bool or null; when set, it replaces the schema's
 only ``select`` reads.  Results are written to files only (logs go to
 stderr) and every output directory receives a manifest echoing the
 effective value of exactly the settings ``_COMMAND_KEYS`` lists for its
-command, so a run can be reproduced byte-for-byte from it.
+command, so a run can be reproduced byte-for-byte from it.  Wall times
+vary between runs, so they go to ``timings.csv`` apart from the files a
+rerun reproduces: ``bench`` writes one row per function, and ``eval`` one
+per evaluated row, the classify time of ``selected`` and, under
+``--baseline``, of ``all_features``.
 
 Exit codes: 0 success; 2 usage/config error, an ``--out`` that cannot be made
 a directory included; 3 data error, such as an input file that cannot be read
@@ -38,7 +42,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -179,9 +183,15 @@ def _from_config(cls, config: dict):
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``NAME.tmp``, then move it onto ``path``; a failed write leaves no temporary."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:
+        with suppress(OSError):  # the write's own error is the one to report
+            tmp.unlink()
+        raise
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -378,9 +388,11 @@ def cmd_eval(config: dict) -> int:
         requested.append(("all_features", None))
     out = _out_dir(config)
 
-    entries = []
+    entries, timings = [], []
     for label, row_mask in requested:
+        started = time.perf_counter()
         counts = evaluate_subset(row_mask, train, test, k)
+        timings.append([label, (time.perf_counter() - started) * 1000.0])
         features = "all" if row_mask is None else ",".join(map(str, row_mask.indices))
         entries.append(
             {"label": label, "features": features, "k_neighbors": k,
@@ -392,6 +404,7 @@ def cmd_eval(config: dict) -> int:
         [[e["label"], e["features"], e["k_neighbors"], *_metric_cells(e)] for e in entries],
     )
     _write_json(out / "results.json", entries)
+    _write_csv(out / "timings.csv", ["label", "wall_ms"], timings)
     _write_manifest(out, "eval", config, inputs)
     return 0
 

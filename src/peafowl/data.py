@@ -11,22 +11,23 @@ scaled into [0, 1], and labels are binarized to 0 = normal, 1 =
 anomaly/attack.  Encoding maps and scaling bounds are fit on training data
 only and reused verbatim at test time; a provenance hash ties train/test
 datasets to one transform.  The schema alone decides whether repeated rows,
-equal in every parsed value and stripped cell, are dropped.
+equal in every parsed value and stripped cell, are dropped.  PyYAML,
+``csv``, ``hashlib`` and ``json`` are imported by the functions that use
+them, so ``import peafowl`` loads none of them.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import itertools
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
+
+# yaml, csv, hashlib and json are imported where they are used: together they cost
+# about a fifth of `import peafowl`, and an optimizer or selection run calls none of them.
 
 from .errors import ConfigError, DataError
 
@@ -69,6 +70,8 @@ def read_yaml_settings(path, kind: str, types: dict, required=(), unreadable=Con
     the file and the key, except a file that cannot be read or is not UTF-8,
     which raises ``unreadable``.
     """
+    import yaml
+
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -169,6 +172,9 @@ class TableSchema:
         return cls(**raw)
 
     def fingerprint(self) -> str:
+        import hashlib
+        import json
+
         payload = {
             "column_count": self.column_count,
             "label_column": self.label_column,
@@ -325,6 +331,8 @@ def _decode_error(path: Path) -> DataError:
 
 def _records(text_lines):
     """``(first line, cells)`` of each non-empty CSV record, read by ``csv``."""
+    import csv
+
     reader = csv.reader(text_lines)
     line = 1
     for row in reader:
@@ -450,6 +458,9 @@ def _dedup(table: RawTable) -> RawTable:
 
 
 def _provenance(schema: TableSchema, encoding: dict, bounds) -> str:
+    import hashlib
+    import json
+
     digest = hashlib.sha256()
     digest.update(schema.fingerprint().encode())
     digest.update(json.dumps({str(k): sorted(v.items()) for k, v in encoding.items()}, sort_keys=True).encode())

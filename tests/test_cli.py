@@ -154,6 +154,17 @@ def test_eval_baseline_rows_parse(files):
     ]
 
 
+@pytest.mark.parametrize("flag, labels", [([], ["selected"]), (["--baseline"], ["selected", "all_features"])])
+def test_eval_times_each_evaluated_row(files, flag, labels):
+    out = files["tmp"] / "eval"
+    argv = ["eval", "--train", files["train"], "--test", files["test"], "--schema", files["schema"]]
+    assert run(*argv, "--features", "2,3", *flag, out=out) == 0
+    rows = list(csv.DictReader((out / "timings.csv").read_text().splitlines()))
+    assert [row["label"] for row in rows] == labels
+    assert all(float(row["wall_ms"]) >= 0 for row in rows)
+    assert list(rows[0]) == ["label", "wall_ms"]
+
+
 @pytest.mark.parametrize("flag, rows", [([], 2), (["--no-baseline"], 1), (["--baseline"], 2)])
 def test_no_baseline_overrides_the_config(files, flag, rows):
     config = write_config(files, "baseline: true\n")
@@ -471,6 +482,7 @@ def test_result_that_cannot_be_written_exits_4(files, caplog):
     (out / "results.csv").mkdir(parents=True)
     assert run("bench", "--functions", "F1", "--runs", "1", "--iterations", "1", out=out) == 4
     assert str(out / "results.csv") in caplog.text
+    assert [path.name for path in out.iterdir()] == ["results.csv"]  # no results.csv.tmp left behind
 
 
 def test_missing_train_file_exits_3(files):

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 
 import peafowl
 
@@ -32,3 +36,33 @@ def test_root_keeps_every_earlier_export():
     assert len(EARLIER_EXPORTS) == 44
     assert set(EARLIER_EXPORTS) <= set(peafowl.__all__)
     assert set(peafowl.__all__) - set(EARLIER_EXPORTS) == {"binarize_labels", "read_yaml_settings"}
+
+
+# A fresh interpreter, so that no earlier test has loaded a module already.
+LAZY_IMPORTS = textwrap.dedent(
+    """
+    import sys
+    import numpy
+    before = set(sys.modules)
+    import peafowl
+    loaded = sorted({"yaml", "csv", "hashlib", "json"} & (set(sys.modules) - before))
+    assert not loaded, f"import peafowl loaded {loaded}"
+    schema_path, csv_path = sys.argv[1:]
+    schema = peafowl.TableSchema.from_yaml(schema_path)
+    table = peafowl.load_csv(csv_path, schema)
+    assert table.lines.tolist() == [1, 3] and table.cells[1] == ("tc\\np", "udp")
+    data = peafowl.build_dataset(table, schema)
+    assert data.features.shape == (2, 2) and data.labels.tolist() == [0, 1] and len(data.provenance) == 64
+    assert {"yaml", "csv", "hashlib", "json"} <= set(sys.modules)
+    """
+)
+
+
+def test_import_loads_no_yaml_csv_hashlib_or_json_until_used(tmp_path):
+    schema = tmp_path / "schema.yaml"
+    schema.write_text("column_count: 3\nlabel_column: 2\ncategorical_columns: [1]\n")
+    table = tmp_path / "table.csv"
+    table.write_text('0.1,"tc\np",normal\n0.9,udp,attack\n')  # a cell spanning lines: load_csv reads it with csv
+    src = os.path.dirname(os.path.dirname(peafowl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", LAZY_IMPORTS, str(schema), str(table)], env=env, check=True)
