@@ -24,6 +24,13 @@ rerun reproduces: ``bench`` writes one row per function, and ``eval`` one
 per evaluated row, the classify time of ``selected`` and, under
 ``--baseline``, of ``all_features``.
 
+``select`` reports as ``fitness`` the search's own holdout score: KNN
+accuracy on the held-out rows on which it scored every mask.  The best of
+many masks scored on the same rows is biased upward, so this number is
+optimistic by construction, not an estimate of test accuracy; ``eval`` on a
+separate test file gives one.  ``cv`` of a selected mask on the table it was
+selected on is optimistic too.
+
 Exit codes: 0 success; 2 usage/config error, an ``--out`` that cannot be made
 a directory included; 3 data error, such as an input file that cannot be read
 or is not UTF-8; 4 runtime error, a result file that cannot be written
@@ -371,7 +378,11 @@ def cmd_select(config: dict) -> int:
         [[i, v] for i, v in enumerate(trace.best_per_iteration)],
     )
     _write_manifest(out, "select", config, inputs)
-    log.info("select: best subset has %d features (fitness %.4f)", best["n_features"], best["fitness"])
+    log.info(
+        "select: best subset has %d features (fitness %.4f); fitness is the search's own holdout score, "
+        "optimistic by construction, not an estimate of test accuracy",
+        best["n_features"], best["fitness"],
+    )
     return 0
 
 

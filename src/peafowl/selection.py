@@ -19,13 +19,17 @@ the elementwise minimum of equal slabs of the query's column, and the
 shortlist is every row within a rounding slack of that bound, derived for
 the key's dtype including the rounding of its inputs and underflow.  It
 holds every row at or below the exact k-th distance, and at least k rows,
-so a query with exactly k candidates takes them as its k nearest, ties
-included; only a longer shortlist is re-ranked by the exact sum.  So the
-key's precision never decides a neighbor, and predictions do not depend on
-it.  Every KNN call runs through ``_knn_predict``, which alone checks its
-inputs and sizes its query blocks.  Besides its blocks of keys, a call holds
-the used training columns, C-ordered and in float64 (a C-ordered table
-without a mask is used as it is), and ``[t, |t|^2]`` in the key's dtype.
+so a query's k nearest, ties included, are among its candidates.  Only a
+shortlist whose labels leave the vote open is re-ranked by the exact sum:
+one in which the attack rows could make half of k and the normal rows more
+than half.  Any other, such as every shortlist of exactly k rows, votes by
+its candidates' labels alone (a classifier needs the majority, not the
+ranking; Liu, Moore & Gray 2006).  So the key's precision never decides a
+neighbor, and predictions do not depend on it.  Every KNN call runs through
+``_knn_predict``, which alone checks its inputs and sizes its query blocks.
+Besides its blocks of keys, a call holds the used training columns,
+C-ordered and in float64 (a C-ordered table without a mask is used as it
+is), and ``[t, |t|^2]`` in the key's dtype.
 :func:`select_features` splits the table into fit and holdout rows once per
 run and scores every mask on that split.
 
@@ -183,10 +187,12 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     query's ``[-2q, 1]`` and slack, so a caller may stop after any block at
     the cost of the blocks it drew.  Per block it forms the key, training
     rows by queries, then the bound and the shortlist, whose candidates come
-    ordered by training row, then query.  A query with exactly k candidates
-    votes with them as they are; only longer shortlists are grouped by
-    query, get exact distances from rows that ``np.take`` gathers, and a
-    sort, after which each query's k nearest are the first k of its group.
+    ordered by training row, then query.  A query whose candidates' labels
+    settle the vote, as exactly k candidates always do, votes with them as
+    they are; only the shortlists whose labels leave the vote open are
+    grouped by query, get exact distances from rows that ``np.take``
+    gathers, and a sort, after which each query's k nearest are the first k
+    of its group.  A block with no open query skips all three.
 
     Memory held: the training columns, which are the table itself for
     ``mask=None`` on a C-ordered table and one copy otherwise; ``[t, |t|^2]``,
@@ -295,10 +301,8 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
         # the count: the k cells behind the k smallest group minima have keys
         # at most bound, so they are kept, and the shortlist holds at least k
         # rows.  It also holds every row whose exact distance is at most the
-        # exact k-th one, and there are at least k of those.  So a shortlist
-        # of exactly k rows holds those rows and no other: it is the k
-        # nearest, no tie at the k-th distance reaches past it, and their
-        # order cannot change the vote.
+        # exact k-th one, and there are at least k of those.  So it holds the
+        # k nearest, whichever rows the tie rule picks at the k-th distance.
         limit = np.nextafter((bound + query_slack[start:stop]).astype(dtype), dtype(np.inf))
         del groups, bound
         # "not greater" also keeps rows whose float64 terms overflowed to inf
@@ -311,10 +315,18 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
         del key, slabs_view
         train_ids, query_ids = np.divmod(flat, n_query)
         ones = np.bincount(query_ids, weights=train.labels[train_ids], minlength=n_query)
-        if query_ids.size > k * n_query:  # some query has more than k candidates: re-rank those
-            counts = np.bincount(query_ids, minlength=n_query)
-            wide = counts > k
-            keep = wide[query_ids]
+        # A query's k nearest are k of its c >= k candidates, so they hold x
+        # attack rows, max(0, k - zeros) <= x <= min(k, ones), where ones and
+        # zeros count its candidates' labels.  Its vote, 2x >= k, is open
+        # exactly when the ends vote apart: 2 max(0, k - zeros) < k <= 2 min(k, ones),
+        # that is 2 zeros > k and 2 ones >= k.  Otherwise both ends give the
+        # vote, and so does 2 ones >= k over all candidates: ones is at least
+        # the lower end, and is the upper end where that votes 0.  With c = k
+        # the ends meet, so the vote is never open.
+        counts = np.bincount(query_ids, minlength=n_query)
+        undecided = (2 * ones >= k) & (2 * (counts - ones) > k)
+        if undecided.any():  # re-rank the open queries alone
+            keep = undecided[query_ids]
             query_ids, train_ids = query_ids[keep], train_ids[keep]
             # Group the candidates by query.  The sort is stable, so each
             # query's training rows stay ascending, also where uint16 wraps
@@ -333,12 +345,12 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
                 exact[at : at + step] = ((np.take(q, r, axis=0) - np.take(train_x, c, axis=0)) ** 2).sum(axis=1)
             # Per query by exact distance, lower training row first on ties:
             # each query's training rows come ascending and lexsort is stable.
-            # So the wide queries' groups follow in query order, and the k
+            # So the open queries' groups follow in query order, and the k
             # nearest of each are the first k of its group.
             order = np.lexsort((exact, query_ids))
-            sizes = counts[wide]
+            sizes = counts[undecided]
             firsts = (np.cumsum(sizes) - sizes)[:, None] + np.arange(k)
-            ones[wide] = train.labels[train_ids[order[firsts]]].sum(axis=1)
+            ones[undecided] = train.labels[train_ids[order[firsts]]].sum(axis=1)
         yield (2 * ones >= k).astype(int)
         start, stop = stop, stop + block
 

@@ -86,6 +86,7 @@ def test_select_best_is_the_first_subset(files, caplog):
     assert result["best"] == {"n_features": 1, "features": [1], "fitness": first["fitness"]}
     assert first["features"] == [1]
     assert "best subset has 1 features (fitness 1.0000)" in caplog.text
+    assert "holdout score, optimistic by construction" in caplog.text
 
 
 @pytest.mark.parametrize(

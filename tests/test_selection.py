@@ -473,7 +473,8 @@ def _votes_in_blocks(train, queries, k):
 
 class TestKnnShortlistShapes:
     """A shortlist of exactly k rows is the k nearest and votes unsorted;
-    only longer shortlists are re-ranked by exact distance."""
+    only a shortlist whose labels leave the vote open is re-ranked by exact
+    distance."""
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_every_query_has_exactly_k_candidates(self, k, reranked):
@@ -507,6 +508,27 @@ class TestKnnShortlistShapes:
         assert 0 < tied.sum() < tied.size
         per_block = [int(tied[start : start + 7].sum()) for start in range(0, 40, 7)]
         assert reranked == [int(tied.sum())] + [n for n in per_block if n]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_labels_of_identical_rows_decide_the_sort(self, k, reranked):
+        # c identical training rows are all candidates and all tie, so the
+        # first k rows vote.  The k nearest then hold between max(0, k - zeros)
+        # and min(k, ones) attack rows, and only ends that vote apart need a sort.
+        queries = np.random.default_rng(k).random((4, 3))
+        for c in range(k + 1, k + 4):
+            for ones in range(c + 1):
+                zeros = c - ones
+                is_open = 2 * max(0, k - zeros) < k <= 2 * min(k, ones)
+                train_x, attack_first = np.full((c, 3), 0.5), np.arange(c) < ones
+                votes = []
+                for train_y in (attack_first.astype(int), attack_first[::-1].astype(int)):
+                    reranked.clear()
+                    got = knn_classify(Dataset.from_arrays(train_x, train_y), queries, k)
+                    assert np.array_equal(got, knn_exact_reference(train_x, train_y, queries, k)), (c, ones, train_y)
+                    assert reranked == ([4] if is_open else []), (c, ones, train_y)
+                    votes.append(got[0])
+                # the two orders put min(k, ones) and max(0, k - zeros) attack rows first
+                assert (votes[0] != votes[1]) == is_open, (c, ones)
 
 
 def _remainder_tie_case(k):
@@ -546,10 +568,13 @@ class TestKnnTrainingMajorShapes:
         # 8 training rows, the corners of the unit cube: one block holds
         # _BLOCK_CELLS // 8 queries, so all 70,000, and uint16 query ids wrap.
         # Every query has first coordinate 1/2, so the corners tie in pairs
-        # and the third nearest is always a tie: every query is re-ranked.
+        # and the third nearest is always a tie.  The label is the first
+        # coordinate, so each tied pair holds a 0 and a 1, every shortlist
+        # holds as many of each and the vote stays open: every query is re-ranked.
         rng = np.random.default_rng(12)
         corners = np.array([[(c >> b) & 1 for b in range(3)] for c in range(8)], dtype=float)
-        train_x, train_y = corners[rng.permutation(8)], rng.integers(0, 2, 8)
+        train_x = corners[rng.permutation(8)]
+        train_y = train_x[:, 0].astype(int)
         queries = np.column_stack([np.full(70_000, 0.5), rng.integers(0, 5, (70_000, 2)) / 4])
         expected = knn_exact_reference(train_x, train_y, queries, 3)
         assert np.array_equal(knn_classify(Dataset.from_arrays(train_x, train_y), queries, 3), expected)
