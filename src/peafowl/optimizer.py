@@ -17,6 +17,17 @@ dominant male can take more than one mate, (3) all partner indices in one
 call, (4) all mating noise in one call, then (5) per newborn any transfer and
 repair draws.  Skipping (2) consumes nothing: a bounded draw over the single
 count 1 leaves the generator's state as it is.
+
+On a box domain with no repair hook no draw depends on a value, so a window
+of seasons (:func:`optimize` takes ``_SEASONS_AHEAD`` at a time) draws
+(1)-(4) season by season, in the order above, before any of them mates.  The
+generator ends where it would after the same seasons run one by one.  All the
+window's newborns then mate in one :func:`mate` call and are clipped at once;
+each season is still evaluated on its own rows with its own cutoff.  A
+season that admits a newborn changes the parents, so the rest of the window
+mates again from the new population with the draws already taken.  A binary
+domain, or a problem with a repair hook, draws after mating and keeps a
+window of one season.
 """
 
 from __future__ import annotations
@@ -46,6 +57,10 @@ __all__ = [
 ]
 
 Population = tuple[np.ndarray, np.ndarray]  # positions (a row each) and fitness, best first
+
+# Seasons that a box run draws ahead and mates together: the speedup of a
+# default campaign levels off above 16.
+_SEASONS_AHEAD = 16
 
 
 @dataclass
@@ -206,25 +221,25 @@ def split_population(n: int, r: float, alpha: float) -> tuple[int, int]:
     return n_males, min(max(math.floor(n_males * alpha + 0.5), 1), n_males)
 
 
-def mate(fathers: np.ndarray, mothers: np.ndarray, params: PfmParams, rng: np.random.Generator) -> np.ndarray:
+def mate(fathers: np.ndarray, mothers: np.ndarray, params: PfmParams, noise: np.ndarray) -> np.ndarray:
     """Raw newborn positions (before domain adjustment), one row per pair of parent rows.
 
     Per coordinate: father*mother + (father - mother) * A + rand * e^(g1*g2),
     where A is the attractiveness at the pair's distance sqrt(d·d), d = father
-    - mother, and rand is uniform in [-1, 1], drawn in one call, row by row.
+    - mother, and rand is the matching entry of ``noise``, uniform in [-1, 1].
+    ``noise`` is read, never written, so a window that mates again reuses it.
+    A row's result does not depend on the other rows.
     """
-    if fathers.ndim != 2 or fathers.shape != mothers.shape:
-        raise ValueError(f"dimension mismatch: {fathers.shape} vs {mothers.shape}")
+    if fathers.ndim != 2 or fathers.shape != mothers.shape or noise.shape != fathers.shape:
+        raise ValueError(f"dimension mismatch: {fathers.shape} vs {mothers.shape} vs noise {noise.shape}")
     # float64 even for integer parents, as the in-place steps below need.
     diff = np.subtract(fathers, mothers, dtype=float)
     a = attractiveness(np.sqrt(np.einsum("ij,ij->i", diff, diff)), params)
-    noise = rng.uniform(-1.0, 1.0, size=fathers.shape)
     # In place, but summed in the order of the formula above.
     raw = np.multiply(fathers, mothers, dtype=float)
     diff *= a[:, None]
     raw += diff
-    noise *= math.exp(params.gamma1 * params.gamma2)
-    raw += noise
+    raw += np.multiply(noise, math.exp(params.gamma1 * params.gamma2), out=diff)
     return raw
 
 
@@ -272,12 +287,43 @@ def initialize_population(problem: Problem, params: PfmParams, rng: np.random.Ge
     return positions[order], fitness[order]
 
 
-def run_season(
-    population: Population, params: PfmParams, problem: Problem, rng: np.random.Generator, tally=None
-) -> Population:
-    """One mating season: from a best-first ``(positions, fitness)`` to the next one.
+def _mates_ahead(problem: Problem) -> bool:
+    """Whether no draw of a season depends on a value: a box domain with no repair hook."""
+    return isinstance(problem.domain, ContinuousBox) and problem.repair is None
 
-    Draw order: (1) the male fraction r, uniform in r_range, as
+
+def _draw_pairs(n: int, params: PfmParams, rng: np.random.Generator, noise: np.ndarray, start: int):
+    """Draws (1)-(4) of one season: the father and mother rank of each pair, returned,
+    and the pairs' noise doubles in [0, 1), written to ``noise`` from row ``start`` on."""
+    lo, hi = params.r_range
+    n_males, n_dominant = split_population(n, lo + (hi - lo) * rng.random(), params.dominance_factor)
+    max_mates = (n - n_males) // n_dominant
+    fathers = np.arange(n_males)
+    if max_mates > 1:
+        mates = np.ones(n_males, dtype=int)
+        mates[:n_dominant] = rng.integers(1, max_mates + 1, size=n_dominant)
+        fathers = np.repeat(fathers, mates)
+    mothers = rng.integers(n_males, n, size=len(fathers))
+    rng.random(out=noise[start : start + len(fathers)])
+    return fathers, mothers
+
+
+def _offspring(positions, fathers, mothers, noise, params, problem, rng) -> np.ndarray:
+    """Newborns of the given rank pairs, mated and adjusted to the domain."""
+    newborns = mate(positions[fathers], positions[mothers], params, noise)
+    binary = isinstance(problem.domain, Binary)
+    if not binary:
+        # np.clip's ufunc pair, in place: ``newborns`` is a fresh array from ``mate``.
+        np.minimum(np.maximum(newborns, problem.domain.lower, out=newborns), problem.domain.upper, out=newborns)
+    return _per_row(newborns, problem, rng, transfer=binary)
+
+
+def run_season(
+    population: Population, params: PfmParams, problem: Problem, rng: np.random.Generator, tally=None, seasons=1
+) -> Population:
+    """``seasons`` mating seasons from a best-first ``(positions, fitness)``; returns the last one's population.
+
+    Draw order per season: (1) the male fraction r, uniform in r_range, as
     ``Generator.uniform`` draws it: lo + (hi - lo) times one ``random()``
     double; (2) if m = floor(n_females / n_dominant) exceeds 1, in one call,
     the mate count of each dominant male in rank order, uniform over {1..m},
@@ -286,69 +332,94 @@ def run_season(
     (at the published population size 30 and dominance factor 0.8, m is
     always 1);
     (3) in one call, a female partner for every pair, pairs ordered by father
-    rank, then by mate; (4) in one call in :func:`mate`, the (pairs, dimension)
-    mating noise; (5) per newborn in pair order, for binary domains its
-    ``dimension`` transfer draws, then any repair draw.  One objective call
-    evaluates the newborns and one stable sort keeps the best
+    rank, then by mate; (4) in one call, the (pairs, dimension) mating noise,
+    uniform in [-1, 1] as ``Generator.uniform`` draws it: -1 + 2u for one
+    ``random()`` double u per coordinate; (5) per newborn in pair order, for
+    binary domains its ``dimension`` transfer draws, then any repair draw.
+
+    On a box domain with no repair hook, (5) draws nothing, so the seasons
+    form one window: each draws (1)-(4) in turn before any mates, then one
+    :func:`mate` call and one clip make every newborn of the window from the
+    current parents.  Otherwise each season draws, mates and adjusts on its
+    own.  Either way the generator ends where the seasons run one by one
+    would leave it; only an objective call that raises finds the window's
+    later seasons already drawn.
+
+    Each season's newborns get one objective call, with the worst parent's
+    fitness as the cutoff, and one stable sort keeps the best
     ``population_size``, ties keeping parents in rank order, then newborns in
     birth order.  So a newborn that does not beat the worst parent is always
-    dropped, and the objective gets that parent's fitness as its cutoff: a
-    dropped newborn's exact value reaches no output.  A season where no
-    newborn enters skips the sort and returns its input arrays themselves,
-    the population the sort would keep.  A ``tally`` list gains the newborns
-    at [0], the kept at [1].
+    dropped, and a dropped newborn's exact value reaches no output.  A season
+    where no newborn enters skips the sort and keeps its input arrays
+    themselves, the population the sort would keep.  A season where one does
+    enter changes the parents, so the window's later seasons mate again from
+    the new population with the ranks and noise they drew.  A ``tally`` list
+    gains a ``(newborns, kept, best fitness)`` triple per season.
     """
     positions, fitness = population
     n = params.population_size
     if len(fitness) != n:
         raise ValueError(f"expected population of size {n}, got {len(fitness)}")
-    lo, hi = params.r_range
-    n_males, n_dominant = split_population(n, lo + (hi - lo) * rng.random(), params.dominance_factor)
-    max_mates = (n - n_males) // n_dominant
-    if max_mates > 1:
-        mates = np.ones(n_males, dtype=int)
-        mates[:n_dominant] = rng.integers(1, max_mates + 1, size=n_dominant)
-        fathers = positions[np.repeat(np.arange(n_males), mates)]
-    else:
-        fathers = positions[:n_males]  # every male takes one mate
-    mothers = rng.integers(n_males, n, size=len(fathers))
-    newborns = mate(fathers, positions[mothers], params, rng)
-
-    binary = isinstance(problem.domain, Binary)
-    if not binary:
-        # np.clip's ufunc pair, in place: ``newborns`` is a fresh array from ``mate``.
-        np.minimum(np.maximum(newborns, problem.domain.lower, out=newborns), problem.domain.upper, out=newborns)
-    newborns = _per_row(newborns, problem, rng, transfer=binary)
-
-    worst = float(fitness[-1])
-    values = _evaluate(problem, newborns, worst)
-    if tally is not None:
-        tally[0] += len(newborns)
-    if not (values.min() < worst if problem.sense == "min" else values.max() > worst):
-        return positions, fitness  # what the stable sort below would keep
-    pool = np.concatenate([fitness, values])
-    keep = _best_first(pool, problem.sense)[:n]
-    if tally is not None:
-        tally[1] += int(np.count_nonzero(keep >= n))
-    return np.concatenate([positions, newborns])[keep], pool[keep]
+    if seasons < 1:
+        raise ValueError(f"seasons must be positive, got {seasons}")
+    ahead = seasons if _mates_ahead(problem) else 1
+    for first in range(0, seasons, ahead):
+        count = min(ahead, seasons - first)
+        # Room for n - 1 pairs a season: the dominant males take at most n_females mates.
+        noise = np.empty((count * n, problem.dimension))
+        draws, ends = [], [0]
+        for _ in range(count):
+            draws.append(_draw_pairs(n, params, rng, noise, ends[-1]))
+            ends.append(ends[-1] + len(draws[-1][0]))
+        # Into [-1, 1] as Generator.uniform(-1, 1) scales a double u: -1 + 2u, with 2u exact.
+        noise = noise[: ends[-1]]
+        noise *= 2.0
+        noise -= 1.0
+        fathers, mothers = (np.concatenate(part) for part in zip(*draws))
+        newborns = _offspring(positions, fathers, mothers, noise, params, problem, rng)
+        base = 0  # the window's pair that ``newborns`` starts at
+        for start, stop in zip(ends, ends[1:]):
+            rows = newborns[start - base : stop - base]
+            worst = float(fitness[-1])
+            values = _evaluate(problem, rows, worst)
+            if not (values.min() < worst if problem.sense == "min" else values.max() > worst):
+                kept = 0  # the stable sort below would keep the parents as they are
+            else:
+                pool = np.concatenate([fitness, values])
+                keep = _best_first(pool, problem.sense)[:n]
+                kept = int(np.count_nonzero(keep >= n))
+                positions, fitness = np.concatenate([positions, rows])[keep], pool[keep]
+                if stop < len(fathers):
+                    newborns = _offspring(positions, fathers[stop:], mothers[stop:], noise[stop:], params, problem, rng)
+                    base = stop
+            if tally is not None:
+                tally.append((len(rows), kept, float(fitness[0])))
+    return positions, fitness
 
 
 def optimize(problem: Problem, params: PfmParams) -> RunTrace:
     """Full run: random initialization, then seasons grouped into iterations.
 
-    Records the best fitness after each iteration; elitist truncation makes
-    the record monotone non-worsening in the problem's sense.
+    Seasons run in windows of ``_SEASONS_AHEAD`` on a box domain with no
+    repair hook, one at a time otherwise (see :func:`run_season`); a window
+    may span iterations.  Records the best fitness after each iteration;
+    elitist truncation makes the record monotone non-worsening in the
+    problem's sense.
     """
     rng = np.random.default_rng(params.seed)
     population = initialize_population(problem, params, rng)
 
-    best_per_iteration, newborns, survivors = [], [], []
-    for _ in range(params.max_iterations):
-        tally = [0, 0]
-        for _ in range(params.seasons_per_iteration):
-            population = run_season(population, params, problem, rng, tally)
-        best_per_iteration.append(float(population[1][0]))
-        newborns.append(tally[0])
-        survivors.append(tally[1])
+    per = params.seasons_per_iteration
+    total = params.max_iterations * per
+    ahead = _SEASONS_AHEAD if _mates_ahead(problem) else 1
+    seasons = []  # (newborns, kept, best) per season
+    for first in range(0, total, ahead):
+        population = run_season(population, params, problem, rng, seasons, min(ahead, total - first))
 
-    return RunTrace(best_per_iteration, population, newborns, survivors)
+    iterations = [seasons[i : i + per] for i in range(0, total, per)]
+    return RunTrace(
+        [iteration[-1][2] for iteration in iterations],
+        population,
+        [sum(born for born, _, _ in iteration) for iteration in iterations],
+        [sum(kept for _, kept, _ in iteration) for iteration in iterations],
+    )

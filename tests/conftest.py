@@ -9,28 +9,6 @@ import pytest
 from peafowl import Dataset
 
 
-class StubRng:
-    """Minimal generator stand-in returning a constant for every draw."""
-
-    def __init__(self, uniform_value=0.0, random_value=0.0, integer_value=0):
-        self.uniform_value = uniform_value
-        self.random_value = random_value
-        self.integer_value = integer_value
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        if size is None:
-            return self.uniform_value
-        return np.full(size, self.uniform_value)
-
-    def random(self, size=None):
-        if size is None:
-            return self.random_value
-        return np.full(size, self.random_value)
-
-    def integers(self, low, high=None):
-        return self.integer_value
-
-
 class CountingRng:
     """Wraps a real generator and counts scalar draws consumed."""
 

@@ -300,16 +300,25 @@ class TestRunTraceDigests:
     # The final population, newborns and survivors of seeded 20-iteration
     # runs.  The bench goldens hold best values only, which a stalled search
     # never changes, so they miss a changed draw; these see it.  At
-    # population 6 some seasons let a dominant male take two mates.
+    # population 6 some seasons let a dominant male take two mates.  F7's
+    # objective draws noise per row, so it sees any change to which rows the
+    # objective gets, or in what order.  Five seasons an iteration make
+    # iterations end inside a window of seasons mated together.
     CASES = {
-        ("F1", 30): "651eb4b505c20a60552cac245e0896ec8d2ce6494c27a305ec43f7bd48f3f309",
-        ("F10", 30): "576fb69b0c37fe1ddf87157653337d9a554b48566248bb2054e7af90f1ece9a6",
-        ("F14", 30): "93143d47bdfc2e7758cea69de5acece3a9353876b2b7a0c97fed4fe130a143c9",
-        ("F14", 6): "46935dcad695e447e50423873f89de4baa379a6dacc8d5e5aee0fd8bb104fb81",
+        ("F1", 30, 3): "651eb4b505c20a60552cac245e0896ec8d2ce6494c27a305ec43f7bd48f3f309",
+        ("F10", 30, 3): "576fb69b0c37fe1ddf87157653337d9a554b48566248bb2054e7af90f1ece9a6",
+        ("F14", 30, 3): "93143d47bdfc2e7758cea69de5acece3a9353876b2b7a0c97fed4fe130a143c9",
+        ("F14", 6, 3): "46935dcad695e447e50423873f89de4baa379a6dacc8d5e5aee0fd8bb104fb81",
+        ("F7", 30, 3): "5025c70e5a1f01e6394c034a9aa2ce52e0e28a342b2e13bf0d51f396a164ffc2",
+        ("F10", 30, 5): "b06cb92db151b0d8f07fa5ad522ed53bfc161e96bd27bc7630f12e935c401559",
     }
 
-    @pytest.mark.parametrize("name,population_size", list(CASES), ids=[f"{n}-population-{p}" for n, p in CASES])
-    def test_run_trace_is_pinned(self, name, population_size):
-        params = PfmParams(population_size=population_size, seed=0, max_iterations=20)
+    @pytest.mark.parametrize(
+        "name,population_size,seasons",
+        list(CASES),
+        ids=[f"{n}-population-{p}" + (f"-seasons-{s}" if s != 3 else "") for n, p, s in CASES],
+    )
+    def test_run_trace_is_pinned(self, name, population_size, seasons):
+        params = PfmParams(population_size=population_size, seed=0, max_iterations=20, seasons_per_iteration=seasons)
         trace = optimize(make_problem(name, seed=0), params)
-        assert run_trace_digest(trace) == self.CASES[name, population_size]
+        assert run_trace_digest(trace) == self.CASES[name, population_size, seasons]

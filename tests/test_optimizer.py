@@ -23,7 +23,6 @@ from peafowl import (
 from peafowl.selection import _repair_empty_mask
 from peafowl.transfer import binarize
 
-from conftest import CountingRng, StubRng
 
 DEFAULTS = PfmParams()
 
@@ -99,37 +98,41 @@ class TestSplitPopulation:
 class TestMate:
     def test_identical_binary_parents_no_mutation(self):
         parent = np.array([[1.0, 0.0]])
-        child = mate(parent, parent, DEFAULTS, StubRng(uniform_value=0.0))
+        child = mate(parent, parent, DEFAULTS, np.zeros((1, 2)))
         assert np.array_equal(child, np.array([[1.0, 0.0]]))
 
     def test_opposite_binary_parents_no_mutation(self):
         fathers = np.array([[1.0, 0.0], [0.0, 1.0]])
-        child = mate(fathers, fathers[::-1], DEFAULTS, StubRng(uniform_value=0.0))
+        child = mate(fathers, fathers[::-1], DEFAULTS, np.zeros((2, 2)))
         # +-(I0 + C0) * exp(-sqrt(2)), frozen from the reference exponential
         expected = 0.04862334688684284
         assert child == pytest.approx(np.array([[expected, -expected], [-expected, expected]]), abs=1e-15)
 
     def test_mutation_term_scale(self):
         parent = np.array([[1.0, 1.0]])
-        child = mate(parent, parent, DEFAULTS, StubRng(uniform_value=1.0))
+        child = mate(parent, parent, DEFAULTS, np.ones((1, 2)))
         # values may leave [0, 1]; the transfer layer handles that downstream
         assert child == pytest.approx(np.array([[3.718281828459045] * 2]), abs=1e-14)
 
     def test_elementwise_product_identity(self):
         positions = (np.random.default_rng(5).random((20, 6)) < 0.5).astype(float)
-        child = mate(positions, positions, DEFAULTS, StubRng(uniform_value=0.0))
+        child = mate(positions, positions, DEFAULTS, np.zeros((20, 6)))
         assert np.array_equal(child, positions)
 
-    def test_consumes_one_draw_per_dimension(self):
-        rng = CountingRng(3)
+    def test_noise_argument_comes_back_unchanged(self):
+        # A window that mates again after an admission reuses the noise it drew.
         fathers = np.arange(35, dtype=float).reshape(5, 7)
-        mate(fathers, np.ones((5, 7)), DEFAULTS, rng)
-        assert rng.draws == 5 * 7
+        noise = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 7))
+        before = noise.tobytes()
+        child = mate(fathers, np.ones((5, 7)), DEFAULTS, noise)
+        assert noise.tobytes() == before and not np.shares_memory(child, noise)
+        assert mate(fathers, np.ones((5, 7)), DEFAULTS, noise).tobytes() == child.tobytes()
 
     def test_dimension_mismatch(self):
-        for fathers, mothers in [((1, 3), (1, 4)), ((2, 3), (1, 3)), ((3,), (3,))]:
+        shapes = [((1, 3), (1, 4), (1, 3)), ((2, 3), (1, 3), (2, 3)), ((3,), (3,), (3,)), ((2, 3), (2, 3), (3, 3))]
+        for fathers, mothers, noise in shapes:
             with pytest.raises(ValueError, match="dimension mismatch"):
-                mate(np.ones(fathers), np.ones(mothers), DEFAULTS, StubRng())
+                mate(np.ones(fathers), np.ones(mothers), DEFAULTS, np.zeros(noise))
 
 
 def best(population):
@@ -202,7 +205,9 @@ class TestRunSeason:
         population = initialize_population(problem, params, rng)
         for _ in range(20):
             population = run_season(population, params, problem, rng)
-        assert batches == [(3, np.float64, True)] * 21
+        # A window hands the objective a slice of its newborns per season.
+        run_season(population, params, problem, rng, seasons=20)
+        assert batches == [(3, np.float64, True)] * 41
 
     def test_wrong_population_size_rejected(self):
         params = PfmParams(population_size=10, seed=0)
@@ -211,11 +216,17 @@ class TestRunSeason:
         with pytest.raises(ValueError, match="population of size"):
             run_season((positions[:-1], fitness[:-1]), params, problem, np.random.default_rng(0))
 
+    def test_season_count_must_be_positive(self):
+        params = PfmParams(population_size=10, seed=0)
+        problem = sphere_problem(dim=2)
+        with pytest.raises(ValueError, match="seasons must be positive"):
+            run_season(self._population(problem, params), params, problem, np.random.default_rng(0), seasons=0)
+
     @staticmethod
     def _entry_season(sense, newborn_values):
         """One season from fitness 0..9 (negated for "max"), newborns valued by ``newborn_values(worst, rows)``.
 
-        Returns the parents, the result, the newborn rows and the tally.
+        Returns the parents, the result, the newborn rows and the tally of the one season.
         """
         sign = 1.0 if sense == "min" else -1.0
         positions = np.random.default_rng(0).uniform(-1.0, 1.0, (10, 3))
@@ -227,9 +238,10 @@ class TestRunSeason:
             return sign * newborn_values(sign * cutoff, len(x))
 
         problem = Problem(3, ContinuousBox(np.full(3, -1.0), np.full(3, 1.0)), objective, sense=sense)
-        tally = [0, 0]
+        tally = []
         out = run_season((positions, fitness), PfmParams(population_size=10), problem, np.random.default_rng(0), tally)
-        return (positions, fitness), out, born[0], tally
+        (season,) = tally
+        return (positions, fitness), out, born[0], season
 
     @pytest.mark.parametrize("sense", ["min", "max"])
     @pytest.mark.parametrize(
@@ -242,7 +254,7 @@ class TestRunSeason:
         parent_bytes = positions.tobytes(), fitness.tobytes()
         assert out[0] is positions and out[1] is fitness
         assert (out[0].tobytes(), out[1].tobytes()) == parent_bytes
-        assert tally == [len(born), 0] and len(born) > 1
+        assert tally == (len(born), 0, fitness[0]) and len(born) > 1
 
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_newborn_tying_the_worst_parent_does_not_enter(self, sense):
@@ -253,7 +265,7 @@ class TestRunSeason:
         sign = 1.0 if sense == "min" else -1.0
         assert out[1].tobytes() == (sign * np.array([0, 1, 2, 3, 4, 4.5, 5, 6, 7, 8])).tobytes()
         assert out[0].tobytes() == np.vstack([positions[:5], born[:1], positions[5:9]]).tobytes()
-        assert tally == [len(born), 1] and len(born) > 1
+        assert tally == (len(born), 1, fitness[0]) and len(born) > 1
 
 
 # Initialization and a season in per-child Python, drawing in the documented
@@ -343,26 +355,47 @@ def season_cases():
     }
 
 
-def twenty_seasons_match_reference(problem, params, seed):
-    """Run 21 seasons on both sides, comparing every population and the generator state; return the newborn count."""
+def windows_match_reference(problem, params, seed, windows=21, seasons=1):
+    """Run ``windows`` calls of ``seasons`` seasons against as many reference seasons.
+
+    The populations and generator states must be equal before the first call
+    and after each one.  Each season's best, and the cutoff of its one
+    objective call, must be the reference's best and worst parent.  Returns
+    the last population and the tally.
+    """
+    cutoffs = []
+
+    def spy(x, cutoff):
+        cutoffs.append(cutoff)
+        return problem.objective(x, cutoff)
+
+    def state(population, rng):
+        return population[0].tobytes(), population[1].tobytes(), rng.bit_generator.state
+
+    spied = dataclasses.replace(problem, objective=spy)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = initialize_population(problem, params, got_rng)
     want = reference_initialize(problem, params, want_rng)
-    tally = [0, 0]
-    for _ in range(21):
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        got = run_season(got, params, problem, got_rng, tally)
-        want = reference_season(want, params, problem, want_rng)
-    return got, tally[0]
+    assert state(got, got_rng) == state(want, want_rng)
+    tally = []
+    for _ in range(windows):
+        cutoffs.clear()
+        worsts, bests = [], []
+        got = run_season(got, params, spied, got_rng, tally, seasons=seasons)
+        for _ in range(seasons):
+            worsts.append(float(want[1][-1]))
+            want = reference_season(want, params, problem, want_rng)
+            bests.append(float(want[1][0]))
+        assert state(got, got_rng) == state(want, want_rng)
+        assert cutoffs == worsts and [best for _, _, best in tally[-seasons:]] == bests
+    return got, tally
 
 
 class TestSeasonMatchesReference:
     @pytest.mark.parametrize("n", [4, 7, 30])
     @pytest.mark.parametrize("case", list(season_cases()))
     def test_twenty_seasons_bit_identical(self, case, n):
-        got, _ = twenty_seasons_match_reference(season_cases()[case], PfmParams(population_size=n), n)
+        got, _ = windows_match_reference(season_cases()[case], PfmParams(population_size=n), n)
         if case.startswith("box-ties"):
             assert len(set(got[1].tolist())) < n
 
@@ -373,8 +406,8 @@ class TestSeasonMatchesReference:
         # every male takes one.  More than 18 newborns a season on average
         # shows that some took several.
         params = PfmParams(population_size=30, dominance_factor=0.3)
-        _, newborns = twenty_seasons_match_reference(season_cases()[case], params, 30)
-        assert newborns > 18 * 21
+        _, tally = windows_match_reference(season_cases()[case], params, 30)
+        assert sum(born for born, _, _ in tally) > 18 * 21
 
     @pytest.mark.parametrize("case", list(season_cases()))
     def test_seasons_compared_take_both_branches(self, case):
@@ -395,6 +428,21 @@ class TestSeasonMatchesReference:
                 population = out
         assert returned_input > 0 and merged > 0
 
+    @pytest.mark.parametrize("seasons", [3, 16])
+    @pytest.mark.parametrize("case", list(season_cases()))
+    def test_window_matches_seasons_one_by_one(self, case, seasons):
+        # A box window draws all its seasons ahead and mates them together;
+        # binary-repair runs its seasons one at a time.  Either way each
+        # window must leave the population, the per-season bests and the
+        # generator where as many reference seasons leave them.  In the
+        # box-ties cases newborns enter mid-window, so later seasons mate again.
+        entered_mid_window = 0
+        for n in (4, 7, 30):
+            _, tally = windows_match_reference(season_cases()[case], PfmParams(population_size=n), n, 3, seasons)
+            entered_mid_window += sum(kept > 0 for i, (_, kept, _) in enumerate(tally) if i % seasons < seasons - 1)
+        if case.startswith("box-ties"):
+            assert entered_mid_window > 0
+
     def test_mate_matches_reference(self):
         rng = np.random.default_rng(3)
         params = PfmParams(call_intensity=0.3, colorfulness=0.05, gamma1=0.7, gamma2=1.3)
@@ -402,21 +450,21 @@ class TestSeasonMatchesReference:
             fathers = rng.normal(0.0, 10.0, (50, d))
             mothers = rng.normal(0.0, 10.0, (50, d))
             for p in (params, DEFAULTS):
-                got = mate(fathers, mothers, p, np.random.default_rng(d))
+                got = mate(fathers, mothers, p, np.random.default_rng(d).uniform(-1.0, 1.0, fathers.shape))
                 a = pair_attractiveness(fathers, mothers, p)
                 want_rng = np.random.default_rng(d)
                 want = [reference_mate(fathers[i], mothers[i], a[i], p, want_rng) for i in range(50)]
                 assert got.tobytes() == np.array(want).tobytes()
                 # With zero mothers and no noise a newborn is A * father, so every bit of A shows.
                 zeros = np.zeros_like(fathers)
-                got = mate(fathers, zeros, p, StubRng(uniform_value=0.0))
+                got = mate(fathers, zeros, p, zeros)
                 assert got.tobytes() == (fathers * pair_attractiveness(fathers, zeros, p)[:, None]).tobytes()
 
     def test_integer_positions_mate_as_floats(self):
         # a repair hook may hand back integer positions
         fathers = np.array([[3, -1, 2], [0, 5, -2]])
         mothers = np.array([[1, 4, 2], [7, 0, 1]])
-        got = mate(fathers, mothers, DEFAULTS, np.random.default_rng(0))
+        got = mate(fathers, mothers, DEFAULTS, np.random.default_rng(0).uniform(-1.0, 1.0, fathers.shape))
         a = pair_attractiveness(fathers, mothers, DEFAULTS)
         want_rng = np.random.default_rng(0)
         want = [reference_mate(fathers[i], mothers[i], a[i], DEFAULTS, want_rng) for i in range(2)]
