@@ -263,7 +263,7 @@ def _parse_feature_list(spec_text: str, n_features: int):
 def _metrics_entry(counts: ConfusionCounts, report: MetricsReport) -> dict:
     return {
         "counts": dataclasses.asdict(counts),
-        "fractions": report.as_fractions(),
+        "fractions": dataclasses.asdict(report),
         "percentages": report.as_percentages(),
     }
 

@@ -67,9 +67,6 @@ class MetricsReport:
     precision: Optional[float]
     f1: Optional[float]
 
-    def as_fractions(self) -> dict:
-        return asdict(self)
-
     def as_percentages(self) -> dict:
         """Percent strings with three decimals, 'NA' where undefined."""
         return {name: "NA" if v is None else f"{100.0 * v:.3f}" for name, v in asdict(self).items()}

@@ -11,23 +11,8 @@ where no newborn enters returns its input arrays, not copies.
 Randomness discipline: every run owns a single ``numpy.random.Generator``
 seeded from ``PfmParams.seed`` and consumes from it in a fixed order, making
 runs bit-reproducible.  Initialization draws the position matrix in one call,
-then runs any repair per row.  A season draws (1) the male fraction, as
-``Generator.uniform`` draws it, (2) all mate counts in one call, only when a
-dominant male can take more than one mate, (3) all partner indices in one
-call, (4) all mating noise in one call, then (5) per newborn any transfer and
-repair draws.  Skipping (2) consumes nothing: a bounded draw over the single
-count 1 leaves the generator's state as it is.
-
-On a box domain with no repair hook no draw depends on a value, so a window
-of seasons (:func:`optimize` takes ``_SEASONS_AHEAD`` at a time) draws
-(1)-(4) season by season, in the order above, before any of them mates.  The
-generator ends where it would after the same seasons run one by one.  All the
-window's newborns then mate in one :func:`mate` call and are clipped at once;
-each season is still evaluated on its own rows with its own cutoff.  A
-season that admits a newborn changes the parents, so the rest of the window
-mates again from the new population with the draws already taken.  A binary
-domain, or a problem with a repair hook, draws after mating and keeps a
-window of one season.
+then runs any repair per row; :func:`run_season` gives the draw order of a
+season and the windows in which a box run draws seasons ahead.
 """
 
 from __future__ import annotations
@@ -58,8 +43,8 @@ __all__ = [
 
 Population = tuple[np.ndarray, np.ndarray]  # positions (a row each) and fitness, best first
 
-# Seasons that a box run draws ahead and mates together: the speedup of a
-# default campaign levels off above 16.
+# Seasons that run_season draws ahead and mates together on a box domain: the
+# speedup of a default campaign levels off above 16.
 _SEASONS_AHEAD = 16
 
 
@@ -203,9 +188,7 @@ class RunTrace:
 
 def attractiveness(d, params: PfmParams):
     """I0·exp(-γ1·d) + C0·exp(-γ2·d), elementwise: strictly decreasing in d >= 0, at most I0 + C0."""
-    call = np.exp(-params.gamma1 * d)
-    color = call if params.gamma2 == params.gamma1 else np.exp(-params.gamma2 * d)
-    return params.call_intensity * call + params.colorfulness * color
+    return params.call_intensity * np.exp(-params.gamma1 * d) + params.colorfulness * np.exp(-params.gamma2 * d)
 
 
 def split_population(n: int, r: float, alpha: float) -> tuple[int, int]:
@@ -287,11 +270,6 @@ def initialize_population(problem: Problem, params: PfmParams, rng: np.random.Ge
     return positions[order], fitness[order]
 
 
-def _mates_ahead(problem: Problem) -> bool:
-    """Whether no draw of a season depends on a value: a box domain with no repair hook."""
-    return isinstance(problem.domain, ContinuousBox) and problem.repair is None
-
-
 def _draw_pairs(n: int, params: PfmParams, rng: np.random.Generator, noise: np.ndarray, start: int):
     """Draws (1)-(4) of one season: the father and mother rank of each pair, returned,
     and the pairs' noise doubles in [0, 1), written to ``noise`` from row ``start`` on."""
@@ -338,12 +316,14 @@ def run_season(
     binary domains its ``dimension`` transfer draws, then any repair draw.
 
     On a box domain with no repair hook, (5) draws nothing, so the seasons
-    form one window: each draws (1)-(4) in turn before any mates, then one
-    :func:`mate` call and one clip make every newborn of the window from the
-    current parents.  Otherwise each season draws, mates and adjusts on its
-    own.  Either way the generator ends where the seasons run one by one
-    would leave it; only an objective call that raises finds the window's
-    later seasons already drawn.
+    run in windows of ``_SEASONS_AHEAD`` from the call's first season on, the
+    last one shorter, whatever ``seasons`` is: each season of a window draws
+    (1)-(4) in turn before any mates, then one :func:`mate` call and one clip
+    make every newborn of the window from the current parents.  Otherwise
+    each season draws, mates and adjusts on its own.  Either way the
+    generator ends where the seasons run one by one would leave it; only an
+    objective call that raises finds the window's later seasons already
+    drawn.
 
     Each season's newborns get one objective call, with the worst parent's
     fitness as the cutoff, and one stable sort keeps the best
@@ -360,9 +340,10 @@ def run_season(
     n = params.population_size
     if len(fitness) != n:
         raise ValueError(f"expected population of size {n}, got {len(fitness)}")
-    if seasons < 1:
-        raise ValueError(f"seasons must be positive, got {seasons}")
-    ahead = seasons if _mates_ahead(problem) else 1
+    # type(), not isinstance: a bool is not a count.
+    if type(seasons) is not int or seasons < 1:
+        raise ValueError(f"seasons must be a positive int, got {seasons!r}")
+    ahead = _SEASONS_AHEAD if isinstance(problem.domain, ContinuousBox) and problem.repair is None else 1
     for first in range(0, seasons, ahead):
         count = min(ahead, seasons - first)
         # Room for n - 1 pairs a season: the dominant males take at most n_females mates.
@@ -377,9 +358,8 @@ def run_season(
         noise -= 1.0
         fathers, mothers = (np.concatenate(part) for part in zip(*draws))
         newborns = _offspring(positions, fathers, mothers, noise, params, problem, rng)
-        base = 0  # the window's pair that ``newborns`` starts at
         for start, stop in zip(ends, ends[1:]):
-            rows = newborns[start - base : stop - base]
+            rows = newborns[start:stop]
             worst = float(fitness[-1])
             values = _evaluate(problem, rows, worst)
             if not (values.min() < worst if problem.sense == "min" else values.max() > worst):
@@ -390,31 +370,28 @@ def run_season(
                 kept = int(np.count_nonzero(keep >= n))
                 positions, fitness = np.concatenate([positions, rows])[keep], pool[keep]
                 if stop < len(fathers):
-                    newborns = _offspring(positions, fathers[stop:], mothers[stop:], noise[stop:], params, problem, rng)
-                    base = stop
+                    # In place: no objective call has seen these rows yet.
+                    newborns[stop:] = _offspring(
+                        positions, fathers[stop:], mothers[stop:], noise[stop:], params, problem, rng
+                    )
             if tally is not None:
                 tally.append((len(rows), kept, float(fitness[0])))
     return positions, fitness
 
 
 def optimize(problem: Problem, params: PfmParams) -> RunTrace:
-    """Full run: random initialization, then seasons grouped into iterations.
+    """Full run: random initialization, then all the run's seasons in one :func:`run_season` call.
 
-    Seasons run in windows of ``_SEASONS_AHEAD`` on a box domain with no
-    repair hook, one at a time otherwise (see :func:`run_season`); a window
-    may span iterations.  Records the best fitness after each iteration;
-    elitist truncation makes the record monotone non-worsening in the
-    problem's sense.
+    Its tally groups the seasons into iterations.  Records the best fitness
+    after each iteration; elitist truncation makes the record monotone
+    non-worsening in the problem's sense.
     """
     rng = np.random.default_rng(params.seed)
     population = initialize_population(problem, params, rng)
-
     per = params.seasons_per_iteration
     total = params.max_iterations * per
-    ahead = _SEASONS_AHEAD if _mates_ahead(problem) else 1
     seasons = []  # (newborns, kept, best) per season
-    for first in range(0, total, ahead):
-        population = run_season(population, params, problem, rng, seasons, min(ahead, total - first))
+    population = run_season(population, params, problem, rng, seasons, total)
 
     iterations = [seasons[i : i + per] for i in range(0, total, per)]
     return RunTrace(

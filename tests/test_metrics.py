@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -132,7 +134,7 @@ class TestProperties:
             c = self._random_counts(rng)
             if c.total == 0:
                 continue
-            for value in compute_metrics(c).as_fractions().values():
+            for value in asdict(compute_metrics(c)).values():
                 if value is not None:
                     assert 0.0 <= value <= 1.0
 

@@ -20,6 +20,7 @@ from peafowl import (
     split_population,
 )
 
+from peafowl import optimizer
 from peafowl.selection import _repair_empty_mask
 from peafowl.transfer import binarize
 
@@ -216,11 +217,34 @@ class TestRunSeason:
         with pytest.raises(ValueError, match="population of size"):
             run_season((positions[:-1], fitness[:-1]), params, problem, np.random.default_rng(0))
 
-    def test_season_count_must_be_positive(self):
+    @pytest.mark.parametrize("seasons", [0, True, 2.0])
+    def test_season_count_must_be_positive(self, seasons):
         params = PfmParams(population_size=10, seed=0)
         problem = sphere_problem(dim=2)
-        with pytest.raises(ValueError, match="seasons must be positive"):
-            run_season(self._population(problem, params), params, problem, np.random.default_rng(0), seasons=0)
+        with pytest.raises(ValueError, match="seasons must be a positive int"):
+            run_season(self._population(problem, params), params, problem, np.random.default_rng(0), seasons=seasons)
+
+    def test_long_call_mates_at_most_a_window_of_rows_per_newborn(self, monkeypatch):
+        # Every newborn beats the worst parent, so every season admits and the
+        # rest of its window mates again.  A call mated as one window would
+        # mate the rest of the call again after every season instead.
+        mated = []
+
+        def counting_mate(*args):
+            raw = mate(*args)
+            mated.append(len(raw))
+            return raw
+
+        monkeypatch.setattr(optimizer, "mate", counting_mate)
+        box = ContinuousBox(np.full(3, -2.0), np.full(3, 2.0))
+        problem = Problem(3, box, lambda x, cutoff: np.full(len(x), 0.0 if cutoff is None else cutoff - 1.0))
+        params = PfmParams(population_size=7, seed=0)
+        rng = np.random.default_rng(0)
+        tally = []
+        run_season(initialize_population(problem, params, rng), params, problem, rng, tally, seasons=200)
+        newborns = sum(born for born, _, _ in tally)
+        assert len(tally) == 200 and all(kept > 0 for _, kept, _ in tally)
+        assert sum(mated) <= optimizer._SEASONS_AHEAD * newborns
 
     @staticmethod
     def _entry_season(sense, newborn_values):
@@ -428,18 +452,24 @@ class TestSeasonMatchesReference:
                 population = out
         assert returned_input > 0 and merged > 0
 
-    @pytest.mark.parametrize("seasons", [3, 16])
+    @pytest.mark.parametrize("seasons", [3, 16, 40])
     @pytest.mark.parametrize("case", list(season_cases()))
     def test_window_matches_seasons_one_by_one(self, case, seasons):
-        # A box window draws all its seasons ahead and mates them together;
-        # binary-repair runs its seasons one at a time.  Either way each
-        # window must leave the population, the per-season bests and the
-        # generator where as many reference seasons leave them.  In the
-        # box-ties cases newborns enter mid-window, so later seasons mate again.
+        # A box window draws all its seasons ahead and mates them together, so
+        # a call of 40 seasons runs windows of 16, 16 and 8; binary-repair runs
+        # its seasons one at a time.  Either way each call must leave the
+        # population, the per-season bests and the generator where as many
+        # reference seasons leave them.  In the box-ties cases newborns enter
+        # mid-window, so later seasons mate again.
+        ahead = optimizer._SEASONS_AHEAD
         entered_mid_window = 0
         for n in (4, 7, 30):
             _, tally = windows_match_reference(season_cases()[case], PfmParams(population_size=n), n, 3, seasons)
-            entered_mid_window += sum(kept > 0 for i, (_, kept, _) in enumerate(tally) if i % seasons < seasons - 1)
+            # A call's windows start at its seasons 0, 16, 32, ...
+            places = [i % seasons for i in range(len(tally))]
+            entered_mid_window += sum(
+                kept > 0 for j, (_, kept, _) in zip(places, tally) if j < seasons - 1 and j % ahead < ahead - 1
+            )
         if case.startswith("box-ties"):
             assert entered_mid_window > 0
 
