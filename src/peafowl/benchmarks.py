@@ -8,7 +8,10 @@ its ``m`` row values; every reduction runs along a row.  For a C-ordered
 float64 batch, as ``optimize`` passes, a row's value is bit for bit the same
 whatever the rest of its batch.  In another memory order NumPy may sum a row
 in another order: 11 of the 23 functions, F1 and F10 among them, give other
-bits for a Fortran-ordered copy of 45 rows.
+bits for a Fortran-ordered copy of 45 rows.  A seeded run gives the same bits
+on any runner CPU except on F13, F19 and F20: with NumPy's AVX2 and AVX-512
+kernels disabled, their final fitness values give other bits (NumPy 2.4.6,
+x86-64), while their final positions stay the same.
 """
 
 from __future__ import annotations
@@ -329,4 +332,4 @@ def make_problem(name: str, seed: int) -> Problem:
         objective = lambda x, cutoff: bench.fn(x, noise_rng)  # noqa: E731
     else:
         objective = lambda x, cutoff: bench.fn(x)  # noqa: E731
-    return Problem(dimension=bench.dimension, domain=box, objective=objective, sense="min")
+    return Problem(dimension=bench.dimension, domain=box, objective=objective, sense="min", noisy=bench.noisy)

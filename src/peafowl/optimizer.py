@@ -12,13 +12,16 @@ Randomness discipline: every run owns a single ``numpy.random.Generator``
 seeded from ``PfmParams.seed`` and consumes from it in a fixed order, making
 runs bit-reproducible.  Initialization draws the position matrix in one call,
 then runs any repair per row; :func:`run_season` gives the draw order of a
-season and the windows in which a box run draws seasons ahead.
+season, the windows in which a box run draws seasons ahead and the spans of
+seasons that one objective call scores.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -140,7 +143,11 @@ class Problem:
     that does not beat it either, such as a bound reached before the exact
     value is known.  ``repair`` is an optional hook applied to one position
     after domain adjustment, e.g. to forbid the empty feature subset; it may
-    consume draws from the run generator.
+    consume draws from the run generator.  On a box domain the objective may
+    be handed rows that the run then discards (:func:`run_season`), unless
+    ``noisy`` is set: a noisy objective, one whose values depend on the rows
+    it scored before, such as a noise draw per row, gets each season's
+    newborns alone.
     """
 
     dimension: int
@@ -148,6 +155,7 @@ class Problem:
     objective: Callable[[np.ndarray, Optional[float]], np.ndarray]
     sense: str = "min"
     repair: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
+    noisy: bool = False
 
     def __post_init__(self):
         # type(), not isinstance: a bool is not a dimension.
@@ -157,6 +165,8 @@ class Problem:
             raise ValueError("dimension must be positive")
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
+        if type(self.noisy) is not bool:
+            raise ValueError(f"noisy must be a bool, got {self.noisy!r}")
         if isinstance(self.domain, ContinuousBox) and self.domain.lower.size != self.dimension:
             raise ValueError("bound vectors must match the problem dimension")
 
@@ -182,7 +192,11 @@ class RunTrace:
 
     @property
     def evaluations(self) -> int:
-        """Objective calls: the initial population, then every newborn."""
+        """Positions evaluated: the initial population, then every newborn.
+
+        Not the rows the objective got: on a box domain these include rows
+        scored ahead and then discarded (:func:`run_season`).
+        """
         return len(self.final_population[1]) + sum(self.newborns)
 
 
@@ -242,10 +256,13 @@ def _evaluate(problem: Problem, rows: np.ndarray, cutoff: Optional[float]) -> np
     values = np.asarray(problem.objective(rows, cutoff), dtype=float)
     if values.shape != (len(rows),):
         raise EvaluationError(f"objective returned shape {values.shape} for {len(rows)} rows")
+    return values
+
+
+def _check_finite(rows: np.ndarray, values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         bad = np.flatnonzero(~np.isfinite(values))[0]
         raise EvaluationError(f"objective returned {float(values[bad])!r} at position {rows[bad].tolist()}")
-    return values
 
 
 def _best_first(fitness: np.ndarray, sense: str) -> np.ndarray:
@@ -266,6 +283,7 @@ def initialize_population(problem: Problem, params: PfmParams, rng: np.random.Ge
         positions = rng.uniform(problem.domain.lower, problem.domain.upper, size=shape)
     positions = _per_row(positions, problem, rng, transfer=False)
     fitness = _evaluate(problem, positions, None)
+    _check_finite(positions, fitness)
     order = _best_first(fitness, problem.sense)
     return positions[order], fitness[order]
 
@@ -325,16 +343,28 @@ def run_season(
     objective call that raises finds the window's later seasons already
     drawn.
 
-    Each season's newborns get one objective call, with the worst parent's
-    fitness as the cutoff, and one stable sort keeps the best
-    ``population_size``, ties keeping parents in rank order, then newborns in
-    birth order.  So a newborn that does not beat the worst parent is always
-    dropped, and a dropped newborn's exact value reaches no output.  A season
-    where no newborn enters skips the sort and keeps its input arrays
-    themselves, the population the sort would keep.  A season where one does
-    enter changes the parents, so the window's later seasons mate again from
-    the new population with the ranks and noise they drew.  A ``tally`` list
-    gains a ``(newborns, kept, best fitness)`` triple per season.
+    Each season's newborns are scored with the worst parent's fitness as the
+    cutoff, and one stable sort keeps the best ``population_size``, ties
+    keeping parents in rank order, then newborns in birth order.  So a newborn
+    that does not beat the worst parent is always dropped, and a dropped
+    newborn's exact value reaches no output.  A season where no newborn
+    enters skips the sort and keeps its input arrays themselves, the
+    population the sort would keep.  A season where one does enter changes
+    the parents, so the window's later seasons mate again from the new
+    population with the ranks and noise they drew.
+
+    So the seasons of a window up to the first with an entrant share one
+    cutoff, and one objective call scores a span of them, never past the
+    window's end.  The span is one season at the start of the call, doubles
+    after each objective call in which no newborn enters, up to a window, and
+    falls back to one after an entrant (galloping search, Bentley & Yao
+    1976).  A noisy problem, and a window of one season, get spans of one
+    season.  The seasons before the first entrant's keep their parents, and
+    the entrant's season merges.  Rows of the span's later seasons came from
+    the old parents: they are discarded and mated again, and a non-finite
+    value there raises nothing, where one in a season up to the first
+    entrant's raises :class:`EvaluationError`.  A ``tally`` list gains a
+    ``(newborns, kept, best fitness)`` triple per season.
     """
     positions, fitness = population
     n = params.population_size
@@ -344,6 +374,7 @@ def run_season(
     if type(seasons) is not int or seasons < 1:
         raise ValueError(f"seasons must be a positive int, got {seasons!r}")
     ahead = _SEASONS_AHEAD if isinstance(problem.domain, ContinuousBox) and problem.repair is None else 1
+    span = 1
     for first in range(0, seasons, ahead):
         count = min(ahead, seasons - first)
         # Room for n - 1 pairs a season: the dominant males take at most n_females mates.
@@ -358,24 +389,35 @@ def run_season(
         noise -= 1.0
         fathers, mothers = (np.concatenate(part) for part in zip(*draws))
         newborns = _offspring(positions, fathers, mothers, noise, params, problem, rng)
-        for start, stop in zip(ends, ends[1:]):
-            rows = newborns[start:stop]
-            worst = float(fitness[-1])
-            values = _evaluate(problem, rows, worst)
-            if not (values.min() < worst if problem.sense == "min" else values.max() > worst):
-                kept = 0  # the stable sort below would keep the parents as they are
-            else:
-                pool = np.concatenate([fitness, values])
-                keep = _best_first(pool, problem.sense)[:n]
-                kept = int(np.count_nonzero(keep >= n))
-                positions, fitness = np.concatenate([positions, rows])[keep], pool[keep]
-                if stop < len(fathers):
-                    # In place: no objective call has seen these rows yet.
-                    newborns[stop:] = _offspring(
-                        positions, fathers[stop:], mothers[stop:], noise[stop:], params, problem, rng
-                    )
+        sizes = [len(pair_fathers) for pair_fathers, _ in draws]
+        season = 0
+        while season < count:
+            stop = min(season + span, count)
+            start, worst = ends[season], float(fitness[-1])
+            values = _evaluate(problem, newborns[start : ends[stop]], worst)
+            enters = values < worst if problem.sense == "min" else values > worst
+            entrant = int(enters.argmax())
+            entered = bool(enters[entrant])
+            if entered:
+                # The season of the first entrant is the last one scored.
+                stop = bisect_right(ends, start + entrant, season + 1)
+            _check_finite(newborns[start : ends[stop]], values[: ends[stop] - start])
             if tally is not None:
-                tally.append((len(rows), kept, float(fitness[0])))
+                tally.extend(zip(sizes[season : stop - entered], repeat(0), repeat(float(fitness[0]))))
+            if entered:
+                lo, hi = ends[stop - 1], ends[stop]
+                pool = np.concatenate([fitness, values[lo - start : hi - start]])
+                keep = _best_first(pool, problem.sense)[:n]
+                positions, fitness = np.concatenate([positions, newborns[lo:hi]])[keep], pool[keep]
+                if tally is not None:
+                    tally.append((hi - lo, int(np.count_nonzero(keep >= n)), float(fitness[0])))
+                if stop < count:
+                    # In place: no objective call has seen these rows since the parents changed.
+                    newborns[hi:] = _offspring(positions, fathers[hi:], mothers[hi:], noise[hi:], params, problem, rng)
+                span = 1
+            else:
+                span = 1 if problem.noisy else min(2 * span, ahead)
+            season = stop
     return positions, fitness
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -322,3 +323,27 @@ class TestRunTraceDigests:
         params = PfmParams(population_size=population_size, seed=0, max_iterations=20, seasons_per_iteration=seasons)
         trace = optimize(make_problem(name, seed=0), params)
         assert run_trace_digest(trace) == self.CASES[name, population_size, seasons]
+
+
+class TestSpansMatchSeasonsOneByOne:
+    # A box run scores a span of seasons in one objective call, where a noisy
+    # problem scores its seasons one at a time.  Every function must give the
+    # same run both ways.  Both runs share one process, so this holds in any
+    # CPU mode, including the one where F13, F19 and F20 give other bits.
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PfmParams(population_size=6, max_iterations=30),
+            PfmParams(population_size=11, dominance_factor=0.3, seasons_per_iteration=5, max_iterations=20),
+            PfmParams(),
+        ],
+        ids=["population-6", "population-11-dominance-0.3-seasons-5", "defaults"],
+    )
+    @pytest.mark.parametrize("name", list(BENCHMARKS))
+    def test_spans_match_seasons_one_by_one(self, name, params):
+        spans = optimize(make_problem(name, seed=0), params)
+        one_by_one = optimize(dataclasses.replace(make_problem(name, seed=0), noisy=True), params)
+        for got, want in zip(spans.final_population, one_by_one.final_population):
+            assert got.tobytes() == want.tobytes()
+        assert (spans.newborns, spans.survivors) == (one_by_one.newborns, one_by_one.survivors)
+        assert repr(spans.best_per_iteration) == repr(one_by_one.best_per_iteration)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -187,8 +188,8 @@ class TestRunSeason:
             population = run_season(population, params, problem, rng)
         assert np.all(population[0] >= -2.0) and np.all(population[0] <= 2.0)
 
-    @pytest.mark.parametrize("binary", [False, True], ids=["box", "binary-repair"])
-    def test_objective_gets_c_ordered_float64_batches(self, binary):
+    @pytest.mark.parametrize("case", ["box", "box-noisy", "binary-repair"])
+    def test_objective_gets_c_ordered_float64_batches(self, case):
         # The benchmark functions give a row the same bits in any batch only
         # in C order.  At population 7 some seasons take the multi-mate path.
         batches = []
@@ -197,18 +198,20 @@ class TestRunSeason:
             batches.append((x.shape[1], x.dtype, x.flags.c_contiguous))
             return x.sum(axis=1)
 
-        if binary:
+        if case == "binary-repair":
             problem = Problem(3, Binary(), spy, sense="max", repair=_repair_empty_mask)
         else:
-            problem = Problem(3, ContinuousBox(np.full(3, -2.0), np.full(3, 2.0)), spy)
+            problem = Problem(3, ContinuousBox(np.full(3, -2.0), np.full(3, 2.0)), spy, noisy=case == "box-noisy")
         params = PfmParams(population_size=7, seed=0)
         rng = np.random.default_rng(0)
         population = initialize_population(problem, params, rng)
         for _ in range(20):
             population = run_season(population, params, problem, rng)
-        # A window hands the objective a slice of its newborns per season.
+        # A box window hands the objective a slice of its newborns per span of
+        # seasons; a noisy box and the binary domain, one per season.
         run_season(population, params, problem, rng, seasons=20)
-        assert batches == [(3, np.float64, True)] * 41
+        assert batches == [(3, np.float64, True)] * len(batches)
+        assert len(batches) < 41 if case == "box" else len(batches) == 41
 
     def test_wrong_population_size_rejected(self):
         params = PfmParams(population_size=10, seed=0)
@@ -245,6 +248,70 @@ class TestRunSeason:
         newborns = sum(born for born, _, _ in tally)
         assert len(tally) == 200 and all(kept > 0 for _, kept, _ in tally)
         assert sum(mated) <= optimizer._SEASONS_AHEAD * newborns
+
+    def test_long_call_scores_few_rows_ahead(self):
+        # On the sphere at population 7 about one season in eight admits a
+        # newborn, so spans often end early and discard the rows they scored
+        # past the entrant's season.  A span that doubles from 1 after each
+        # season without an entrant scores 1,091 rows for 803 newborns here;
+        # spans to the window's end would score 1,569.
+        rows = []
+
+        def objective(x, cutoff):
+            rows.append(len(x))
+            return (x * x).sum(axis=1)
+
+        problem = Problem(3, ContinuousBox(np.full(3, -2.0), np.full(3, 2.0)), objective)
+        params = PfmParams(population_size=7, seed=0)
+        rng = np.random.default_rng(0)
+        tally = []
+        run_season(initialize_population(problem, params, rng), params, problem, rng, tally, seasons=200)
+        scored = sum(rows[1:])  # after the initial population's call
+        newborns = sum(born for born, _, _ in tally)
+        assert len(tally) == 200 and sum(kept > 0 for _, kept, _ in tally) >= 20
+        assert newborns < scored <= 1.5 * newborns
+
+    def test_non_finite_value_raises_only_where_seasons_one_by_one_score_it(self):
+        # A non-finite value in a season up to a span's first entrant raises,
+        # naming the row that the seasons one by one (a noisy problem) name; in
+        # a row that a span scores ahead and then discards, it does not.
+        box = ContinuousBox(np.full(5, -4.0), np.full(5, 4.0))
+        params = PfmParams(population_size=7, seed=0)
+
+        def run(noisy, bad=()):
+            calls = []
+
+            def objective(x, cutoff):
+                values = (x * x).sum(axis=1)
+                calls.append(x.copy())
+                return np.where([row.tobytes() in bad for row in x], np.nan, values)
+
+            problem = Problem(5, box, objective, noisy=noisy)
+            rng = np.random.default_rng(0)
+            out = run_season(initialize_population(problem, params, rng), params, problem, rng, seasons=100)
+            return out, calls
+
+        want, spans = run(False)
+        _, one_by_one = run(True)
+        scored = {row.tobytes() for rows in one_by_one for row in rows}
+        ahead = [row.tobytes() for rows in spans for row in rows if row.tobytes() not in scored]
+        got, _ = run(False, set(ahead))
+        assert len(ahead) > 0
+        assert (got[0].tobytes(), got[1].tobytes()) == (want[0].tobytes(), want[1].tobytes())
+        # Of each span that discards rows: its first row and the last one it scores.
+        picks = []
+        for rows in spans[1:]:
+            in_seasons = [row for row in rows if row.tobytes() in scored]
+            if len(in_seasons) < len(rows):
+                picks += [in_seasons[0], in_seasons[-1]]
+        assert len(picks) >= 4
+        for row in picks:
+            messages = []
+            for noisy in (True, False):
+                with pytest.raises(EvaluationError) as raised:
+                    run(noisy, {row.tobytes()})
+                messages.append(str(raised.value))
+            assert messages == [f"objective returned nan at position {row.tolist()}"] * 2
 
     @staticmethod
     def _entry_season(sense, newborn_values):
@@ -379,47 +446,89 @@ def season_cases():
     }
 
 
+def match_spans(calls, seasons, sense):
+    """Match one run_season call's objective calls to its seasons scored one by one.
+
+    ``calls`` and ``seasons`` hold a ``(cutoff, rows, values)`` triple per
+    objective call.  Each call starts at the season after the last one scored,
+    with that season's cutoff, and hands over whole seasons.  Its rows start
+    with those of the seasons one by one, up to the first season with an
+    entrant; any rows after that were scored ahead, and the merge discards
+    them.  Returns the number of rows scored ahead and discarded.
+    """
+    sizes = [len(rows) for _, rows, _ in seasons]
+    season = discarded = 0
+    for cutoff, rows, _ in calls:
+        assert cutoff == seasons[season][0]
+        ends = list(itertools.accumulate(sizes[season:]))
+        assert len(rows) in ends
+        covered = season + ends.index(len(rows)) + 1
+        scored = 0
+        while season < covered:
+            worst, want, values = seasons[season]
+            assert rows[scored : scored + len(want)].tobytes() == want.tobytes()
+            scored += len(want)
+            season += 1
+            if (values < worst).any() if sense == "min" else (values > worst).any():
+                break
+        discarded += len(rows) - scored
+    assert season == len(seasons)
+    return discarded
+
+
 def windows_match_reference(problem, params, seed, windows=21, seasons=1):
     """Run ``windows`` calls of ``seasons`` seasons against as many reference seasons.
 
     The populations and generator states must be equal before the first call
-    and after each one.  Each season's best, and the cutoff of its one
-    objective call, must be the reference's best and worst parent.  Returns
-    the last population and the tally.
+    and after each one, and each season's best must be the reference's.  The
+    objective calls of each call must match the reference seasons as
+    :func:`match_spans` checks.  Returns the last population, the tally and
+    the number of rows scored ahead and discarded.
     """
-    cutoffs = []
+    calls, want_rows = [], []
 
     def spy(x, cutoff):
-        cutoffs.append(cutoff)
-        return problem.objective(x, cutoff)
+        values = problem.objective(x, cutoff)
+        calls.append((cutoff, x.copy(), values))
+        return values
+
+    def record(x, cutoff):
+        # The reference scores one row a call.
+        values = problem.objective(x, cutoff)
+        want_rows.append((x[0].copy(), values[0]))
+        return values
 
     def state(population, rng):
         return population[0].tobytes(), population[1].tobytes(), rng.bit_generator.state
 
-    spied = dataclasses.replace(problem, objective=spy)
+    spied, recorded = (dataclasses.replace(problem, objective=f) for f in (spy, record))
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = initialize_population(problem, params, got_rng)
     want = reference_initialize(problem, params, want_rng)
     assert state(got, got_rng) == state(want, want_rng)
-    tally = []
+    tally, discarded = [], 0
     for _ in range(windows):
-        cutoffs.clear()
-        worsts, bests = [], []
+        calls.clear()
+        one_by_one, bests = [], []
         got = run_season(got, params, spied, got_rng, tally, seasons=seasons)
         for _ in range(seasons):
-            worsts.append(float(want[1][-1]))
-            want = reference_season(want, params, problem, want_rng)
+            worst = float(want[1][-1])
+            want_rows.clear()
+            want = reference_season(want, params, recorded, want_rng)
+            rows, values = zip(*want_rows)
+            one_by_one.append((worst, np.array(rows), np.array(values)))
             bests.append(float(want[1][0]))
         assert state(got, got_rng) == state(want, want_rng)
-        assert cutoffs == worsts and [best for _, _, best in tally[-seasons:]] == bests
-    return got, tally
+        assert [best for _, _, best in tally[-seasons:]] == bests
+        discarded += match_spans(calls, one_by_one, problem.sense)
+    return got, tally, discarded
 
 
 class TestSeasonMatchesReference:
     @pytest.mark.parametrize("n", [4, 7, 30])
     @pytest.mark.parametrize("case", list(season_cases()))
     def test_twenty_seasons_bit_identical(self, case, n):
-        got, _ = windows_match_reference(season_cases()[case], PfmParams(population_size=n), n)
+        got, _, _ = windows_match_reference(season_cases()[case], PfmParams(population_size=n), n)
         if case.startswith("box-ties"):
             assert len(set(got[1].tolist())) < n
 
@@ -430,7 +539,7 @@ class TestSeasonMatchesReference:
         # every male takes one.  More than 18 newborns a season on average
         # shows that some took several.
         params = PfmParams(population_size=30, dominance_factor=0.3)
-        _, tally = windows_match_reference(season_cases()[case], params, 30)
+        _, tally, _ = windows_match_reference(season_cases()[case], params, 30)
         assert sum(born for born, _, _ in tally) > 18 * 21
 
     @pytest.mark.parametrize("case", list(season_cases()))
@@ -456,15 +565,20 @@ class TestSeasonMatchesReference:
     @pytest.mark.parametrize("case", list(season_cases()))
     def test_window_matches_seasons_one_by_one(self, case, seasons):
         # A box window draws all its seasons ahead and mates them together, so
-        # a call of 40 seasons runs windows of 16, 16 and 8; binary-repair runs
-        # its seasons one at a time.  Either way each call must leave the
-        # population, the per-season bests and the generator where as many
-        # reference seasons leave them.  In the box-ties cases newborns enter
-        # mid-window, so later seasons mate again.
+        # a call of 40 seasons runs windows of 16, 16 and 8, and it scores a
+        # span of seasons per objective call; binary-repair runs its seasons
+        # one at a time.  Either way each call must leave the population, the
+        # per-season bests and the generator where as many reference seasons
+        # leave them, and score their rows (match_spans).  In the box-ties
+        # cases newborns enter mid-window, so later seasons mate again; in the
+        # other box cases some spans score rows ahead that an entrant discards.
         ahead = optimizer._SEASONS_AHEAD
-        entered_mid_window = 0
+        entered_mid_window = discarded = 0
         for n in (4, 7, 30):
-            _, tally = windows_match_reference(season_cases()[case], PfmParams(population_size=n), n, 3, seasons)
+            _, tally, ahead_rows = windows_match_reference(
+                season_cases()[case], PfmParams(population_size=n), n, 3, seasons
+            )
+            discarded += ahead_rows
             # A call's windows start at its seasons 0, 16, 32, ...
             places = [i % seasons for i in range(len(tally))]
             entered_mid_window += sum(
@@ -472,6 +586,10 @@ class TestSeasonMatchesReference:
             )
         if case.startswith("box-ties"):
             assert entered_mid_window > 0
+        elif case.startswith("box"):
+            assert discarded > 0
+        else:
+            assert discarded == 0
 
     def test_mate_matches_reference(self):
         rng = np.random.default_rng(3)
@@ -589,18 +707,36 @@ class TestOptimize:
         assert (got.evaluations, got.newborns, got.survivors) == (want.evaluations, want.newborns, want.survivors)
 
     def test_counts_objective_calls(self):
-        calls = 0
-
-        def objective(x, cutoff):
-            nonlocal calls
-            calls += len(x)
-            return (x * x).sum(axis=1)
-
-        problem = Problem(2, ContinuousBox(np.full(2, -1.0), np.full(2, 1.0)), objective)
+        # Seasons one by one (a noisy problem) hand the objective each row
+        # once: the initial population, then every newborn.  Spans of seasons
+        # add the rows scored ahead and then discarded (match_spans).
         params = PfmParams(population_size=8, max_iterations=10, seasons_per_iteration=2, seed=0)
-        trace = optimize(problem, params)
-        assert trace.evaluations == calls
-        assert trace.evaluations > params.population_size
+
+        def run(noisy):
+            calls = []
+
+            def objective(x, cutoff):
+                values = (x * x).sum(axis=1)
+                calls.append((cutoff, x.copy(), values))
+                return values
+
+            problem = Problem(2, ContinuousBox(np.full(2, -1.0), np.full(2, 1.0)), objective, noisy=noisy)
+            return optimize(problem, params), calls
+
+        trace, calls = run(False)
+        one_by_one, seasons = run(True)
+        rows = [sum(len(x) for _, x, _ in log) for log in (calls, seasons)]
+        assert len(seasons) == 1 + params.max_iterations * params.seasons_per_iteration
+        assert rows[1] == one_by_one.evaluations > params.population_size
+        discarded = match_spans(calls[1:], seasons[1:], "min")
+        assert rows[0] == trace.evaluations + discarded and discarded > 0 and len(calls) < len(seasons)
+        for got, want in zip(trace.final_population, one_by_one.final_population):
+            assert got.tobytes() == want.tobytes()
+        assert (trace.evaluations, trace.newborns, trace.survivors) == (
+            one_by_one.evaluations,
+            one_by_one.newborns,
+            one_by_one.survivors,
+        )
 
     def test_trace_holds_four_fields_and_derives_its_best_and_evaluations(self):
         params = PfmParams(population_size=10, max_iterations=5, seasons_per_iteration=2, seed=4)
@@ -703,8 +839,9 @@ class TestOptimize:
             ({"dimension": 0}, "dimension must be positive"),
             ({"sense": "best"}, "sense must be 'min' or 'max', got 'best'"),
             ({"dimension": 3}, "bound vectors must match the problem dimension"),
+            ({"noisy": 1}, "noisy must be a bool, got 1"),
         ],
-        ids=["dimension-0", "bad-sense", "bound-length"],
+        ids=["dimension-0", "bad-sense", "bound-length", "noisy-not-bool"],
     )
     def test_bad_problem_rejected(self, fields, message):
         box = ContinuousBox(np.full(2, -1.0), np.full(2, 1.0))
