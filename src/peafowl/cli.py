@@ -281,6 +281,9 @@ def cmd_bench(config: dict) -> int:
     ]
     if not names:
         raise ConfigError("function list is empty")
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"function {repeated} is listed more than once")
     for name in names:
         get_benchmark(name)
     runs = config["runs"]

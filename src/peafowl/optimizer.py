@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -95,8 +95,9 @@ class PfmParams:
         if self.seasons_per_iteration < 1:
             raise ValueError("seasons_per_iteration must be positive")
         for name in ("call_intensity", "colorfulness", "gamma1", "gamma2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            # A NaN fails every comparison, so ask for 0 <= value < inf.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)!r}")
         if not 0.0 <= self.dominance_factor <= 1.0:
             raise ValueError("dominance_factor must lie in [0, 1]")
         lo, hi = self.r_range
@@ -304,6 +305,68 @@ def _draw_pairs(n: int, params: PfmParams, rng: np.random.Generator, noise: np.n
     return fathers, mothers
 
 
+def _draw_seasons(n: int, params: PfmParams, rng: np.random.Generator, noise: np.ndarray, count: int):
+    """Draws (1)-(4) of ``count`` seasons in turn through ``_draw_pairs``: every pair's
+    father and mother rank, and each season's pair count, with the noise in ``noise``."""
+    draws, offset = [], 0
+    for _ in range(count):
+        draws.append(_draw_pairs(n, params, rng, noise, offset))
+        offset += len(draws[-1][0])
+    fathers, mothers = (np.concatenate(part) for part in zip(*draws))
+    return fathers, mothers, [len(pair_fathers) for pair_fathers, _ in draws]
+
+
+def _partners_from_words(n: int, params: PfmParams, rng: np.random.Generator, noise: np.ndarray, count: int):
+    """:func:`_draw_seasons`' draws on a PCG64 generator, with each season's (3) taken
+    from raw words as ``Generator.integers`` makes it; or None, with the generator back
+    where it was, for a window this cannot draw.
+
+    ``integers`` (Lemire 2019) takes 32-bit halves, a word's low half first,
+    and PCG64 keeps an unused high half for the next draw; a half h gives
+    rank n_males + (h·n_females >> 32), and is rejected, and another drawn,
+    where (h·n_females) mod 2^32 < 2^32 mod n_females.  So each season draws
+    the words it needs where ``integers`` would, and one pass per window
+    makes the ranks.  None for a window where some season has several mates
+    per dominant male or one female (which ``integers`` draws nothing for),
+    or where ``integers`` would reject a half.
+    """
+    bit_generator = rng.bit_generator
+    start = bit_generator.state
+    carried = start["has_uint32"]
+    lo, hi = params.r_range
+    sizes, females, words = [], [], []
+    offset = 0
+    for _ in range(count):
+        n_males, n_dominant = split_population(n, lo + (hi - lo) * rng.random(), params.dominance_factor)
+        n_females = n - n_males
+        if n_females < 2 or n_females // n_dominant > 1:
+            bit_generator.state = start
+            return None
+        words.append(bit_generator.random_raw((n_males - carried + 1) // 2))
+        carried = (n_males - carried) % 2
+        rng.random(out=noise[offset : offset + n_males])
+        offset += n_males
+        sizes.append(n_males)
+        females.append(n_females)
+    words = np.concatenate(words)
+    halves = words.astype("<u8", copy=False).view("<u4")[: 2 * len(words) - carried]
+    if start["has_uint32"]:
+        halves = np.concatenate([np.array([start["uinteger"]], dtype=np.uint32), halves])
+    bound = np.repeat(np.array(females, dtype=np.uint64), sizes)
+    scaled = halves * bound
+    if ((scaled & 0xFFFFFFFF) < (1 << 32) % bound).any():
+        bit_generator.state = start
+        return None
+    # As integers leaves it: the last word's high half stays in uinteger once taken.
+    state = bit_generator.state
+    state["has_uint32"] = carried
+    if len(words):
+        state["uinteger"] = int(words[-1] >> 32)
+    bit_generator.state = state
+    fathers = np.concatenate([np.arange(n_males) for n_males in sizes])  # every male mates once
+    return fathers, np.repeat(sizes, sizes) + (scaled >> 32).astype(np.int64), sizes
+
+
 def _offspring(positions, fathers, mothers, noise, params, problem, rng) -> np.ndarray:
     """Newborns of the given rank pairs, mated and adjusted to the domain."""
     newborns = mate(positions[fathers], positions[mothers], params, noise)
@@ -327,21 +390,28 @@ def run_season(
     nothing is drawn, as a draw over {1} would leave the generator as it is
     (at the published population size 30 and dominance factor 0.8, m is
     always 1);
-    (3) in one call, a female partner for every pair, pairs ordered by father
-    rank, then by mate; (4) in one call, the (pairs, dimension) mating noise,
-    uniform in [-1, 1] as ``Generator.uniform`` draws it: -1 + 2u for one
-    ``random()`` double u per coordinate; (5) per newborn in pair order, for
-    binary domains its ``dimension`` transfer draws, then any repair draw.
+    (3) in one ``Generator.integers`` call, a female partner for every pair,
+    pairs ordered by father rank, then by mate; (4) in one call, the (pairs,
+    dimension) mating noise, uniform in [-1, 1] as ``Generator.uniform``
+    draws it: -1 + 2u for one ``random()`` double u per coordinate; (5) per
+    newborn in pair order, for binary domains its ``dimension`` transfer
+    draws, then any repair draw.
 
     On a box domain with no repair hook, (5) draws nothing, so the seasons
     run in windows of ``_SEASONS_AHEAD`` from the call's first season on, the
     last one shorter, whatever ``seasons`` is: each season of a window draws
     (1)-(4) in turn before any mates, then one :func:`mate` call and one clip
-    make every newborn of the window from the current parents.  Otherwise
-    each season draws, mates and adjusts on its own.  Either way the
-    generator ends where the seasons run one by one would leave it; only an
-    objective call that raises finds the window's later seasons already
-    drawn.
+    make every newborn of the window from the current parents.  On a PCG64
+    generator a box window takes each season's (3) as raw words, at the
+    place in the stream where ``integers`` draws them, and makes from them
+    the ranks and generator state that ``integers`` gives, bit for bit.  A
+    window where a dominant male may take several mates, a season has one
+    female, or ``integers`` would reject a half and draw again, goes back to
+    its start and draws by the calls above, as windows on other bit
+    generators do, and so do the call's later windows.  Otherwise each
+    season draws, mates and adjusts on its own.  Either way the generator
+    ends where the seasons run one by one would leave it; only an objective
+    call that raises finds the window's later seasons already drawn.
 
     Each season's newborns are scored with the worst parent's fitness as the
     cutoff, and one stable sort keeps the best ``population_size``, ties
@@ -374,22 +444,22 @@ def run_season(
     if type(seasons) is not int or seasons < 1:
         raise ValueError(f"seasons must be a positive int, got {seasons!r}")
     ahead = _SEASONS_AHEAD if isinstance(problem.domain, ContinuousBox) and problem.repair is None else 1
+    from_words = ahead > 1 and type(rng.bit_generator) is np.random.PCG64
     span = 1
     for first in range(0, seasons, ahead):
         count = min(ahead, seasons - first)
         # Room for n - 1 pairs a season: the dominant males take at most n_females mates.
         noise = np.empty((count * n, problem.dimension))
-        draws, ends = [], [0]
-        for _ in range(count):
-            draws.append(_draw_pairs(n, params, rng, noise, ends[-1]))
-            ends.append(ends[-1] + len(draws[-1][0]))
+        drawn = _partners_from_words(n, params, rng, noise, count) if from_words else None
+        # A window falls back mostly for its parameters (several mates), which later windows share.
+        from_words = drawn is not None
+        fathers, mothers, sizes = _draw_seasons(n, params, rng, noise, count) if drawn is None else drawn
+        ends = [0, *accumulate(sizes)]
         # Into [-1, 1] as Generator.uniform(-1, 1) scales a double u: -1 + 2u, with 2u exact.
         noise = noise[: ends[-1]]
         noise *= 2.0
         noise -= 1.0
-        fathers, mothers = (np.concatenate(part) for part in zip(*draws))
         newborns = _offspring(positions, fathers, mothers, noise, params, problem, rng)
-        sizes = [len(pair_fathers) for pair_fathers, _ in draws]
         season = 0
         while season < count:
             stop = min(season + span, count)

@@ -425,6 +425,21 @@ def test_empty_function_list_exits_2(files, functions, caplog):
     assert not (out / "results.csv").exists()
 
 
+def test_repeated_function_exits_2(files, caplog):
+    out = files["tmp"] / "out"
+    assert run("bench", "--functions", "F1,F10,F1", "--runs", "1", out=out) == 2
+    assert "function F1 is listed more than once" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [("--gamma1", "inf", "gamma1"), ("--i0", "nan", "call_intensity")])
+def test_non_finite_coefficient_exits_2(files, flag, value, field, caplog):
+    out = files["tmp"] / "out"
+    assert run("bench", "--functions", "F1", "--runs", "1", "--iterations", "2", flag, value, out=out) == 2
+    assert f"{field} must be finite and non-negative, got {float(value)!r}" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, status", [("--config", 2), ("--schema", 3)])
 def test_unreadable_config_exits_2_and_unreadable_schema_exits_3(files, flag, status, caplog):
     unreadable = files["tmp"] / "directory.yaml"

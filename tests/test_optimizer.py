@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -619,6 +620,99 @@ class TestSeasonMatchesReference:
         assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
 
 
+# PCG64's 128-bit LCG step, state' = state * MULT + inc mod 2^128, and its inverse.
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_step_back(state, inc):
+    return (state - inc) * pow(PCG64_MULT, -1, 1 << 128) % (1 << 128)
+
+
+class TestPartnerRanksFromRawWords:
+    """A box window on PCG64 derives its partner ranks from raw words; elsewhere it draws them
+    with ``Generator.integers``.  Either way the seasons must match :func:`reference_season`,
+    which draws each rank with a scalar ``integers`` call, down to the whole generator state."""
+
+    def match_reference(self, monkeypatch, params, rng, seasons=40):
+        """Run ``seasons`` seasons against the reference from a copy of ``rng``; return the
+        number of ``_draw_pairs`` calls, the seasons drawn without raw words."""
+        fallbacks = []
+
+        def counting_draw_pairs(*args):
+            fallbacks.append(1)
+            return draw_pairs(*args)
+
+        draw_pairs = optimizer._draw_pairs
+        monkeypatch.setattr(optimizer, "_draw_pairs", counting_draw_pairs)
+        problem = season_cases()["box-min"]
+        want_rng = copy.deepcopy(rng)
+        got = want = initialize_population(problem, params, np.random.default_rng(1))
+        got = run_season(got, params, problem, rng, seasons=seasons)
+        for _ in range(seasons):
+            want = reference_season(want, params, problem, want_rng)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        # assert_equal, not ==: MT19937 and SFC64 hold arrays in their state dicts.
+        np.testing.assert_equal(rng.bit_generator.state, want_rng.bit_generator.state)
+        return len(fallbacks)
+
+    @pytest.mark.parametrize("n", [4, 5, 30])
+    def test_raw_words_leave_the_generator_as_integers_does(self, monkeypatch, n):
+        assert self.match_reference(monkeypatch, PfmParams(population_size=n), np.random.default_rng(n)) == 0
+
+    def test_window_starts_with_a_carried_half(self, monkeypatch):
+        # A scalar integers call takes a word's low half and keeps the high half for the next.
+        rng = np.random.default_rng(5)
+        rng.integers(0, 10)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert self.match_reference(monkeypatch, DEFAULTS, rng) == 0
+
+    def test_rejected_half_falls_back(self, monkeypatch):
+        # The word after the r word has low half 0 and high half c: ``integers``
+        # rejects the 0 for any female count that is not a power of two, and
+        # takes c in its place.  A word with state bits 122-127 clear is not
+        # rotated, and the high and low 64 bits XOR to c << 32.
+        inc = np.random.default_rng(0).bit_generator.state["state"]["inc"]
+        rng = np.random.default_rng(0)
+        for high in itertools.count(1):
+            state = pcg64_step_back(pcg64_step_back((high << 64) | (high ^ (0x9E3779B9 << 32)), inc), inc)
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            probe = copy.deepcopy(rng)
+            n_males, _ = split_population(30, probe.uniform(0.4, 0.6), DEFAULTS.dominance_factor)
+            if (30 - n_males) & (29 - n_males):
+                break
+        assert probe.bit_generator.random_raw() == 0x9E3779B9 << 32
+        assert self.match_reference(monkeypatch, DEFAULTS, rng, seasons=16) == 16
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+    def test_other_bit_generators_draw_with_integers(self, monkeypatch, bit_generator):
+        assert self.match_reference(monkeypatch, DEFAULTS, np.random.Generator(bit_generator(3))) == 40
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"population_size": 7, "dominance_factor": 0.3}, {"population_size": 4, "r_range": (0.9, 0.95)}],
+        ids=["several-mates", "one-female"],
+    )
+    def test_windows_of_several_mates_or_one_female_draw_with_integers(self, monkeypatch, fields):
+        # At population 7 and dominance 0.3 one dominant male takes up to 3 or 4 mates; at
+        # population 4 and r near 1 one female mates with every male, and integers draws nothing.
+        tries = []
+
+        def counting_partners_from_words(*args):
+            tries.append(1)
+            return partners_from_words(*args)
+
+        partners_from_words = optimizer._partners_from_words
+        monkeypatch.setattr(optimizer, "_partners_from_words", counting_partners_from_words)
+        assert self.match_reference(monkeypatch, PfmParams(**fields), np.random.default_rng(2)) == 40
+        # Of the call's three windows, only the first tries raw words.
+        assert len(tries) == 1
+
+
 class TestOptimize:
     def test_sphere_monotone_and_improving(self):
         params = PfmParams(population_size=30, max_iterations=50, seasons_per_iteration=3, seed=0)
@@ -804,10 +898,15 @@ class TestOptimize:
             {"seasons_per_iteration": True},
             {"seed": True},
             {"seed": 1.0},
+            {"call_intensity": math.nan},
+            {"colorfulness": math.inf},
+            {"gamma1": math.inf},
+            {"gamma2": math.nan},
         ],
     )
     def test_invalid_params_rejected(self, bad):
-        with pytest.raises(ValueError):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
             PfmParams(**bad)
 
     @pytest.mark.parametrize("lower", [[np.nan, 0.0], [-np.inf, 0.0], [0.0, np.inf]])
