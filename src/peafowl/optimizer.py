@@ -11,9 +11,10 @@ where no newborn enters returns its input arrays, not copies.
 Randomness discipline: every run owns a single ``numpy.random.Generator``
 seeded from ``PfmParams.seed`` and consumes from it in a fixed order, making
 runs bit-reproducible.  Initialization draws the position matrix in one call,
-then runs any repair per row; :func:`run_season` gives the draw order of a
-season, the windows in which a box run draws seasons ahead and the spans of
-seasons that one objective call scores.
+then runs any repair per row.  Seasons run in windows, each kind of draw one
+generator call per window; :func:`run_season` gives the draw order, the
+window sizes (a box run draws seasons ahead) and the spans of seasons that
+one objective call scores.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ __all__ = [
 
 Population = tuple[np.ndarray, np.ndarray]  # positions (a row each) and fitness, best first
 
-# Seasons that run_season draws ahead and mates together on a box domain: the
-# speedup of a default campaign levels off above 16.
+# Seasons in a box window, which run_season draws ahead and mates together: the
+# speedup of a default campaign levels off above 16.  The constant is part of the
+# random stream, so changing it moves the answer of every box run and every box golden.
 _SEASONS_AHEAD = 16
 
 
@@ -289,82 +291,24 @@ def initialize_population(problem: Problem, params: PfmParams, rng: np.random.Ge
     return positions[order], fitness[order]
 
 
-def _draw_pairs(n: int, params: PfmParams, rng: np.random.Generator, noise: np.ndarray, start: int):
-    """Draws (1)-(4) of one season: the father and mother rank of each pair, returned,
-    and the pairs' noise doubles in [0, 1), written to ``noise`` from row ``start`` on."""
+def _draw_window(n: int, params: PfmParams, rng: np.random.Generator, noise: np.ndarray, count: int):
+    """Draws (1)-(4) of a window of ``count`` seasons (:func:`run_season`): every pair's
+    father and mother rank and each season's pair count, returned, and the pairs'
+    noise doubles in [0, 1), written to the first rows of ``noise``."""
     lo, hi = params.r_range
-    n_males, n_dominant = split_population(n, lo + (hi - lo) * rng.random(), params.dominance_factor)
-    max_mates = (n - n_males) // n_dominant
-    fathers = np.arange(n_males)
-    if max_mates > 1:
-        mates = np.ones(n_males, dtype=int)
-        mates[:n_dominant] = rng.integers(1, max_mates + 1, size=n_dominant)
-        fathers = np.repeat(fathers, mates)
-    mothers = rng.integers(n_males, n, size=len(fathers))
-    rng.random(out=noise[start : start + len(fathers)])
-    return fathers, mothers
-
-
-def _draw_seasons(n: int, params: PfmParams, rng: np.random.Generator, noise: np.ndarray, count: int):
-    """Draws (1)-(4) of ``count`` seasons in turn through ``_draw_pairs``: every pair's
-    father and mother rank, and each season's pair count, with the noise in ``noise``."""
-    draws, offset = [], 0
-    for _ in range(count):
-        draws.append(_draw_pairs(n, params, rng, noise, offset))
-        offset += len(draws[-1][0])
-    fathers, mothers = (np.concatenate(part) for part in zip(*draws))
-    return fathers, mothers, [len(pair_fathers) for pair_fathers, _ in draws]
-
-
-def _partners_from_words(n: int, params: PfmParams, rng: np.random.Generator, noise: np.ndarray, count: int):
-    """:func:`_draw_seasons`' draws on a PCG64 generator, with each season's (3) taken
-    from raw words as ``Generator.integers`` makes it; or None, with the generator back
-    where it was, for a window this cannot draw.
-
-    ``integers`` (Lemire 2019) takes 32-bit halves, a word's low half first,
-    and PCG64 keeps an unused high half for the next draw; a half h gives
-    rank n_males + (h·n_females >> 32), and is rejected, and another drawn,
-    where (h·n_females) mod 2^32 < 2^32 mod n_females.  So each season draws
-    the words it needs where ``integers`` would, and one pass per window
-    makes the ranks.  None for a window where some season has several mates
-    per dominant male or one female (which ``integers`` draws nothing for),
-    or where ``integers`` would reject a half.
-    """
-    bit_generator = rng.bit_generator
-    start = bit_generator.state
-    carried = start["has_uint32"]
-    lo, hi = params.r_range
-    sizes, females, words = [], [], []
-    offset = 0
-    for _ in range(count):
-        n_males, n_dominant = split_population(n, lo + (hi - lo) * rng.random(), params.dominance_factor)
-        n_females = n - n_males
-        if n_females < 2 or n_females // n_dominant > 1:
-            bit_generator.state = start
-            return None
-        words.append(bit_generator.random_raw((n_males - carried + 1) // 2))
-        carried = (n_males - carried) % 2
-        rng.random(out=noise[offset : offset + n_males])
-        offset += n_males
-        sizes.append(n_males)
-        females.append(n_females)
-    words = np.concatenate(words)
-    halves = words.astype("<u8", copy=False).view("<u4")[: 2 * len(words) - carried]
-    if start["has_uint32"]:
-        halves = np.concatenate([np.array([start["uinteger"]], dtype=np.uint32), halves])
-    bound = np.repeat(np.array(females, dtype=np.uint64), sizes)
-    scaled = halves * bound
-    if ((scaled & 0xFFFFFFFF) < (1 << 32) % bound).any():
-        bit_generator.state = start
-        return None
-    # As integers leaves it: the last word's high half stays in uinteger once taken.
-    state = bit_generator.state
-    state["has_uint32"] = carried
-    if len(words):
-        state["uinteger"] = int(words[-1] >> 32)
-    bit_generator.state = state
-    fathers = np.concatenate([np.arange(n_males) for n_males in sizes])  # every male mates once
-    return fathers, np.repeat(sizes, sizes) + (scaled >> 32).astype(np.int64), sizes
+    rs = (lo + (hi - lo) * rng.random(count)).tolist()
+    males, dominant = np.array([split_population(n, r, params.dominance_factor) for r in rs]).T
+    firsts = np.cumsum(males) - males  # each season's first male among the window's
+    ranks = np.arange(males.sum()) - np.repeat(firsts, males)
+    max_mates = np.repeat((n - males) // dominant, males)
+    several = (ranks < np.repeat(dominant, males)) & (max_mates > 1)
+    mates = np.ones(len(ranks), dtype=int)
+    if several.any():
+        mates[several] = rng.integers(1, max_mates[several] + 1)
+    sizes = np.add.reduceat(mates, firsts)
+    mothers = rng.integers(np.repeat(males, sizes), n)
+    rng.random(out=noise[: len(mothers)])
+    return np.repeat(ranks, mates), mothers, sizes.tolist()
 
 
 def _offspring(positions, fathers, mothers, noise, params, problem, rng) -> np.ndarray:
@@ -382,36 +326,27 @@ def run_season(
 ) -> Population:
     """``seasons`` mating seasons from a best-first ``(positions, fitness)``; returns the last one's population.
 
-    Draw order per season: (1) the male fraction r, uniform in r_range, as
-    ``Generator.uniform`` draws it: lo + (hi - lo) times one ``random()``
-    double; (2) if m = floor(n_females / n_dominant) exceeds 1, in one call,
-    the mate count of each dominant male in rank order, uniform over {1..m},
-    while normal males take one; otherwise every male takes one mate and
-    nothing is drawn, as a draw over {1} would leave the generator as it is
-    (at the published population size 30 and dominance factor 0.8, m is
-    always 1);
-    (3) in one ``Generator.integers`` call, a female partner for every pair,
-    pairs ordered by father rank, then by mate; (4) in one call, the (pairs,
-    dimension) mating noise, uniform in [-1, 1] as ``Generator.uniform``
-    draws it: -1 + 2u for one ``random()`` double u per coordinate; (5) per
-    newborn in pair order, for binary domains its ``dimension`` transfer
-    draws, then any repair draw.
-
-    On a box domain with no repair hook, (5) draws nothing, so the seasons
-    run in windows of ``_SEASONS_AHEAD`` from the call's first season on, the
-    last one shorter, whatever ``seasons`` is: each season of a window draws
-    (1)-(4) in turn before any mates, then one :func:`mate` call and one clip
-    make every newborn of the window from the current parents.  On a PCG64
-    generator a box window takes each season's (3) as raw words, at the
-    place in the stream where ``integers`` draws them, and makes from them
-    the ranks and generator state that ``integers`` gives, bit for bit.  A
-    window where a dominant male may take several mates, a season has one
-    female, or ``integers`` would reject a half and draw again, goes back to
-    its start and draws by the calls above, as windows on other bit
-    generators do, and so do the call's later windows.  Otherwise each
-    season draws, mates and adjusts on its own.  Either way the generator
-    ends where the seasons run one by one would leave it; only an objective
-    call that raises finds the window's later seasons already drawn.
+    The seasons run in windows from the call's first season on, the last one
+    shorter, whatever ``seasons`` is.  Draw order per window of k seasons, each
+    of (1)-(4) one ``Generator`` call: (1) k ``random()`` doubles, the j-th u
+    giving season j's male fraction r = lo + (hi - lo)·u, uniform in r_range
+    as ``Generator.uniform`` draws it; (2) the mate count of each dominant
+    male, uniform over {1..m}, in every season where m = floor(n_females /
+    n_dominant) exceeds 1, in season order and then rank order, in one
+    ``integers`` call with an array of upper bounds, while every other male
+    takes one mate; no call where no season of the window has m > 1 (at the
+    published population size 30 and dominance factor 0.8, m is always 1);
+    (3) a female partner for every pair of the window, pairs ordered by
+    season, then father rank, then mate, in one ``integers`` call with each
+    pair's season's n_males as its lower bound; (4) the (pairs, dimension)
+    mating noise, uniform in [-1, 1] as ``Generator.uniform`` draws it: -1 +
+    2u for one ``random()`` double u per coordinate; (5) per newborn in pair
+    order, for binary domains its ``dimension`` transfer draws, then any
+    repair draw.  On a box domain with no repair hook (5) draws nothing, and
+    a window holds ``_SEASONS_AHEAD`` seasons: one :func:`mate` call and one
+    clip make every newborn of the window from the current parents.
+    Otherwise a window holds one season.  An objective call that raises
+    finds the window's later seasons already drawn.
 
     Each season's newborns are scored with the worst parent's fitness as the
     cutoff, and one stable sort keeps the best ``population_size``, ties
@@ -444,16 +379,12 @@ def run_season(
     if type(seasons) is not int or seasons < 1:
         raise ValueError(f"seasons must be a positive int, got {seasons!r}")
     ahead = _SEASONS_AHEAD if isinstance(problem.domain, ContinuousBox) and problem.repair is None else 1
-    from_words = ahead > 1 and type(rng.bit_generator) is np.random.PCG64
     span = 1
     for first in range(0, seasons, ahead):
         count = min(ahead, seasons - first)
         # Room for n - 1 pairs a season: the dominant males take at most n_females mates.
         noise = np.empty((count * n, problem.dimension))
-        drawn = _partners_from_words(n, params, rng, noise, count) if from_words else None
-        # A window falls back mostly for its parameters (several mates), which later windows share.
-        from_words = drawn is not None
-        fathers, mothers, sizes = _draw_seasons(n, params, rng, noise, count) if drawn is None else drawn
+        fathers, mothers, sizes = _draw_window(n, params, rng, noise, count)
         ends = [0, *accumulate(sizes)]
         # Into [-1, 1] as Generator.uniform(-1, 1) scales a double u: -1 + 2u, with 2u exact.
         noise = noise[: ends[-1]]

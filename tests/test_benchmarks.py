@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from peafowl import benchmarks
+from peafowl import benchmarks, optimizer
 from peafowl import (
     BENCHMARKS,
     ConfigError,
@@ -306,6 +306,17 @@ class TestRunTraceDigests:
     # objective gets, or in what order.  Five seasons an iteration make
     # iterations end inside a window of seasons mated together.
     CASES = {
+        ("F1", 30, 3): "5c2df85c404942404670de822f1ccd205580e52dfcbae11f54b8f9dfa25cf51f",
+        ("F10", 30, 3): "0ec416c27a657c9344d1453eb4175a62fa52b0e0defb32c600831b9bcf3046de",
+        ("F14", 30, 3): "47d3fb655623cd037ca19321606ea983b19e127a5daeff98b4b45f903e108b38",
+        ("F14", 6, 3): "3f3adc209a84da89e67a5e562513e621f59defd5f809a2886e0bdcf410656ca0",
+        ("F7", 30, 3): "88c7d0c5ea7d75ba29961824ba2e0996bb67972e7c152471f9f00511b13f9d74",
+        ("F10", 30, 5): "89cdfa4c428343acfcb4d43d81b870b5af2fa1ee3505164c05ad065e876ddcbb",
+    }
+    # The same runs with windows of one season, which draw what a season drew
+    # before a box window made each kind of draw in one call: these digests
+    # predate that change, so only the grouping of the draws moved the ones above.
+    ONE_SEASON_WINDOWS = {
         ("F1", 30, 3): "651eb4b505c20a60552cac245e0896ec8d2ce6494c27a305ec43f7bd48f3f309",
         ("F10", 30, 3): "576fb69b0c37fe1ddf87157653337d9a554b48566248bb2054e7af90f1ece9a6",
         ("F14", 30, 3): "93143d47bdfc2e7758cea69de5acece3a9353876b2b7a0c97fed4fe130a143c9",
@@ -315,14 +326,22 @@ class TestRunTraceDigests:
     }
 
     @pytest.mark.parametrize(
-        "name,population_size,seasons",
-        list(CASES),
-        ids=[f"{n}-population-{p}" + (f"-seasons-{s}" if s != 3 else "") for n, p, s in CASES],
+        "name,population_size,seasons,one_season_windows",
+        [(*case, one) for case in CASES for one in (False, True)],
+        ids=[
+            f"{n}-population-{p}" + (f"-seasons-{s}" if s != 3 else "") + ("-one-season-windows" if one else "")
+            for n, p, s in CASES
+            for one in (False, True)
+        ],
     )
-    def test_run_trace_is_pinned(self, name, population_size, seasons):
+    def test_run_trace_is_pinned(self, monkeypatch, name, population_size, seasons, one_season_windows):
+        digests = self.CASES
+        if one_season_windows:
+            monkeypatch.setattr(optimizer, "_SEASONS_AHEAD", 1)
+            digests = self.ONE_SEASON_WINDOWS
         params = PfmParams(population_size=population_size, seed=0, max_iterations=20, seasons_per_iteration=seasons)
         trace = optimize(make_problem(name, seed=0), params)
-        assert run_trace_digest(trace) == self.CASES[name, population_size, seasons]
+        assert run_trace_digest(trace) == digests[name, population_size, seasons]
 
 
 class TestSpansMatchSeasonsOneByOne:

@@ -95,24 +95,24 @@ def test_select_best_is_the_first_subset(files, caplog):
         (
             ["bench", "--functions", "F1,F10,F14", "--runs", "2", "--iterations", "20"],
             {
-                "results.json": "f12bdc86134d3633aa2d59b7542084a668dfa1600cf332cd7abe6756883b1972",
-                "convergence.csv": "d1e20bacc16677a4d1cad8aad08a2e1ac37ab5870a1981b51b12956da6008f76",
+                "results.json": "b311721b9d2bafa91375b08efcf736ec01aa0c54849f2d79e62e3bd4305bdf92",
+                "convergence.csv": "7bfa9ee49304eece51bce96c33acb25b337c46c7efbc5641ddd1e75b201c1fff",
             },
         ),
         (
             BENCH,
             {
-                "results.json": "5ab4ee796ecb322bc8600e8fe42ca566d5cfbfed40ae0839ef591099fb3111eb",
-                "convergence.csv": "9eb1daa40d1c36558107d3acce0b2c4a2e5ed6dbb87b4644d542ee77ec00c184",
+                "results.json": "389c180031318c7d63c126c73bf11f825c97019a79e559d4776a48fa156da052",
+                "convergence.csv": "73a4e3f84214038ec7fd48af39d9c14d32da40c02f3c393ea3465f030fe95c50",
             },
         ),
     ],
     ids=["population-30", "population-6"],
 )
 def test_bench_output_is_pinned(files, argv, digests):
-    # Digests from before a season skipped the mate-count draw where no male
-    # can take two mates.  At population 30 every male mates once; at 6 a
-    # season with 2 males lets each take up to 2, so both paths run.
+    # Digests from when a box window first made each kind of its draws in one
+    # generator call.  At population 30 every male mates once; at 6 a season
+    # with 2 males lets each take up to 2, so both paths run.
     out = files["tmp"] / "bench"
     assert run(*argv, out=out) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests

@@ -251,11 +251,11 @@ class TestRunSeason:
         assert sum(mated) <= optimizer._SEASONS_AHEAD * newborns
 
     def test_long_call_scores_few_rows_ahead(self):
-        # On the sphere at population 7 about one season in eight admits a
+        # On the sphere at population 7 about one season in seven admits a
         # newborn, so spans often end early and discard the rows they scored
         # past the entrant's season.  A span that doubles from 1 after each
-        # season without an entrant scores 1,091 rows for 803 newborns here;
-        # spans to the window's end would score 1,569.
+        # season without an entrant scores 990 rows for 798 newborns here;
+        # spans to the window's end would score 1,660.
         rows = []
 
         def objective(x, cutoff):
@@ -360,10 +360,11 @@ class TestRunSeason:
         assert tally == (len(born), 1, fitness[0]) and len(born) > 1
 
 
-# Initialization and a season in per-child Python, drawing in the documented
-# order (np.clip, Python's stable sort): the reference that initialize_population
-# and run_season must match bit for bit.  The one piece not rewritten is the pair
-# attractiveness, taken from the same batched `attractiveness` call as `mate`: on
+# Initialization and a window of seasons in per-child Python, drawing in the
+# documented order (np.clip, Python's stable sort): the reference that
+# initialize_population and run_season must match bit for bit.  The one piece
+# not rewritten is the pair attractiveness, taken from the same batched
+# `attractiveness` call as `mate`: on
 # 2,000 random 30-D pairs a row-wise einsum and a per-row dot product differ in
 # the last bit for most pairs, and np.exp and math.exp for a few.
 def reference_initialize(problem, params, rng):
@@ -391,8 +392,7 @@ def pair_attractiveness(fathers, mothers, params):
     return attractiveness(np.sqrt(np.einsum("ij,ij->i", diff, diff)), params)
 
 
-def reference_mate(father, mother, a, params, rng):
-    rand = rng.uniform(-1.0, 1.0, size=father.size)
+def reference_mate(father, mother, a, params, rand):
     return father * mother + (father - mother) * a + rand * math.exp(params.gamma1 * params.gamma2)
 
 
@@ -406,30 +406,33 @@ def reference_adjust(raw, problem, rng):
     return position
 
 
-def reference_season(population, params, problem, rng):
-    positions, fitness = population
+def reference_window(population, params, problem, rng, count):
+    """``count`` seasons drawn as one window, in the documented order, each partner and
+    mate count with its own scalar ``integers`` call; yields the population after each season."""
     n = params.population_size
     lo, hi = params.r_range
-    r = rng.uniform(lo, hi)
-    n_males, n_dominant = split_population(n, r, params.dominance_factor)
-    n_females = n - n_males
-    max_mates = max(1, n_females // n_dominant)
-
-    fathers = []
-    for rank in range(n_dominant):
-        fathers += [rank] * int(rng.integers(1, max_mates + 1))
-    fathers += list(range(n_dominant, n_males))
-    mothers = [n_males + int(rng.integers(0, n_females)) for _ in fathers]
-    a = pair_attractiveness(positions[fathers], positions[mothers], params)
-    raws = [
-        reference_mate(positions[f], positions[m], a[i], params, rng) for i, (f, m) in enumerate(zip(fathers, mothers))
+    splits = [split_population(n, rng.uniform(lo, hi), params.dominance_factor) for _ in range(count)]
+    by_season = []  # each season's fathers, a pair each
+    for n_males, n_dominant in splits:
+        # A draw over {1} leaves the generator as it is.
+        max_mates = max(1, (n - n_males) // n_dominant)
+        mates = [int(rng.integers(1, max_mates + 1)) for _ in range(n_dominant)] + [1] * (n_males - n_dominant)
+        by_season.append([rank for rank in range(n_males) for _ in range(mates[rank])])
+    pairs = [
+        [(f, n_males + int(rng.integers(0, n - n_males))) for f in ranks] for (n_males, _), ranks in zip(splits, by_season)
     ]
-
-    pool = list(zip(fitness.tolist(), positions))
-    for raw in raws:
-        position = reference_adjust(raw, problem, rng)
-        pool.append((float(problem.objective(position[None], None)[0]), position))
-    return reference_ranked(pool, problem.sense, n)
+    noise = [[rng.uniform(-1.0, 1.0, size=problem.dimension) for _ in season] for season in pairs]
+    for season, rands in zip(pairs, noise):
+        positions, fitness = population
+        fathers, mothers = (list(ranks) for ranks in zip(*season))
+        a = pair_attractiveness(positions[fathers], positions[mothers], params)
+        raws = [reference_mate(positions[f], positions[m], a[i], params, rands[i]) for i, (f, m) in enumerate(season)]
+        pool = list(zip(fitness.tolist(), positions))
+        for raw in raws:
+            position = reference_adjust(raw, problem, rng)
+            pool.append((float(problem.objective(position[None], None)[0]), position))
+        population = reference_ranked(pool, problem.sense, n)
+        yield population
 
 
 def season_cases():
@@ -480,11 +483,14 @@ def match_spans(calls, seasons, sense):
 def windows_match_reference(problem, params, seed, windows=21, seasons=1):
     """Run ``windows`` calls of ``seasons`` seasons against as many reference seasons.
 
-    The populations and generator states must be equal before the first call
-    and after each one, and each season's best must be the reference's.  The
-    objective calls of each call must match the reference seasons as
-    :func:`match_spans` checks.  Returns the last population, the tally and
-    the number of rows scored ahead and discarded.
+    ``seed`` seeds both generators, or is a generator that the reference gets
+    a copy of.  The reference draws a call's seasons in windows of
+    ``_SEASONS_AHEAD`` on a box domain with no repair hook, of one season
+    otherwise.  The populations and generator states must be equal before the
+    first call and after each one, and each season's best must be the
+    reference's.  The objective calls of each call must match the reference
+    seasons as :func:`match_spans` checks.  Returns the last population, the
+    tally and the number of rows scored ahead and discarded.
     """
     calls, want_rows = [], []
 
@@ -499,27 +505,35 @@ def windows_match_reference(problem, params, seed, windows=21, seasons=1):
         want_rows.append((x[0].copy(), values[0]))
         return values
 
-    def state(population, rng):
-        return population[0].tobytes(), population[1].tobytes(), rng.bit_generator.state
+    def assert_same(got, got_rng, want, want_rng):
+        assert (got[0].tobytes(), got[1].tobytes()) == (want[0].tobytes(), want[1].tobytes())
+        # assert_equal, not ==: MT19937 and SFC64 hold arrays in their state dicts.
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
+    box = isinstance(problem.domain, ContinuousBox) and problem.repair is None
+    ahead = optimizer._SEASONS_AHEAD if box else 1
     spied, recorded = (dataclasses.replace(problem, objective=f) for f in (spy, record))
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got_rng = np.random.default_rng(seed)  # a generator comes back as it is
+    want_rng = copy.deepcopy(got_rng)
     got = initialize_population(problem, params, got_rng)
     want = reference_initialize(problem, params, want_rng)
-    assert state(got, got_rng) == state(want, want_rng)
+    assert_same(got, got_rng, want, want_rng)
     tally, discarded = [], 0
     for _ in range(windows):
         calls.clear()
         one_by_one, bests = [], []
         got = run_season(got, params, spied, got_rng, tally, seasons=seasons)
-        for _ in range(seasons):
-            worst = float(want[1][-1])
-            want_rows.clear()
-            want = reference_season(want, params, recorded, want_rng)
-            rows, values = zip(*want_rows)
-            one_by_one.append((worst, np.array(rows), np.array(values)))
-            bests.append(float(want[1][0]))
-        assert state(got, got_rng) == state(want, want_rng)
+        for first in range(0, seasons, ahead):
+            count = min(ahead, seasons - first)
+            window = reference_window(want, params, recorded, want_rng, count)
+            for _ in range(count):
+                worst = float(want[1][-1])
+                want_rows.clear()
+                want = next(window)
+                rows, values = zip(*want_rows)
+                one_by_one.append((worst, np.array(rows), np.array(values)))
+                bests.append(float(want[1][0]))
+        assert_same(got, got_rng, want, want_rng)
         assert [best for _, _, best in tally[-seasons:]] == bests
         discarded += match_spans(calls, one_by_one, problem.sense)
     return got, tally, discarded
@@ -569,15 +583,19 @@ class TestSeasonMatchesReference:
         # a call of 40 seasons runs windows of 16, 16 and 8, and it scores a
         # span of seasons per objective call; binary-repair runs its seasons
         # one at a time.  Either way each call must leave the population, the
-        # per-season bests and the generator where as many reference seasons
-        # leave them, and score their rows (match_spans).  In the box-ties
-        # cases newborns enter mid-window, so later seasons mate again; in the
-        # other box cases some spans score rows ahead that an entrant discards.
+        # per-season bests and the generator where as many reference seasons,
+        # drawn in the same windows, leave them, and score their rows as the
+        # reference scores its seasons one by one (match_spans).  In the
+        # box-ties cases newborns enter mid-window, so later seasons mate
+        # again; in the other box cases some spans score rows ahead that an
+        # entrant discards.  Each population runs at least 21 seasons: a call
+        # of 3 discards rows only where its second season admits a newborn
+        # and its first does not.
         ahead = optimizer._SEASONS_AHEAD
         entered_mid_window = discarded = 0
         for n in (4, 7, 30):
             _, tally, ahead_rows = windows_match_reference(
-                season_cases()[case], PfmParams(population_size=n), n, 3, seasons
+                season_cases()[case], PfmParams(population_size=n), n, max(3, 21 // seasons), seasons
             )
             discarded += ahead_rows
             # A call's windows start at its seasons 0, 16, 32, ...
@@ -602,7 +620,8 @@ class TestSeasonMatchesReference:
                 got = mate(fathers, mothers, p, np.random.default_rng(d).uniform(-1.0, 1.0, fathers.shape))
                 a = pair_attractiveness(fathers, mothers, p)
                 want_rng = np.random.default_rng(d)
-                want = [reference_mate(fathers[i], mothers[i], a[i], p, want_rng) for i in range(50)]
+                rands = want_rng.uniform(-1.0, 1.0, (50, d))
+                want = [reference_mate(fathers[i], mothers[i], a[i], p, rands[i]) for i in range(50)]
                 assert got.tobytes() == np.array(want).tobytes()
                 # With zero mothers and no noise a newborn is A * father, so every bit of A shows.
                 zeros = np.zeros_like(fathers)
@@ -616,101 +635,61 @@ class TestSeasonMatchesReference:
         got = mate(fathers, mothers, DEFAULTS, np.random.default_rng(0).uniform(-1.0, 1.0, fathers.shape))
         a = pair_attractiveness(fathers, mothers, DEFAULTS)
         want_rng = np.random.default_rng(0)
-        want = [reference_mate(fathers[i], mothers[i], a[i], DEFAULTS, want_rng) for i in range(2)]
+        rands = want_rng.uniform(-1.0, 1.0, (2, 3))
+        want = [reference_mate(fathers[i], mothers[i], a[i], DEFAULTS, rands[i]) for i in range(2)]
         assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
 
 
-# PCG64's 128-bit LCG step, state' = state * MULT + inc mod 2^128, and its inverse.
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+def pcg64_carrying_a_half(seed):
+    # A scalar integers call takes a word's low half and keeps the high half for the next draw.
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
 
 
-def pcg64_step_back(state, inc):
-    return (state - inc) * pow(PCG64_MULT, -1, 1 << 128) % (1 << 128)
-
-
-class TestPartnerRanksFromRawWords:
-    """A box window on PCG64 derives its partner ranks from raw words; elsewhere it draws them
-    with ``Generator.integers``.  Either way the seasons must match :func:`reference_season`,
-    which draws each rank with a scalar ``integers`` call, down to the whole generator state."""
-
-    def match_reference(self, monkeypatch, params, rng, seasons=40):
-        """Run ``seasons`` seasons against the reference from a copy of ``rng``; return the
-        number of ``_draw_pairs`` calls, the seasons drawn without raw words."""
-        fallbacks = []
-
-        def counting_draw_pairs(*args):
-            fallbacks.append(1)
-            return draw_pairs(*args)
-
-        draw_pairs = optimizer._draw_pairs
-        monkeypatch.setattr(optimizer, "_draw_pairs", counting_draw_pairs)
-        problem = season_cases()["box-min"]
-        want_rng = copy.deepcopy(rng)
-        got = want = initialize_population(problem, params, np.random.default_rng(1))
-        got = run_season(got, params, problem, rng, seasons=seasons)
-        for _ in range(seasons):
-            want = reference_season(want, params, problem, want_rng)
-        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
-        # assert_equal, not ==: MT19937 and SFC64 hold arrays in their state dicts.
-        np.testing.assert_equal(rng.bit_generator.state, want_rng.bit_generator.state)
-        return len(fallbacks)
-
-    @pytest.mark.parametrize("n", [4, 5, 30])
-    def test_raw_words_leave_the_generator_as_integers_does(self, monkeypatch, n):
-        assert self.match_reference(monkeypatch, PfmParams(population_size=n), np.random.default_rng(n)) == 0
-
-    def test_window_starts_with_a_carried_half(self, monkeypatch):
-        # A scalar integers call takes a word's low half and keeps the high half for the next.
-        rng = np.random.default_rng(5)
-        rng.integers(0, 10)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        assert self.match_reference(monkeypatch, DEFAULTS, rng) == 0
-
-    def test_rejected_half_falls_back(self, monkeypatch):
-        # The word after the r word has low half 0 and high half c: ``integers``
-        # rejects the 0 for any female count that is not a power of two, and
-        # takes c in its place.  A word with state bits 122-127 clear is not
-        # rotated, and the high and low 64 bits XOR to c << 32.
-        inc = np.random.default_rng(0).bit_generator.state["state"]["inc"]
-        rng = np.random.default_rng(0)
-        for high in itertools.count(1):
-            state = pcg64_step_back(pcg64_step_back((high << 64) | (high ^ (0x9E3779B9 << 32)), inc), inc)
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            probe = copy.deepcopy(rng)
-            n_males, _ = split_population(30, probe.uniform(0.4, 0.6), DEFAULTS.dominance_factor)
-            if (30 - n_males) & (29 - n_males):
-                break
-        assert probe.bit_generator.random_raw() == 0x9E3779B9 << 32
-        assert self.match_reference(monkeypatch, DEFAULTS, rng, seasons=16) == 16
-
-    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
-    def test_other_bit_generators_draw_with_integers(self, monkeypatch, bit_generator):
-        assert self.match_reference(monkeypatch, DEFAULTS, np.random.Generator(bit_generator(3))) == 40
+class TestWindowMatchesReference:
+    """A call's windows against :func:`reference_window`, which draws each partner and mate
+    count with its own scalar ``integers`` call, down to the whole generator state."""
 
     @pytest.mark.parametrize(
-        "fields",
-        [{"population_size": 7, "dominance_factor": 0.3}, {"population_size": 4, "r_range": (0.9, 0.95)}],
-        ids=["several-mates", "one-female"],
+        "make_rng",
+        [
+            np.random.default_rng,
+            pcg64_carrying_a_half,
+            lambda seed: np.random.Generator(np.random.MT19937(seed)),
+            lambda seed: np.random.Generator(np.random.SFC64(seed)),
+        ],
+        ids=["pcg64", "pcg64-carrying-a-half", "mt19937", "sfc64"],
     )
-    def test_windows_of_several_mates_or_one_female_draw_with_integers(self, monkeypatch, fields):
-        # At population 7 and dominance 0.3 one dominant male takes up to 3 or 4 mates; at
-        # population 4 and r near 1 one female mates with every male, and integers draws nothing.
-        tries = []
-
-        def counting_partners_from_words(*args):
-            tries.append(1)
-            return partners_from_words(*args)
-
-        partners_from_words = optimizer._partners_from_words
-        monkeypatch.setattr(optimizer, "_partners_from_words", counting_partners_from_words)
-        assert self.match_reference(monkeypatch, PfmParams(**fields), np.random.default_rng(2)) == 40
-        # Of the call's three windows, only the first tries raw words.
-        assert len(tries) == 1
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"population_size": 4},
+            # r near 1 at population 4 leaves one female, and integers draws nothing over one value.
+            {"population_size": 4, "r_range": (0.9, 0.95)},
+            # At population 6 or 7 some seasons let a dominant male take several mates; at
+            # dominance 0.3 every season does, at 7 and at 30.
+            {"population_size": 6},
+            {"population_size": 7},
+            {"population_size": 7, "dominance_factor": 0.3},
+            {"population_size": 30},
+            {"population_size": 30, "dominance_factor": 0.3},
+        ],
+        ids=[
+            "population-4",
+            "population-4-one-female",
+            "population-6",
+            "population-7",
+            "population-7-dominance-0.3",
+            "population-30",
+            "population-30-dominance-0.3",
+        ],
+    )
+    def test_windows_bit_identical(self, fields, make_rng):
+        # Three calls of 40 seasons run windows of 16, 16 and 8.
+        params = PfmParams(**fields)
+        windows_match_reference(season_cases()["box-min"], params, make_rng(params.population_size), 3, 40)
 
 
 class TestOptimize:
@@ -725,7 +704,7 @@ class TestOptimize:
     @pytest.mark.xfail(
         strict=True,
         reason="the paper's mating rule stalls: at seed 0 and 200 iterations the 30-D sphere stays at 59604.45, "
-        "keeping 0 of 9,044 newborns; even the 2-D one stays at 1073.79, with 0 improving iterations",
+        "keeping 0 of 9,040 newborns; even the 2-D one stays at 1073.79, with 0 improving iterations",
     )
     def test_sphere_strictly_improves_at_d30(self):
         trace = optimize(sphere_problem(dim=30), PfmParams(max_iterations=200, seed=0))
