@@ -320,7 +320,8 @@ def make_problem(name: str, seed: int) -> Problem:
     """Wrap a benchmark as a minimization problem over its box; its objective ignores the cutoff.
 
     For F7 the additive noise comes from a dedicated stream derived from
-    ``seed`` so optimizer draws and noise draws never interleave.
+    ``seed`` so optimizer draws and noise draws never interleave: one value
+    per row handed to it, rows that the run then discards included.
     """
     bench = get_benchmark(name)
     box = ContinuousBox(
@@ -332,4 +333,4 @@ def make_problem(name: str, seed: int) -> Problem:
         objective = lambda x, cutoff: bench.fn(x, noise_rng)  # noqa: E731
     else:
         objective = lambda x, cutoff: bench.fn(x)  # noqa: E731
-    return Problem(dimension=bench.dimension, domain=box, objective=objective, sense="min", noisy=bench.noisy)
+    return Problem(dimension=bench.dimension, domain=box, objective=objective, sense="min")

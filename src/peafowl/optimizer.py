@@ -20,6 +20,7 @@ one objective call scores.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -102,6 +103,11 @@ class PfmParams:
                 raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)!r}")
         if not 0.0 <= self.dominance_factor <= 1.0:
             raise ValueError("dominance_factor must lie in [0, 1]")
+        pair = self.r_range  # two reals, not bools, which are numbers.Real too
+        reals = isinstance(pair, (tuple, list)) and all(isinstance(v, numbers.Real) for v in pair)
+        if not (reals and len(pair) == 2) or bool in map(type, pair):
+            raise ValueError(f"r_range must be a pair of real numbers, got {pair!r}")
+        object.__setattr__(self, "r_range", tuple(pair))  # a list would make the params unhashable
         lo, hi = self.r_range
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError(f"r_range must satisfy 0 < lo <= hi < 1, got {self.r_range}")
@@ -137,20 +143,19 @@ class Problem:
     """An objective over a box or bit-vector domain.
 
     ``objective(rows, cutoff)`` maps an ``(m, dimension)`` matrix to ``m``
-    fitness values, each a pure function of its row (a noisy benchmark may
-    close over its own generator).  :func:`optimize` passes ``rows`` as a
-    C-ordered float64 array, the layout in which the benchmark functions
-    give a row the same bits in any batch.  ``cutoff`` is None or a fitness value: for
-    a row whose value would not beat it (at or above it for ``"min"``, at or
-    below it for ``"max"``) the objective may instead return any finite value
-    that does not beat it either, such as a bound reached before the exact
-    value is known.  ``repair`` is an optional hook applied to one position
-    after domain adjustment, e.g. to forbid the empty feature subset; it may
-    consume draws from the run generator.  On a box domain the objective may
-    be handed rows that the run then discards (:func:`run_season`), unless
-    ``noisy`` is set: a noisy objective, one whose values depend on the rows
-    it scored before, such as a noise draw per row, gets each season's
-    newborns alone.
+    fitness values, one per row.  :func:`optimize` passes ``rows`` as a
+    C-ordered float64 array, the layout in which the benchmark functions give
+    a row the same bits in any batch.  ``cutoff`` is None or a fitness value:
+    for a row whose value would not beat it (at or above it for ``"min"``, at
+    or below it for ``"max"``) the objective may instead return any finite
+    value that does not beat it either, such as a bound reached before the
+    exact value is known.  ``repair`` is an optional hook applied to one
+    position after domain adjustment, e.g. to forbid the empty feature
+    subset; it may consume draws from the run generator.  On a box domain the
+    objective may be handed rows that the run then discards
+    (:func:`run_season`).  An objective may keep state, such as a noise
+    generator: its values then depend on every row it is handed, discarded
+    ones included.
     """
 
     dimension: int
@@ -158,7 +163,6 @@ class Problem:
     objective: Callable[[np.ndarray, Optional[float]], np.ndarray]
     sense: str = "min"
     repair: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
-    noisy: bool = False
 
     def __post_init__(self):
         # type(), not isinstance: a bool is not a dimension.
@@ -168,8 +172,6 @@ class Problem:
             raise ValueError("dimension must be positive")
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        if type(self.noisy) is not bool:
-            raise ValueError(f"noisy must be a bool, got {self.noisy!r}")
         if isinstance(self.domain, ContinuousBox) and self.domain.lower.size != self.dimension:
             raise ValueError("bound vectors must match the problem dimension")
 
@@ -291,10 +293,9 @@ def initialize_population(problem: Problem, params: PfmParams, rng: np.random.Ge
     return positions[order], fitness[order]
 
 
-def _draw_window(n: int, params: PfmParams, rng: np.random.Generator, noise: np.ndarray, count: int):
+def _draw_window(n: int, params: PfmParams, rng: np.random.Generator, dimension: int, count: int):
     """Draws (1)-(4) of a window of ``count`` seasons (:func:`run_season`): every pair's
-    father and mother rank and each season's pair count, returned, and the pairs'
-    noise doubles in [0, 1), written to the first rows of ``noise``."""
+    father and mother rank, the pairs' ``(pairs, dimension)`` noise and each season's pair count."""
     lo, hi = params.r_range
     rs = (lo + (hi - lo) * rng.random(count)).tolist()
     males, dominant = np.array([split_population(n, r, params.dominance_factor) for r in rs]).T
@@ -307,8 +308,11 @@ def _draw_window(n: int, params: PfmParams, rng: np.random.Generator, noise: np.
         mates[several] = rng.integers(1, max_mates[several] + 1)
     sizes = np.add.reduceat(mates, firsts)
     mothers = rng.integers(np.repeat(males, sizes), n)
-    rng.random(out=noise[: len(mothers)])
-    return np.repeat(ranks, mates), mothers, sizes.tolist()
+    # Into [-1, 1] as Generator.uniform(-1, 1) scales a double u: -1 + 2u, with 2u exact.
+    noise = rng.random((len(mothers), dimension))
+    noise *= 2.0
+    noise -= 1.0
+    return np.repeat(ranks, mates), mothers, noise, sizes.tolist()
 
 
 def _offspring(positions, fathers, mothers, noise, params, problem, rng) -> np.ndarray:
@@ -363,13 +367,13 @@ def run_season(
     window's end.  The span is one season at the start of the call, doubles
     after each objective call in which no newborn enters, up to a window, and
     falls back to one after an entrant (galloping search, Bentley & Yao
-    1976).  A noisy problem, and a window of one season, get spans of one
-    season.  The seasons before the first entrant's keep their parents, and
-    the entrant's season merges.  Rows of the span's later seasons came from
-    the old parents: they are discarded and mated again, and a non-finite
-    value there raises nothing, where one in a season up to the first
-    entrant's raises :class:`EvaluationError`.  A ``tally`` list gains a
-    ``(newborns, kept, best fitness)`` triple per season.
+    1976); a window of one season gets spans of one season.  The seasons
+    before the first entrant's keep their parents, and the entrant's season
+    merges.  Rows of the span's later seasons came from the old parents:
+    they are discarded and mated again, and a non-finite value there raises
+    nothing, where one in a season up to the first entrant's raises
+    :class:`EvaluationError`.  A ``tally`` list gains a ``(newborns, kept,
+    best fitness)`` triple per season.
     """
     positions, fitness = population
     n = params.population_size
@@ -382,14 +386,8 @@ def run_season(
     span = 1
     for first in range(0, seasons, ahead):
         count = min(ahead, seasons - first)
-        # Room for n - 1 pairs a season: the dominant males take at most n_females mates.
-        noise = np.empty((count * n, problem.dimension))
-        fathers, mothers, sizes = _draw_window(n, params, rng, noise, count)
+        fathers, mothers, noise, sizes = _draw_window(n, params, rng, problem.dimension, count)
         ends = [0, *accumulate(sizes)]
-        # Into [-1, 1] as Generator.uniform(-1, 1) scales a double u: -1 + 2u, with 2u exact.
-        noise = noise[: ends[-1]]
-        noise *= 2.0
-        noise -= 1.0
         newborns = _offspring(positions, fathers, mothers, noise, params, problem, rng)
         season = 0
         while season < count:
@@ -417,7 +415,7 @@ def run_season(
                     newborns[hi:] = _offspring(positions, fathers[hi:], mothers[hi:], noise[hi:], params, problem, rng)
                 span = 1
             else:
-                span = 1 if problem.noisy else min(2 * span, ahead)
+                span = min(2 * span, ahead)
             season = stop
     return positions, fitness
 

@@ -302,9 +302,12 @@ class TestRunTraceDigests:
     # runs.  The bench goldens hold best values only, which a stalled search
     # never changes, so they miss a changed draw; these see it.  At
     # population 6 some seasons let a dominant male take two mates.  F7's
-    # objective draws noise per row, so it sees any change to which rows the
-    # objective gets, or in what order.  Five seasons an iteration make
-    # iterations end inside a window of seasons mated together.
+    # objective draws noise per row, so it sees a change to the order of the
+    # rows the objective gets; it sees a change to which rows it gets only in
+    # a run where a span of seasons discards rows, that is one that admits a
+    # newborn.  Its 20-iteration run admits none; its 60-iteration run admits
+    # 2.  Five seasons an iteration make iterations end inside a window of
+    # seasons mated together.
     CASES = {
         ("F1", 30, 3): "5c2df85c404942404670de822f1ccd205580e52dfcbae11f54b8f9dfa25cf51f",
         ("F10", 30, 3): "0ec416c27a657c9344d1453eb4175a62fa52b0e0defb32c600831b9bcf3046de",
@@ -312,8 +315,9 @@ class TestRunTraceDigests:
         ("F14", 6, 3): "3f3adc209a84da89e67a5e562513e621f59defd5f809a2886e0bdcf410656ca0",
         ("F7", 30, 3): "88c7d0c5ea7d75ba29961824ba2e0996bb67972e7c152471f9f00511b13f9d74",
         ("F10", 30, 5): "89cdfa4c428343acfcb4d43d81b870b5af2fa1ee3505164c05ad065e876ddcbb",
+        ("F7", 30, 3, 60): "00f1d49cf37b5d79ebc37f6964c5577bc09d20ec334ccd8468c5eb73aa438761",
     }
-    # The same runs with windows of one season, which draw what a season drew
+    # The 20-iteration runs with windows of one season, which draw what a season drew
     # before a box window made each kind of draw in one call: these digests
     # predate that change, so only the grouping of the draws moved the ones above.
     ONE_SEASON_WINDOWS = {
@@ -325,30 +329,37 @@ class TestRunTraceDigests:
         ("F10", 30, 5): "b06cb92db151b0d8f07fa5ad522ed53bfc161e96bd27bc7630f12e935c401559",
     }
 
+    # A key is (function, population, seasons an iteration[, iterations, 20 if left out]).
     @pytest.mark.parametrize(
-        "name,population_size,seasons,one_season_windows",
-        [(*case, one) for case in CASES for one in (False, True)],
+        "case,one_season_windows",
+        [(case, False) for case in CASES] + [(case, True) for case in ONE_SEASON_WINDOWS],
         ids=[
-            f"{n}-population-{p}" + (f"-seasons-{s}" if s != 3 else "") + ("-one-season-windows" if one else "")
-            for n, p, s in CASES
-            for one in (False, True)
+            f"{n}-population-{p}"
+            + (f"-seasons-{s}" if s != 3 else "")
+            + "".join(f"-iterations-{i}" for i in rest)
+            + ("-one-season-windows" if one else "")
+            for one, cases in ((False, CASES), (True, ONE_SEASON_WINDOWS))
+            for n, p, s, *rest in cases
         ],
     )
-    def test_run_trace_is_pinned(self, monkeypatch, name, population_size, seasons, one_season_windows):
+    def test_run_trace_is_pinned(self, monkeypatch, case, one_season_windows):
         digests = self.CASES
         if one_season_windows:
             monkeypatch.setattr(optimizer, "_SEASONS_AHEAD", 1)
             digests = self.ONE_SEASON_WINDOWS
-        params = PfmParams(population_size=population_size, seed=0, max_iterations=20, seasons_per_iteration=seasons)
+        name, population_size, seasons, iterations = (*case, 20)[:4]
+        params = PfmParams(population_size, max_iterations=iterations, seasons_per_iteration=seasons, seed=0)
         trace = optimize(make_problem(name, seed=0), params)
-        assert run_trace_digest(trace) == digests[name, population_size, seasons]
+        assert run_trace_digest(trace) == digests[case]
 
 
-class TestSpansMatchSeasonsOneByOne:
-    # A box run scores a span of seasons in one objective call, where a noisy
-    # problem scores its seasons one at a time.  Every function must give the
-    # same run both ways.  Both runs share one process, so this holds in any
-    # CPU mode, including the one where F13, F19 and F20 give other bits.
+class TestSpanBatchesMatchRowsAlone:
+    # A box run scores a span of seasons in one objective call.  Every
+    # function must give a row the same bits in that batch as alone: the run
+    # must be the one whose objective is called one row at a time.  F7 draws
+    # its noise one value per row either way.  Both runs share one process, so
+    # this holds in any CPU mode, including the one where F13, F19 and F20
+    # give other bits.
     @pytest.mark.parametrize(
         "params",
         [
@@ -359,10 +370,14 @@ class TestSpansMatchSeasonsOneByOne:
         ids=["population-6", "population-11-dominance-0.3-seasons-5", "defaults"],
     )
     @pytest.mark.parametrize("name", list(BENCHMARKS))
-    def test_spans_match_seasons_one_by_one(self, name, params):
-        spans = optimize(make_problem(name, seed=0), params)
-        one_by_one = optimize(dataclasses.replace(make_problem(name, seed=0), noisy=True), params)
-        for got, want in zip(spans.final_population, one_by_one.final_population):
+    def test_run_matches_one_row_per_call(self, name, params):
+        batches = optimize(make_problem(name, seed=0), params)
+        problem = make_problem(name, seed=0)
+        alone = dataclasses.replace(
+            problem, objective=lambda x, cutoff: np.concatenate([problem.objective(row[None], cutoff) for row in x])
+        )
+        rows_alone = optimize(alone, params)
+        for got, want in zip(batches.final_population, rows_alone.final_population):
             assert got.tobytes() == want.tobytes()
-        assert (spans.newborns, spans.survivors) == (one_by_one.newborns, one_by_one.survivors)
-        assert repr(spans.best_per_iteration) == repr(one_by_one.best_per_iteration)
+        assert (batches.newborns, batches.survivors) == (rows_alone.newborns, rows_alone.survivors)
+        assert repr(batches.best_per_iteration) == repr(rows_alone.best_per_iteration)
