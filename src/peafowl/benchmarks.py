@@ -321,7 +321,10 @@ def make_problem(name: str, seed: int) -> Problem:
 
     For F7 the additive noise comes from a dedicated stream derived from
     ``seed`` so optimizer draws and noise draws never interleave: one value
-    per row handed to it, rows that the run then discards included.
+    per row handed to it, rows that the run then discards included.  The
+    problem owns that stream, so optimizing it again continues the stream
+    and gives another run; make one problem per run, as the CLI does, for
+    a run reproducible from the two seeds.
     """
     bench = get_benchmark(name)
     box = ContinuousBox(

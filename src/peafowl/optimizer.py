@@ -62,6 +62,11 @@ class Peafowl:
     fitness: float
 
 
+def _is_real(value) -> bool:
+    # A bool is a numbers.Real too, but not a coefficient.
+    return isinstance(value, numbers.Real) and type(value) is not bool
+
+
 @dataclass(frozen=True)
 class PfmParams:
     """Algorithm constants.
@@ -97,15 +102,17 @@ class PfmParams:
             raise ValueError("max_iterations must be positive")
         if self.seasons_per_iteration < 1:
             raise ValueError("seasons_per_iteration must be positive")
+        for name in ("call_intensity", "colorfulness", "gamma1", "gamma2", "dominance_factor"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         for name in ("call_intensity", "colorfulness", "gamma1", "gamma2"):
             # A NaN fails every comparison, so ask for 0 <= value < inf.
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)!r}")
         if not 0.0 <= self.dominance_factor <= 1.0:
             raise ValueError("dominance_factor must lie in [0, 1]")
-        pair = self.r_range  # two reals, not bools, which are numbers.Real too
-        reals = isinstance(pair, (tuple, list)) and all(isinstance(v, numbers.Real) for v in pair)
-        if not (reals and len(pair) == 2) or bool in map(type, pair):
+        pair = self.r_range
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_real, pair))):
             raise ValueError(f"r_range must be a pair of real numbers, got {pair!r}")
         object.__setattr__(self, "r_range", tuple(pair))  # a list would make the params unhashable
         lo, hi = self.r_range
@@ -210,17 +217,18 @@ def attractiveness(d, params: PfmParams):
     return params.call_intensity * np.exp(-params.gamma1 * d) + params.colorfulness * np.exp(-params.gamma2 * d)
 
 
-def split_population(n: int, r: float, alpha: float) -> tuple[int, int]:
-    """Head-count split for one season: ``(n_males, n_dominant)``.
+def split_population(n: int, r: Union[float, np.ndarray], alpha: float):
+    """Head-count split for one season: ``(n_males, n_dominant)``, or arrays of them for an array of ``r``.
 
     Males are round(n*r) clamped into [1, n-1], the other n - n_males are
     females; dominant males are round(n_males*alpha) clamped into
-    [1, n_males].  Rounding is half-up.
+    [1, n_males].  Rounding is half-up: floor(x + 0.5) in doubles.
     """
     if n < 4:
         raise ValueError(f"population too small to split: need n >= 4, got {n}")
-    n_males = min(max(math.floor(n * r + 0.5), 1), n - 1)
-    return n_males, min(max(math.floor(n_males * alpha + 0.5), 1), n_males)
+    n_males = np.minimum(np.maximum(np.floor(n * r + 0.5), 1), n - 1)
+    n_dominant = np.minimum(np.maximum(np.floor(n_males * alpha + 0.5), 1), n_males)
+    return n_males.astype(int), n_dominant.astype(int)
 
 
 def mate(fathers: np.ndarray, mothers: np.ndarray, params: PfmParams, noise: np.ndarray) -> np.ndarray:
@@ -297,27 +305,28 @@ def _draw_window(n: int, params: PfmParams, rng: np.random.Generator, dimension:
     """Draws (1)-(4) of a window of ``count`` seasons (:func:`run_season`): every pair's
     father and mother rank, the pairs' ``(pairs, dimension)`` noise and each season's pair count."""
     lo, hi = params.r_range
-    rs = (lo + (hi - lo) * rng.random(count)).tolist()
-    males, dominant = np.array([split_population(n, r, params.dominance_factor) for r in rs]).T
+    males, dominant = split_population(n, lo + (hi - lo) * rng.random(count), params.dominance_factor)
     firsts = np.cumsum(males) - males  # each season's first male among the window's
-    ranks = np.arange(males.sum()) - np.repeat(firsts, males)
-    max_mates = np.repeat((n - males) // dominant, males)
-    several = (ranks < np.repeat(dominant, males)) & (max_mates > 1)
-    mates = np.ones(len(ranks), dtype=int)
-    if several.any():
-        mates[several] = rng.integers(1, max_mates[several] + 1)
-    sizes = np.add.reduceat(mates, firsts)
+    fathers = np.arange(males.sum()) - np.repeat(firsts, males)  # a male's rank in its season
+    sizes = males
+    max_mates = (n - males) // dominant
+    if (max_mates > 1).any():
+        several = fathers < np.repeat(np.where(max_mates > 1, dominant, 0), males)
+        mates = np.ones(len(fathers), dtype=int)
+        mates[several] = rng.integers(1, np.repeat(max_mates, males)[several] + 1)
+        sizes = np.add.reduceat(mates, firsts)
+        fathers = np.repeat(fathers, mates)
     mothers = rng.integers(np.repeat(males, sizes), n)
     # Into [-1, 1] as Generator.uniform(-1, 1) scales a double u: -1 + 2u, with 2u exact.
     noise = rng.random((len(mothers), dimension))
     noise *= 2.0
     noise -= 1.0
-    return np.repeat(ranks, mates), mothers, noise, sizes.tolist()
+    return fathers, mothers, noise, sizes.tolist()
 
 
 def _offspring(positions, fathers, mothers, noise, params, problem, rng) -> np.ndarray:
     """Newborns of the given rank pairs, mated and adjusted to the domain."""
-    newborns = mate(positions[fathers], positions[mothers], params, noise)
+    newborns = mate(positions.take(fathers, axis=0), positions.take(mothers, axis=0), params, noise)
     binary = isinstance(problem.domain, Binary)
     if not binary:
         # np.clip's ufunc pair, in place: ``newborns`` is a fresh array from ``mate``.
@@ -434,10 +443,5 @@ def optimize(problem: Problem, params: PfmParams) -> RunTrace:
     seasons = []  # (newborns, kept, best) per season
     population = run_season(population, params, problem, rng, seasons, total)
 
-    iterations = [seasons[i : i + per] for i in range(0, total, per)]
-    return RunTrace(
-        [iteration[-1][2] for iteration in iterations],
-        population,
-        [sum(born for born, _, _ in iteration) for iteration in iterations],
-        [sum(kept for _, kept, _ in iteration) for iteration in iterations],
-    )
+    born, kept, best = (np.reshape(column, (-1, per)) for column in zip(*seasons))
+    return RunTrace(best[:, -1].tolist(), population, born.sum(axis=1).tolist(), kept.sum(axis=1).tolist())

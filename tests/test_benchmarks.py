@@ -353,6 +353,15 @@ class TestRunTraceDigests:
         assert run_trace_digest(trace) == digests[case]
 
 
+def test_f7_problem_continues_its_noise_stream():
+    params = PfmParams(max_iterations=5, seed=0)
+    first, fresh = (optimize(make_problem("F7", seed=3), params) for _ in range(2))
+    assert run_trace_digest(first) == run_trace_digest(fresh)
+    reused = make_problem("F7", seed=3)
+    assert run_trace_digest(optimize(reused, params)) == run_trace_digest(first)
+    assert run_trace_digest(optimize(reused, params)) != run_trace_digest(first)
+
+
 class TestSpanBatchesMatchRowsAlone:
     # A box run scores a span of seasons in one objective call.  Every
     # function must give a row the same bits in that batch as alone: the run

@@ -97,6 +97,18 @@ class TestSplitPopulation:
             assert 1 <= n_males <= n - 1
             assert 1 <= n_dominant <= n_males
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.8, 1.0])
+    def test_array_matches_math_floor(self, alpha):
+        # Every half-up boundary (j + 0.5)/n with its neighbouring doubles, where
+        # round-half-even, or NumPy arithmetic other than math.floor's, would differ.
+        for n in range(4, 65):
+            edges = [(j + 0.5) / n for j in range(-1, n + 1)]
+            rs = [r for edge in edges for r in (np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0))]
+            rs = np.clip([0.0, 1.0, *rs], 0.0, 1.0)
+            males, dominant = split_population(n, rs, alpha)
+            expected = [reference_split(n, r, alpha) for r in rs.tolist()]
+            assert list(zip(males.tolist(), dominant.tolist())) == expected
+
 
 class TestMate:
     def test_identical_binary_parents_no_mutation(self):
@@ -357,6 +369,12 @@ class TestRunSeason:
         assert tally == (len(born), 1, fitness[0]) and len(born) > 1
 
 
+def reference_split(n, r, alpha):
+    """A season's head counts in Python floats, rounding half-up with math.floor."""
+    n_males = min(max(math.floor(n * r + 0.5), 1), n - 1)
+    return n_males, min(max(math.floor(n_males * alpha + 0.5), 1), n_males)
+
+
 # Initialization and a window of seasons in per-child Python, drawing in the
 # documented order (np.clip, Python's stable sort): the reference that
 # initialize_population and run_season must match bit for bit.  The one piece
@@ -408,7 +426,7 @@ def reference_window(population, params, problem, rng, count):
     mate count with its own scalar ``integers`` call; yields the population after each season."""
     n = params.population_size
     lo, hi = params.r_range
-    splits = [split_population(n, rng.uniform(lo, hi), params.dominance_factor) for _ in range(count)]
+    splits = [reference_split(n, rng.uniform(lo, hi), params.dominance_factor) for _ in range(count)]
     by_season = []  # each season's fathers, a pair each
     for n_males, n_dominant in splits:
         # A draw over {1} leaves the generator as it is.
@@ -717,6 +735,12 @@ class TestOptimize:
         assert all(a >= b for a, b in zip(bests, bests[1:]))
         assert bests[-1] <= bests[0]
 
+    def test_trace_holds_python_numbers(self):
+        # repr comparisons and results.json read these lists as Python floats and ints.
+        trace = optimize(sphere_problem(dim=2), PfmParams(max_iterations=7, seasons_per_iteration=5, seed=0))
+        assert {type(v) for v in trace.best_per_iteration} == {float}
+        assert {type(v) for v in trace.newborns + trace.survivors} == {int}
+
     @pytest.mark.xfail(
         strict=True,
         reason="the paper's mating rule stalls: at seed 0 and 200 iterations the 30-D sphere stays at 59604.45, "
@@ -898,6 +922,10 @@ class TestOptimize:
             {"r_range": (True, 0.6)},
             {"r_range": 0.5},
             {"r_range": "ab"},
+            {"dominance_factor": "0.5"},
+            {"gamma1": "1"},
+            {"call_intensity": True},
+            {"dominance_factor": True},
         ],
     )
     def test_invalid_params_rejected(self, bad):

@@ -945,6 +945,11 @@ class TestSelectFeatures:
         _, trace = select_features(ds, self.PARAMS, WrapperFitnessSpec())
         assert trace.best_solution.fitness == max(trace.best_per_iteration)
 
+    def test_trace_holds_python_numbers(self):
+        _, trace = select_features(two_cluster_dataset(), self.PARAMS, WrapperFitnessSpec())
+        assert {type(v) for v in trace.best_per_iteration} == {float}
+        assert {type(v) for v in trace.newborns + trace.survivors} == {int}
+
     def test_never_evaluates_empty_mask(self):
         ds = two_cluster_dataset()
         spec = WrapperFitnessSpec()
