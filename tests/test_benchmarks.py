@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,10 +248,77 @@ class TestRowBatches:
         np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("power, chain, roundings", [(4, benchmarks._pow4, 3), (6, benchmarks._pow6, 5)])
+class TestPowers:
+    # The chains against the exact power of each double.  Each product is
+    # rounded once, by a factor within 1 +- 2**-53, and the square's rounding
+    # enters a fourth power twice and a sixth power three times: 3 and 5
+    # roundings in all, so at most 3 and 5 ULP.  Seeded values reach 3.35 ULP
+    # on the sixth power.
+    def test_within_roundings_of_exact_power(self, power, chain, roundings):
+        rng = np.random.default_rng(power)
+        d = np.concatenate(
+            [
+                rng.uniform(-100.0, 100.0, 5000),  # every offset the suite takes a power of
+                rng.uniform(-1.0, 1.0, 5000) * np.exp2(rng.integers(-30, 31, 5000)),
+            ]
+        )
+        for got, x in zip(chain(d).tolist(), d.tolist()):
+            exact = Fraction(x) ** power
+            assert abs(Fraction(got) - exact) <= ((1 + Fraction(1, 2**53)) ** roundings - 1) * exact, x
+
+    def test_exact_on_integers(self, power, chain, roundings):
+        # Every integer whose sixth power is below 2**53, so every product is a double.
+        d = np.arange(-456, 457)
+        assert [int(v) for v in chain(d.astype(float))] == [int(i) ** power for i in d]
+
+
+class TestRowValueDigests:
+    # The SHA-256 of each function's values on 200 seeded rows, uniform in
+    # its box.  They must read the same with NumPy's AVX2 and AVX-512 kernels
+    # off, as CI checks; F10, F19 and F20 are left out, because np.exp gives
+    # other bits there.
+    DIGESTS = {
+        "F1": "e14d6a427000a76a0edcf2d1d5f66fafbf0420a8027ab7da14eb8f6ede5bb0ee",
+        "F2": "844aa8824ed885c96af7879738bf29254b7fd003c0e9b2a4289b0b436ca1626a",
+        "F3": "21953e089fe439b10f0c340fdd0e8f418483a6a52666ba71fab3a7778c062611",
+        "F4": "8646ad11ba0f1593b568f3bb492ed298136b142ff0f14da58c237fc2c19c4159",
+        "F5": "4d4a4f3525729139b70eadb0be18182c460fd5198b30020c3c6582de0dd3c32b",
+        "F6": "f98b1cf4a4da5b92a04ded009719b4ea9fc84e8f83071e0ccbc914753de53cd8",
+        "F7": "b23596baf2f5079ff3dd2bf3f8e1eb47f69166370efbf85b264e1fb101876d09",
+        "F8": "c8118ed4078397c856ed487ff958c1e86a1d679ea000827224a14fa5fd0525d7",
+        "F9": "6ffb9beea69a5633b9f3f44de04b25468b79dd39d27ea7070a92d0543503499e",
+        "F11": "f5e8c12624de4d010e2254a74ffaa8723d92b66571f8cae8b31863573efb647d",
+        "F12": "1333dd86ae698357dacf8aa883d7f556c2d44abc7e269fb4d08a9169f449e8c9",
+        "F13": "891b2611cf443a57b68635e04823b3d172dbde396b1e0665d4ec475ef7f59302",
+        "F14": "7bd12cc30e8a26d9e91f02d67b981677f09b50674fafb66fba74d41f3b97abca",
+        "F15": "8f7482ee06ebaff3401dfbb41823a9c08646126e5d19bae85bd33b04b0a8b692",
+        "F16": "8f7093a65d229f69d955dff1d9a221c8a534416da5f6ef0894fec6df5c02ce29",
+        "F17": "6c8331e851ce75c701c62140f3eee4c1cfa1d23a054422426cc14cd768b328fa",
+        "F18": "0b0b6ca784459aba55005eda179cd7bf13590a239e241d300cd408df43672117",
+        "F21": "5d36a10242e90eb843d4e96141cb57c662e2ac03bfbe2d8cca6d441554232472",
+        "F22": "3ce4d8053f7a4c94f4d31579c47fc43c62277488fcbae3afd92f316975ab7faa",
+        "F23": "d2b304ab3d7f4b6b56490bfa18bf560ed89cee8b58d2ce143a9a44c7e953fdac",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_row_values_match_digest(self, name):
+        bench = BENCHMARKS[name]
+        rows = np.random.default_rng(int(name[1:])).uniform(bench.lower, bench.upper, (200, bench.dimension))
+        values = bench.fn(rows, np.random.default_rng(7)) if bench.noisy else bench.fn(rows)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == self.DIGESTS[name]
+
+
+def sixth(d):
+    """d**6 by the chain F14 uses: one square, then the square times its square."""
+    d2 = d * d
+    return d2 * (d2 * d2)
+
+
 # F14 as it was before it took the sixth power per grid offset, with one
 # power per foxhole coordinate: the oracle that _f14 must match bit for bit.
 def f14_oracle(x):
-    inner = np.arange(1, 26) + ((x[:, :, None] - FOXHOLES_A) ** 6).sum(axis=1)
+    inner = np.arange(1, 26) + sixth(x[:, :, None] - FOXHOLES_A).sum(axis=1)
     return 1.0 / (1.0 / 500.0 + (1.0 / inner).sum(axis=1))
 
 
@@ -281,7 +349,7 @@ class TestFoxholes:
         col, row = np.tile(np.arange(5), 5), np.repeat(np.arange(5), 5)
 
         def strided_f14(x):
-            p = (x[:, :, None] - benchmarks._FOXHOLES_GRID) ** 6
+            p = sixth(x[:, :, None] - benchmarks._FOXHOLES_GRID)
             terms = p[:, 0, col] + p[:, 1, row]
             assert len(x) == 1 or not terms.flags.c_contiguous
             inner = np.arange(1, 26) + terms
@@ -311,21 +379,23 @@ class TestRunTraceDigests:
     CASES = {
         ("F1", 30, 3): "5c2df85c404942404670de822f1ccd205580e52dfcbae11f54b8f9dfa25cf51f",
         ("F10", 30, 3): "0ec416c27a657c9344d1453eb4175a62fa52b0e0defb32c600831b9bcf3046de",
-        ("F14", 30, 3): "47d3fb655623cd037ca19321606ea983b19e127a5daeff98b4b45f903e108b38",
-        ("F14", 6, 3): "3f3adc209a84da89e67a5e562513e621f59defd5f809a2886e0bdcf410656ca0",
-        ("F7", 30, 3): "88c7d0c5ea7d75ba29961824ba2e0996bb67972e7c152471f9f00511b13f9d74",
+        ("F14", 30, 3): "acc24905be8ea2104e97d993c581342d5d4b698803ca20fa31ec81d74fd629bc",
+        ("F14", 6, 3): "2fe0537553ec7d1a213d9f754cf8a0d4eaf9596f15459128af10f4893a485234",
+        ("F7", 30, 3): "c53c12e5b023a7ff429ff23eca98ea4de29d2002ddd1a94b49999fbf94843888",
         ("F10", 30, 5): "89cdfa4c428343acfcb4d43d81b870b5af2fa1ee3505164c05ad065e876ddcbb",
-        ("F7", 30, 3, 60): "00f1d49cf37b5d79ebc37f6964c5577bc09d20ec334ccd8468c5eb73aa438761",
+        ("F7", 30, 3, 60): "5e5c8be5d8a4ef27e12dd4453b4a71e6b49a02da3f0713fe0e13cb4cb49f62d9",
     }
     # The 20-iteration runs with windows of one season, which draw what a season drew
-    # before a box window made each kind of draw in one call: these digests
-    # predate that change, so only the grouping of the draws moved the ones above.
+    # before a box window made each kind of draw in one call.  The F1 and F10
+    # digests predate that change, so only the grouping of the draws moved
+    # theirs above; the F7 and F14 ones date from when their powers became
+    # products of doubles, which changed their objective's bits.
     ONE_SEASON_WINDOWS = {
         ("F1", 30, 3): "651eb4b505c20a60552cac245e0896ec8d2ce6494c27a305ec43f7bd48f3f309",
         ("F10", 30, 3): "576fb69b0c37fe1ddf87157653337d9a554b48566248bb2054e7af90f1ece9a6",
-        ("F14", 30, 3): "93143d47bdfc2e7758cea69de5acece3a9353876b2b7a0c97fed4fe130a143c9",
-        ("F14", 6, 3): "46935dcad695e447e50423873f89de4baa379a6dacc8d5e5aee0fd8bb104fb81",
-        ("F7", 30, 3): "5025c70e5a1f01e6394c034a9aa2ce52e0e28a342b2e13bf0d51f396a164ffc2",
+        ("F14", 30, 3): "f8f380b77f5d8da966cce989c0fc92672cff72f78aa064dac627325c590c1fd1",
+        ("F14", 6, 3): "a2955af7ee6b11211c3ee52ae4cffa8d49d86a8d4a9b902c20be9b70d97b2eb4",
+        ("F7", 30, 3): "a62dfe7d32c911b1e7aa95c07b046dadd3481423a96a0230dc84291cd0a00a91",
         ("F10", 30, 5): "b06cb92db151b0d8f07fa5ad522ed53bfc161e96bd27bc7630f12e935c401559",
     }
 
@@ -367,8 +437,8 @@ class TestSpanBatchesMatchRowsAlone:
     # function must give a row the same bits in that batch as alone: the run
     # must be the one whose objective is called one row at a time.  F7 draws
     # its noise one value per row either way.  Both runs share one process, so
-    # this holds in any CPU mode, including the one where F13, F19 and F20
-    # give other bits.
+    # this holds in any CPU mode, including the one where runs of F16, F19
+    # and F20 give other bits.
     @pytest.mark.parametrize(
         "params",
         [
