@@ -15,8 +15,9 @@ bound and the shortlist scan read contiguous memory.  It is float32 unless
 a value could overflow float32 (or the table is too wide for a float32
 slack to shortlist anything); then it is float64.  An upper bound on each
 query's k-th smallest key comes from the minima of groups of training rows,
-the elementwise minimum of equal slabs of the query's column, and the
-shortlist is every row within a rounding slack of that bound, derived for
+the elementwise minimum of equal slabs of the query's column (about
+sqrt(n_train / k) slabs: 16 at 800 training rows and k = 5, 128 at
+100,779), and the shortlist is every row within a rounding slack of that bound, derived for
 the key's dtype including the rounding of its inputs and underflow.  It
 holds every row at or below the exact k-th distance, and at least k rows,
 so a query's k nearest, ties included, are among its candidates.  Only a
@@ -137,13 +138,27 @@ class WrapperFitnessSpec:
             raise ValueError("holdout_fraction must lie in (0, 0.5]")
 
 
-_BLOCK_CELLS = 1_000_000  # query x training-row cells per block of keys (4 MB in float32)
+_BLOCK_CELLS = 2_000_000  # query x training-row cells per block of keys (8 MB in float32)
 _MIN_BLOCK = 40  # queries per block however many training rows: the floor under _BLOCK_CELLS // n_train
 # held-out rows in subset_fitness's first block with a cutoff; the rest follow in full blocks.
 # At select size uniform blocks of 20-200 rows and first blocks of 16-40 were slower.
 _FITNESS_ROWS = 50
-_SLABS = 16  # slabs of training rows whose elementwise minimum bounds each query's k-th smallest key
 _NARROW_KEY = np.float32  # the key's dtype wherever _key_dtype admits it
+
+
+def _slab_count(n_train: int, k: int) -> int:
+    """Slabs of training rows whose elementwise minimum bounds each query's k-th smallest key.
+
+    The power of two nearest sqrt(n_train / k): the bound partitions about
+    n_train / slabs group minima per query, and the shortlist grows by about
+    k * slabs candidates per query, so the two costs balance there.  With
+    m = (n_train // k).bit_length(), 2^(m - 1) <= n_train // k, so the count
+    2^(m // 2) is at most sqrt(2 * (n_train // k)): at most n_train // k
+    where that is 2 or more, and 1 where it is 1.  So a slab always holds at
+    least k rows, and the bound at least k groups, as the slack proof needs,
+    with no clamp.
+    """
+    return 1 << (int(n_train // k).bit_length() // 2)
 
 
 def _key_dtype(width: int, scale: float) -> type:
@@ -181,24 +196,25 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     queries, and the first at most ``first_block``: the cell budget, with a
     floor so that a large training table does not pay the per-block cost
     for every few queries (at 100,779 training rows the budget alone gives
-    9).  Once per call it takes the used columns of the training and query
+    19).  Once per call it takes the used columns of the training and query
     rows as C-ordered float64 arrays, checks the values, picks the key's
     dtype, writes ``[t, |t|^2]`` into a buffer of that dtype and builds every
     query's ``[-2q, 1]`` and slack, so a caller may stop after any block at
     the cost of the blocks it drew.  Per block it forms the key, training
-    rows by queries, then the bound and the shortlist, whose candidates come
-    ordered by training row, then query.  A query whose candidates' labels
-    settle the vote, as exactly k candidates always do, votes with them as
-    they are; only the shortlists whose labels leave the vote open are
-    grouped by query, get exact distances from rows that ``np.take``
-    gathers, and a sort, after which each query's k nearest are the first k
-    of its group.  A block with no open query skips all three.
+    rows by queries, then the bound over ``_slab_count(n_train, k)`` slabs
+    and the shortlist, whose candidates come ordered by training row, then
+    query.  A query whose candidates' labels settle the vote, as exactly k
+    candidates always do, votes with them as they are; only the shortlists
+    whose labels leave the vote open are grouped by query, get exact
+    distances from rows that ``np.take`` gathers, and a sort, after which
+    each query's k nearest are the first k of its group.  A block with no
+    open query skips all three.
 
     Memory held: the training columns, which are the table itself for
     ``mask=None`` on a C-ordered table and one copy otherwise; ``[t, |t|^2]``,
     one column wider, in the key's dtype (4 bytes a value in float32); and
     per block a key of at most ``max(_BLOCK_CELLS, _MIN_BLOCK * n_train)``
-    cells (the floor passes the budget above 25,000 training rows: 16 MB of
+    cells (the floor passes the budget above 50,000 training rows: 16 MB of
     float32 at 100,779) with two boolean arrays of its size, or re-rank
     slices of at most ``_BLOCK_CELLS`` differences.
     A block's group minima are released before its scan and its key after
@@ -249,7 +265,7 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     query_aug[:, width] = 1.0
     # the shortlist slack of each query; see the comment below
     query_slack = 5.0 * (width + 2) * (info.eps * (query_sq + train_max) + info.smallest_subnormal)
-    slabs = max(1, min(_SLABS, n_train // k))
+    slabs = _slab_count(n_train, k)
     slab_rows = n_train // slabs
     span = slabs * slab_rows  # training rows in whole slabs; the rest stand alone
     step = max(1, _BLOCK_CELLS // max(1, width))  # candidates per slice of the exact re-rank

@@ -274,32 +274,93 @@ class TestBlockSchedule:
         assert block_sizes == [[40, 40, 20], [7, 40, 40, 13], [40, 40, 20]]
 
 
+class _SlabSpy:
+    """Each _knn_predict call's ``(n_train, k, slabs)``, as ``_slab_count``
+    returns the count, and each block's slab length, the rows the shortlist
+    scan tiles the limit to.  ``force(count)`` makes ``_slab_count`` return
+    ``count(n_train, k)`` in place of the rule's."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.lengths, self._count, tile = [], [], selection._slab_count, np.tile
+
+        def slab_count(n_train, k):
+            self.calls.append((n_train, k, self._count(n_train, k)))
+            return self.calls[-1][2]
+
+        def spy_tile(limit, reps):
+            self.lengths.append(reps)
+            return tile(limit, reps)
+
+        monkeypatch.setattr(selection, "_slab_count", slab_count)
+        monkeypatch.setattr(np, "tile", spy_tile)
+
+    def force(self, count):
+        self._count = count
+
+
+@pytest.fixture
+def slabs(monkeypatch):
+    return _SlabSpy(monkeypatch)
+
+
+class TestSlabCount:
+    """The rule: the power of two nearest sqrt(n_train / k), never more than n_train // k."""
+
+    def test_counts_at_benchmark_sizes(self):
+        # select's 800 fit rows, cv's 4,500-row folds, classify's 20,000 rows, NSL-KDD's 100,779 fit rows
+        assert [selection._slab_count(n, 5) for n in (800, 4_500, 20_000, 100_779)] == [16, 32, 64, 128]
+        assert selection._slab_count(800, np.int64(5)) == 16  # _knn_predict takes NumPy integers for k
+
+    def test_at_least_k_groups_and_near_the_root(self):
+        wrong = []
+        for k in range(1, 11):
+            for n_train in range(k, 5_001):
+                count, most = selection._slab_count(n_train, k), n_train // k
+                # a power of two whose square is within a factor of 2 of n_train // k
+                near = count & (count - 1) == 0 and most < 2 * count * count <= 4 * most
+                if not (1 <= count <= most and near):
+                    wrong.append((n_train, k, count))
+        assert wrong == []
+
+
 class TestKnnSlabs:
     """The slab count changes how loose the shortlist bound is, never the answer."""
 
-    def test_slab_count_does_not_change_answers(self, knn_data, monkeypatch):
+    def test_slab_count_does_not_change_answers(self, knn_data, slabs):
         default = _knn_answers(knn_data)
-        monkeypatch.setattr(selection, "_SLABS", 1)  # the row's own k-th smallest key
+        slabs.force(lambda n_train, k: 1)  # the row's own k-th smallest key
         one_slab = _knn_answers(knn_data)
-        monkeypatch.setattr(selection, "_SLABS", 10**6)  # as many slabs as n_train // k allows
+        slabs.force(lambda n_train, k: n_train // k)  # as many slabs as the slack proof allows
         most_slabs = _knn_answers(knn_data)
         assert one_slab == default and most_slabs == default
+        # 60 training rows for k = 3, 4 and 5, then 90 in each of 4 folds for k = 3: the
+        # rule's 4 slabs, then each forced count, and one block a call scanned in slabs of it
+        trains = [(60, 3), (60, 4), (60, 5)] + [(90, 3)] * 4
+        counts = [4] * 7 + [1] * 7 + [n // k for n, k in trains]
+        assert slabs.calls == [(n, k, c) for (n, k), c in zip(trains * 3, counts)]
+        assert slabs.lengths == [n // c for (n, _), c in zip(trains * 3, counts)]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("shape", ["k-groups", "remainder", "overflow"])
-    def test_matches_exact_reference(self, shape, k):
+    def test_matches_exact_reference(self, shape, k, slabs):
         train_x, train_y, queries = _slab_case(shape, k)
+        slabs.force(lambda n_train, k: _CASE_SLABS)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = knn_exact_reference(train_x, train_y, queries, k)
             got = knn_classify(Dataset.from_arrays(train_x, train_y), queries, k)
         assert np.array_equal(got, expected)
+        assert slabs.calls == [(train_x.shape[0], k, _CASE_SLABS)]
+        assert slabs.lengths == [k]  # slabs of k rows: k groups, and 7 remainder rows but for k-groups
+
+
+_CASE_SLABS = 16  # the slab count _slab_case's shapes are built for
 
 
 def _slab_case(shape, k):
     rng = np.random.default_rng(k)
-    # k-groups: _SLABS slabs of k columns, so exactly k groups and the
+    # k-groups: _CASE_SLABS slabs of k columns, so exactly k groups and the
     # bound is their largest minimum; otherwise 7 columns are left over
-    n = selection._SLABS * k + (0 if shape == "k-groups" else 7)
+    n = _CASE_SLABS * k + (0 if shape == "k-groups" else 7)
     if shape == "overflow":  # squares and differences overflow to inf
         points = rng.choice([-1.0, 1.0], (n + 30, 3)) * 10.0 ** rng.uniform(154, 300, (n + 30, 3))
         points[n + 20 :] = points[rng.integers(0, n, 10)]  # queries with a copy in train
@@ -436,9 +497,10 @@ class TestKnnRandomCorpus:
 
 def _cluster_case(k, seed, shared=False):
     """16 far-apart clusters of k rows each, row i in cluster i % 16, and 40
-    queries each near a cluster.  16 = 1 (mod k) for k in 3 and 5, so with 16
-    slabs of k columns a cluster's rows fall in k distinct column groups: the
-    bound is the k-th nearest key and each query's shortlist is its cluster.
+    queries each near a cluster.  The rule cuts the 16k rows into 4 slabs of
+    4k, so row i falls in group i mod 4k, and for odd k a cluster's rows, 16
+    apart, fall in k distinct groups: the bound is the k-th nearest key and
+    each query's shortlist is its cluster.
     ``shared`` puts cluster 1's rows on top of cluster 0's, so a query there
     has 2k tied candidates."""
     rng = np.random.default_rng(seed)
@@ -554,7 +616,8 @@ class TestKnnTrainingMajorShapes:
     answer equal to a per-query exact ranking."""
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_remainder_row_ties_a_slab_row(self, k, reranked):
+    def test_remainder_row_ties_a_slab_row(self, k, reranked, slabs):
+        slabs.force(lambda n_train, k: 16)
         train_x, train_y, queries = _remainder_tie_case(k)
         expected = knn_exact_reference(train_x, train_y, queries, k)
         assert not expected.any()
@@ -563,6 +626,8 @@ class TestKnnTrainingMajorShapes:
         for got in (*_votes_in_blocks(train, queries, k), single):
             assert np.array_equal(got, expected)
         assert reranked and all(reranked)  # every block re-ranked its tied queries
+        assert slabs.calls == [(69, k, 16)] * 3
+        assert slabs.lengths == [4] * (1 + 2 + 10)  # blocks of all 10 queries, of 7 and of 1
 
     def test_block_of_more_than_65535_queries(self, reranked):
         # 8 training rows, the corners of the unit cube: one block holds
@@ -592,25 +657,30 @@ class TestKnnTrainingMajorShapes:
         assert reranked and set(reranked) == {1}
 
     @pytest.mark.parametrize(("n_train", "k"), [(5, 5), (7, 3), (40, 3), (79, 5)])
-    def test_fewer_training_rows_than_slabs_times_k(self, n_train, k):
-        assert n_train < selection._SLABS * k  # so fewer than _SLABS slabs
+    def test_fewer_training_rows_than_slabs_times_k(self, n_train, k, slabs):
+        # n_train // k slabs, the most the slack proof allows: 1, 2, 13 and 15,
+        # each of at least k rows, where the rule takes 1, 2, 4 and 4
+        slabs.force(lambda n_train, k: n_train // k)
         rng = np.random.default_rng(n_train)
         points = rng.integers(0, 3, (n_train + 30, 3)) / 2  # a coarse grid: many ties
         train_x, train_y, queries = points[:n_train], rng.integers(0, 2, n_train), points[n_train:]
         expected = knn_exact_reference(train_x, train_y, queries, k)
         for got in _votes_in_blocks(Dataset.from_arrays(train_x, train_y), queries, k):
             assert np.array_equal(got, expected)
+        assert slabs.calls == [(n_train, k, n_train // k)] * 2
+        assert slabs.lengths == [n_train // (n_train // k)] * 6  # one block of 30 queries, then blocks of 7
 
 
 def _extra_row_case(k):
     """16 far-apart clusters of k rows, row i in cluster i % 16 as in
-    ``_cluster_case``, and for clusters 0-7 one more row at the centre, a
-    remainder row and so a group of its own: a query on such a centre has
-    exactly k + 1 candidates, one on another centre exactly k.  The extra row
-    (label 1) is the nearest and the cluster's farthest row (label 0) is not
-    among the k nearest, so taking the first k by training row, or the k
-    after the nearest, turns the vote to 0; the other k - 1 rows hold
-    (k - 1) / 2 votes for 1."""
+    ``_cluster_case``, and for clusters 0-7 one more row at the centre.  The
+    rule cuts the 16k + 8 rows into 4 slabs and no remainder, and for k in
+    1, 3 and 5 a cluster's rows and its centre fall in distinct groups: a
+    query on such a centre has exactly k + 1 candidates, one on another
+    centre exactly k.  The extra row (label 1) is the nearest and the
+    cluster's farthest row (label 0) is not among the k nearest, so taking
+    the first k by training row, or the k after the nearest, turns the vote
+    to 0; the other k - 1 rows hold (k - 1) / 2 votes for 1."""
     rng = np.random.default_rng(k)
     centres = rng.random((16, 4)) * 100.0
     train_x = centres[np.arange(16 * k) % 16] + rng.random((16 * k, 4)) * 0.01
@@ -689,8 +759,8 @@ def _knn_budget(n_rows, n_queries, used, key, copied):
     their |t|^2 in float64, [t, |t|^2] in the key's dtype, and one block of
     keys (each is released after its scan) with the scan's two boolean
     arrays.  A block holds the queries that the cell budget allows, at least
-    the floor's: at 50,000 rows that is 40, so the 30 queries make one block
-    of 1.5M cells, where the budget alone made blocks of 1.0M."""
+    the floor's: at 50,000 rows both give 40, so the 30 queries make one
+    block of 1.5M cells."""
     item = np.dtype(key).itemsize
     block = max(selection._BLOCK_CELLS // n_rows, selection._MIN_BLOCK)
     cells = min(n_queries, block) * n_rows
@@ -704,9 +774,12 @@ class TestKnnMemory:
     a 5-feature one, in either memory order."""
 
     def test_c_ordered_table_is_not_copied(self, wide_table, monkeypatch):
-        # Without the floor the 30 queries make the budget's 1.0M-cell blocks,
-        # not one of 1.5M: the call then holds less than the table (14.1 MB
-        # against 16.4 MB), and a copy of the table would add its whole size.
+        # With a 1M-cell budget and no floor the 30 queries make blocks of 20
+        # (1.0M cells), not one of 1.5M: the call then holds less than the
+        # table (13.8 MB against 16.4 MB), and a copy of the table would add
+        # its whole size.  The default 2M cells give one block of 30 queries
+        # and a peak of 16.36 MB, too near the table's size to tell.
+        monkeypatch.setattr(selection, "_BLOCK_CELLS", 1_000_000)
         monkeypatch.setattr(selection, "_MIN_BLOCK", 1)
         x, y, queries = wide_table
         train = Dataset.from_arrays(x, y)
