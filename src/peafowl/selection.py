@@ -20,7 +20,13 @@ sqrt(n_train / k) slabs: 16 at 800 training rows and k = 5, 128 at
 100,779), and the shortlist is every row within a rounding slack of that bound, derived for
 the key's dtype including the rounding of its inputs and underflow.  It
 holds every row at or below the exact k-th distance, and at least k rows,
-so a query's k nearest, ties included, are among its candidates.  Only a
+so a query's k nearest, ties included, are among its candidates.  No row
+of a group whose minimum exceeds the limit can pass, so where few groups
+pass, the scan tests only their rows, as the UCR suite's lower-bound
+cascade skips a distance (Rakthanmanon et al. 2012); elsewhere it tests
+every cell.  At perfbench ``classify``'s 20,000 training rows about 2% of
+the cells (all features) and 4% (its cross-validation folds) lie in
+passing groups, against half on its tie-heavy 5-feature mask.  Only a
 shortlist whose labels leave the vote open is re-ranked by the exact sum:
 one in which the attack rows could make half of k and the normal rows more
 than half.  Any other, such as every shortlist of exactly k rows, votes by
@@ -144,6 +150,10 @@ _MIN_BLOCK = 40  # queries per block however many training rows: the floor under
 # At select size uniform blocks of 20-200 rows and first blocks of 16-40 were slower.
 _FITNESS_ROWS = 50
 _NARROW_KEY = np.float32  # the key's dtype wherever _key_dtype admits it
+# The shortlist scan tests only the rows of passing groups where those hold at most
+# 1/_SPARSE_SCAN of a block's whole-slab cells, and counts them only where a slab holds at
+# least _SPARSE_SCAN * k rows.  0 always takes that scan, a huge value never.
+_SPARSE_SCAN = 16
 
 
 def _slab_count(n_train: int, k: int) -> int:
@@ -203,7 +213,14 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     the cost of the blocks it drew.  Per block it forms the key, training
     rows by queries, then the bound over ``_slab_count(n_train, k)`` slabs
     and the shortlist, whose candidates come ordered by training row, then
-    query.  A query whose candidates' labels settle the vote, as exactly k
+    query.  The shortlist scan takes one of two paths.  Where a slab holds
+    at least ``_SPARSE_SCAN * k`` rows, it counts the (group, query) pairs
+    whose group minimum is not greater than the query's limit, and if their
+    rows are at most ``1/_SPARSE_SCAN`` of the whole-slab cells it tests
+    only those rows (the sparse scan).  Otherwise it compares every cell
+    with the limit (the full scan).  Both keep the same candidates in the
+    same order, and both test every remainder row.
+    A query whose candidates' labels settle the vote, as exactly k
     candidates always do, votes with them as they are; only the shortlists
     whose labels leave the vote open are grouped by query, get exact
     distances from rows that ``np.take`` gathers, and a sort, after which
@@ -215,10 +232,13 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     one column wider, in the key's dtype (4 bytes a value in float32); and
     per block a key of at most ``max(_BLOCK_CELLS, _MIN_BLOCK * n_train)``
     cells (the floor passes the budget above 50,000 training rows: 16 MB of
-    float32 at 100,779) with two boolean arrays of its size, or re-rank
-    slices of at most ``_BLOCK_CELLS`` differences.
-    A block's group minima are released before its scan and its key after
-    it, so no two keys are held at once and the re-rank holds none.
+    float32 at 100,779) with either the full scan's two boolean arrays of
+    its size, or the sparse scan's int64 indices of the cells it tests, at
+    most ``1/_SPARSE_SCAN`` of the key's cells (half a byte a cell), with
+    their keys and a boolean mask; or re-rank slices of at most
+    ``_BLOCK_CELLS`` differences.  A block's group minima, 1/slabs of its
+    key, are kept for the count and released before either scan, and its
+    key after it, so no two keys are held at once and the re-rank holds none.
     A float64 key makes ``[t, |t|^2]`` a second float64 copy of the training
     columns beside ``train_x``, which the re-rank reads contiguous; a copied
     table then holds about twice its used columns, where a float32 key holds
@@ -282,7 +302,8 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
         # their minimum runs down whole slabs; the bound partitions a
         # query-major copy of the groups.
         slabs_view = key[:span].reshape(slabs, -1)  # slab s: rows s*L to s*L + L - 1, every query
-        groups = np.concatenate([slabs_view.min(axis=0).reshape(-1, n_query), key[span:]]).T.copy()
+        minima = slabs_view.min(axis=0).reshape(-1, n_query)  # group j's minimum, every query
+        groups = np.concatenate([minima, key[span:]]).T.copy()
         groups.partition(k - 1, axis=1)
         bound = groups[:, k - 1]
         # Shortlist slack, after the dot-product error bounds of Higham,
@@ -322,10 +343,28 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
         limit = np.nextafter((bound + query_slack[start:stop]).astype(dtype), dtype(np.inf))
         del groups, bound
         # "not greater" also keeps rows whose float64 terms overflowed to inf
-        # or NaN.  Each slab is compared with the limit tiled to its length,
-        # the remainder rows after it, so candidates come by training row,
-        # then query: within each query the training rows ascend.
-        flat = np.flatnonzero(~(slabs_view > np.tile(limit, slab_rows)))
+        # or NaN.  A row of a group whose minimum is greater than the limit
+        # is greater too, and a NaN makes its group's minimum NaN, which
+        # passes.  So where the passing (group, query) pairs are few, only
+        # their rows are tested, laid out (slabs, pairs): slab by slab, the
+        # same cells in the same ascending order as the full scan keeps.
+        # Otherwise each slab is compared with the limit tiled to its length.
+        # Either way the remainder rows follow, so candidates come by
+        # training row, then query: within each query the training rows
+        # ascend.  Each query passes at least k groups, so where a slab holds
+        # fewer than _SPARSE_SCAN * k rows the pairs could pass the share only
+        # if remainder rows were among those k, and they are not counted.
+        sparse = slab_rows >= _SPARSE_SCAN * k
+        if sparse:
+            passing = np.flatnonzero(~(minima > limit))
+            sparse = passing.size * _SPARSE_SCAN <= minima.size
+        del minima
+        if sparse:
+            cells = passing + np.arange(0, span * n_query, slab_rows * n_query)[:, None]
+            flat = cells[~(key.ravel()[cells] > limit[passing % n_query])]
+            del cells
+        else:
+            flat = np.flatnonzero(~(slabs_view > np.tile(limit, slab_rows)))
         if span < n_train:
             flat = np.concatenate([flat, span * n_query + np.flatnonzero(~(key[span:] > limit))])
         del key, slabs_view

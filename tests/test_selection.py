@@ -276,23 +276,45 @@ class TestBlockSchedule:
 
 class _SlabSpy:
     """Each _knn_predict call's ``(n_train, k, slabs)``, as ``_slab_count``
-    returns the count, and each block's slab length, the rows the shortlist
-    scan tiles the limit to.  ``force(count)`` makes ``_slab_count`` return
-    ``count(n_train, k)`` in place of the rule's."""
+    returns the count; each full scan's slab length, the rows it tiles the
+    limit to; and each block's scan with its candidates, the array that
+    ``np.divmod`` splits into training rows and queries.  A block's scan is
+    "full" or "sparse" (only the passing groups' rows), "counted " first
+    where the passing groups were counted: the count is the block's first
+    ``np.flatnonzero``, where the full scan calls ``np.tile`` first.
+    ``force(count)`` makes ``_slab_count`` return ``count(n_train, k)`` in
+    place of the rule's."""
 
     def __init__(self, monkeypatch):
-        self.calls, self.lengths, self._count, tile = [], [], selection._slab_count, np.tile
+        self.calls, self.lengths, self.scans, self.candidates = [], [], [], []
+        self._count, self._events = selection._slab_count, []
+        tile, flatnonzero, divmod_ = np.tile, np.flatnonzero, np.divmod
 
         def slab_count(n_train, k):
             self.calls.append((n_train, k, self._count(n_train, k)))
+            self._events = []  # the blocks start after it
             return self.calls[-1][2]
 
         def spy_tile(limit, reps):
             self.lengths.append(reps)
+            self._events.append("tile")
             return tile(limit, reps)
+
+        def spy_flatnonzero(a):
+            self._events.append("flatnonzero")
+            return flatnonzero(a)
+
+        def spy_divmod(flat, n_query):
+            counted = "counted " if self._events[0] == "flatnonzero" else ""
+            self.scans.append(counted + ("full" if "tile" in self._events else "sparse"))
+            self.candidates.append(flat.copy())
+            self._events = []
+            return divmod_(flat, n_query)
 
         monkeypatch.setattr(selection, "_slab_count", slab_count)
         monkeypatch.setattr(np, "tile", spy_tile)
+        monkeypatch.setattr(np, "flatnonzero", spy_flatnonzero)
+        monkeypatch.setattr(np, "divmod", spy_divmod)
 
     def force(self, count):
         self._count = count
@@ -744,6 +766,106 @@ class TestKnnGroupStarts:
             n for n in per_block if n
         ]
         assert all((part == k + 1).all() for part in candidates)
+
+
+def _scan_cases(family):
+    """``(name, train_x, train_y, queries, k)`` cases: the random corpus,
+    ``_slab_case``'s shapes, or the tie cases of TestKnnShortlistShapes."""
+    if family == "corpus":
+        for kind in _CORPUS_KINDS:
+            for seed in range(134):
+                yield (f"{kind} {seed}", *_corpus_case(kind, seed))
+    elif family == "slab":
+        for shape in ("k-groups", "remainder", "overflow"):
+            for k in (1, 2, 3, 5):
+                yield (f"{shape} k={k}", *_slab_case(shape, k), k)
+    else:
+        for k in (3, 5):
+            train_x, train_y, queries, _ = _cluster_case(k, seed=k)
+            yield (f"clusters k={k}", train_x, train_y, queries, k)
+            train_x, train_y, queries, _ = _cluster_case(k, seed=k, shared=True)
+            train_y[0::16], train_y[1::16] = 0, 1
+            yield (f"stacked clusters k={k}", train_x, train_y, queries, k)
+        for k in (1, 2, 5):
+            train_y = np.r_[np.zeros(k, int), np.ones(30 - k, int)]
+            yield (f"one point k={k}", np.full((30, 3), 0.25), train_y, np.random.default_rng(k).random((20, 3)), k)
+        for k in range(1, 6):
+            queries = np.random.default_rng(k).random((4, 3))
+            for c in range(k + 1, k + 4):
+                for ones in range(c + 1):
+                    attack_first = np.arange(c) < ones
+                    for train_y in (attack_first.astype(int), attack_first[::-1].astype(int)):
+                        yield (f"{c} identical rows, {ones} attack k={k}", np.full((c, 3), 0.5), train_y, queries, k)
+
+
+class TestKnnScans:
+    """The shortlist scan tests every cell of the key, or only the rows of
+    the groups whose minimum passes the limit; _SPARSE_SCAN chooses per
+    block, and the choice changes no candidate and no answer."""
+
+    @pytest.mark.parametrize("family", ["corpus", "slab", "ties"])
+    def test_both_scans_match_exact_reference(self, family, monkeypatch, slabs):
+        if family == "slab":
+            slabs.force(lambda n_train, k: _CASE_SLABS)  # the count its shapes are built for
+        wrong = []
+        for name, train_x, train_y, queries, k in _scan_cases(family):
+            with np.errstate(over="ignore", invalid="ignore"):  # the overflow shape's inf and NaN keys
+                expected = knn_exact_reference(train_x, train_y, queries, k)
+                runs = []
+                # _SPARSE_SCAN 0 makes every block sparse, and 10**9 counts none
+                for share, scan in ((0, "counted sparse"), (10**9, "full")):
+                    monkeypatch.setattr(selection, "_SPARSE_SCAN", share)
+                    slabs.scans.clear()
+                    slabs.candidates.clear()
+                    got = knn_classify(Dataset.from_arrays(train_x, train_y), queries, k)
+                    runs.append(slabs.candidates[:])
+                    if not np.array_equal(got, expected) or set(slabs.scans) != {scan}:
+                        wrong.append((name, share))
+            sparse, full = runs
+            if len(sparse) != len(full) or not all(np.array_equal(a, b) for a, b in zip(sparse, full)):
+                wrong.append((name, "candidates"))
+        assert wrong == []
+
+
+class TestScanChoice:
+    """Which scan a block takes at the default _SPARSE_SCAN."""
+
+    @pytest.fixture(scope="class")
+    def classify_sized(self):
+        """20,000 training rows and 100 queries of a planted 41-column table,
+        all columns, then its 5 planted columns quantized to 1/4 (perfbench
+        classify's mask5 shape, where distances tie often)."""
+        ds = planted_dataset(n_rows=20_100, n_features=41, seed=11)
+        x, y = ds.features, ds.labels
+        tied = np.round(x[:, :5] * 4) / 4
+        return [(x[:20_000], y[:20_000], x[20_000:]), (tied[:20_000], y[:20_000], tied[20_000:])]
+
+    def test_few_passing_groups_take_the_sparse_scan(self, classify_sized, slabs):
+        train_x, train_y, queries = classify_sized[0]
+        expected = knn_exact_reference(train_x, train_y, queries, 5)
+        for got in _votes_in_blocks(Dataset.from_arrays(train_x, train_y), queries, 5):
+            assert np.array_equal(got, expected)
+        # 64 slabs of 312 rows and 32 remainder rows; one block of 100 queries, then blocks of 7
+        assert slabs.calls == [(20_000, 5, 64)] * 2
+        assert slabs.scans == ["counted sparse"] * (1 + 15) and slabs.lengths == []
+
+    def test_tied_planted_columns_take_the_full_scan(self, classify_sized, slabs):
+        train_x, train_y, queries = classify_sized[1]
+        expected = knn_exact_reference(train_x, train_y, queries, 5)
+        for got in _votes_in_blocks(Dataset.from_arrays(train_x, train_y), queries, 5):
+            assert np.array_equal(got, expected)
+        assert slabs.calls == [(20_000, 5, 64)] * 2
+        assert slabs.scans == ["counted full"] * (1 + 15) and slabs.lengths == [312] * (1 + 15)
+
+    def test_select_sized_fit_table_is_not_counted(self, slabs):
+        # select's 800 fit rows: 16 slabs of 50 rows, fewer than _SPARSE_SCAN * k
+        ds = planted_dataset(n_rows=1000, n_features=12, seed=5)
+        spec = WrapperFitnessSpec(split_seed=0)
+        split = selection._holdout_split(ds, spec)
+        subset_fitness(FeatureSubset.from_indices([1, 2, 7], 12), split, spec)
+        subset_fitness(None, split, spec, cutoff=0.0)
+        assert slabs.calls == [(800, 5, 16)] * 2
+        assert slabs.scans == ["full"] * 3 and slabs.lengths == [50] * 3
 
 
 @pytest.fixture(scope="module")
