@@ -444,16 +444,43 @@ def binarize_labels(table: RawTable, schema: TableSchema) -> np.ndarray:
     return out
 
 
+def _first_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first occurrence of each distinct row of a 2-D float array, and each row's distinct row.
+
+    Returns ``(first, inverse)``: ``first`` holds, ascending, the index of
+    every row that no earlier row equals, and row i equals row
+    ``first[inverse[i]]``.  Rows are equal when every value is, so ``-0.0``
+    and ``0.0`` are one value.
+    """
+    values = np.ascontiguousarray(values + 0.0)  # -0.0 becomes 0.0, so equal rows have equal bytes
+    rows = values.view(np.dtype((np.void, values.shape[1] * values.itemsize))).ravel()
+    # A stable sort of whole rows as bytes, so each run of equal rows starts
+    # at its first occurrence.  Sorting here, not in np.unique, holds one
+    # sorted copy of the rows where np.unique holds three.
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    starts = np.empty(rows.size, dtype=bool)
+    starts[:1] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    del ordered, values, rows
+    first = order[starts]
+    run = np.cumsum(starts)
+    run -= 1  # each sorted row's run
+    by_first = np.argsort(first)  # the distinct rows in first-occurrence order
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = rank[run]
+    return first[by_first], inverse
+
+
 def _dedup(table: RawTable) -> RawTable:
     """The table without repeated rows, keeping each row's first occurrence.
 
     Rows repeat when every parsed number and stripped cell is equal, so
     ``1``, ``1.0`` and ``1e0`` are one value, as are ``-0`` and ``0``.
     """
-    values = np.ascontiguousarray(table.values + 0.0)  # -0.0 becomes 0.0, so equal rows have equal bytes
-    # a stable sort of whole rows as bytes; return_index gives each row's first occurrence
-    _, first = np.unique(values.view(np.dtype((np.void, values.shape[1] * values.itemsize))), return_index=True)
-    rows = np.sort(first)
+    rows, _ = _first_rows(table.values)
     return RawTable(values=table.values[rows], cells=table.cells, lines=table.lines[rows])
 
 
@@ -505,6 +532,10 @@ def load_dataset(path, schema: TableSchema, fit_from: Optional[Dataset] = None) 
 
 def make_folds(n_rows: int, k: int, seed: int) -> FoldPlan:
     """Seeded permutation dealt round-robin into k folds (sizes differ by <= 1)."""
+    for name, value in (("n_rows", n_rows), ("k", k)):
+        # a bool is not a count; NumPy integers are
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if k < 2:
         raise ValueError("need at least 2 folds")
     if k > n_rows:
@@ -513,5 +544,5 @@ def make_folds(n_rows: int, k: int, seed: int) -> FoldPlan:
     perm = rng.permutation(n_rows)
     assignments = np.empty(n_rows, dtype=int)
     assignments[perm] = np.arange(n_rows) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=int(k), assignments=assignments, seed=seed)
 

@@ -26,7 +26,15 @@ pass, the scan tests only their rows, as the UCR suite's lower-bound
 cascade skips a distance (Rakthanmanon et al. 2012); elsewhere it tests
 every cell.  At perfbench ``classify``'s 20,000 training rows about 2% of
 the cells (all features) and 4% (its cross-validation folds) lie in
-passing groups, against half on its tie-heavy 5-feature mask.  Only a
+passing groups, against half on its tie-heavy 5-feature mask.  There
+distances tie because rows repeat: those 20,000 rows hold 497 distinct
+ones on the 5 columns (seed 100).  So the first block whose count ends
+in the full scan turns its call to the distinct rows of the used columns,
+once: each is scored once, its votes weighed by its member count and
+label-1 count.  k distinct rows hold at least k rows, so the bound and the
+shortlist keep their proof where there are at least k distinct rows; with
+fewer, or none merged, the call keeps its rows and has paid the grouping
+for nothing.  Only a
 shortlist whose labels leave the vote open is re-ranked by the exact sum:
 one in which the attack rows could make half of k and the normal rows more
 than half.  Any other, such as every shortlist of exactly k rows, votes by
@@ -36,7 +44,8 @@ neighbor, and predictions do not depend on it.  Every KNN call runs through
 ``_knn_predict``, which alone checks its inputs and sizes its query blocks.
 Besides its blocks of keys, a call holds the used training columns,
 C-ordered and in float64 (a C-ordered table without a mask is used as it
-is), and ``[t, |t|^2]`` in the key's dtype.
+is), and ``[t, |t|^2]`` in the key's dtype; once it turns to the distinct
+rows, those and their member rows instead.
 :func:`select_features` splits the table into fit and holdout rows once per
 run and scores every mask on that split.
 
@@ -65,7 +74,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, FoldPlan
+from .data import Dataset, FoldPlan, _first_rows
 from .errors import DataError
 from .metrics import ConfusionCounts, MetricsReport, compute_metrics
 from .optimizer import Binary, PfmParams, Problem, RunTrace, optimize
@@ -171,6 +180,23 @@ def _slab_count(n_train: int, k: int) -> int:
     return 1 << (int(n_train // k).bit_length() // 2)
 
 
+def _layout(n_rows: int, k: int) -> tuple[int, int, int, int]:
+    """A key of ``n_rows`` training rows: queries per block, slabs, rows per slab, and rows in whole slabs."""
+    slabs = _slab_count(n_rows, k)
+    return max(_BLOCK_CELLS // n_rows, _MIN_BLOCK), slabs, n_rows // slabs, slabs * (n_rows // slabs)
+
+
+def _tie_heavy(counted: bool, sparse: bool) -> bool:
+    """Whether a block's scan choice turns its call to the distinct training rows.
+
+    A block whose passing groups were counted, and hold more than
+    ``1/_SPARSE_SCAN`` of its whole-slab cells, takes the full scan: ties
+    crowd its shortlists, as they do where training rows repeat on the used
+    columns.  The rows are then grouped, once per call.
+    """
+    return counted and not sparse
+
+
 def _key_dtype(width: int, scale: float) -> type:
     """The shortlist key's dtype: ``_NARROW_KEY``, or float64 where that could fail.
 
@@ -220,12 +246,23 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     only those rows (the sparse scan).  Otherwise it compares every cell
     with the limit (the full scan).  Both keep the same candidates in the
     same order, and both test every remainder row.
+    The first block where the count runs and ends in the full scan
+    (``_tie_heavy``) groups the used training columns once with
+    ``data._first_rows``.  Where at least k distinct rows result, fewer than
+    the rows, the call turns to them: the key ranks the distinct rows in
+    first-occurrence order, and that block is scored again with blocks and
+    slabs sized for them.  Each candidate then counts its member rows and
+    their label-1 count in the vote.  Otherwise the block is scored again
+    as before.
     A query whose candidates' labels settle the vote, as exactly k
     candidates always do, votes with them as they are; only the shortlists
     whose labels leave the vote open are grouped by query, get exact
     distances from rows that ``np.take`` gathers, and a sort, after which
-    each query's k nearest are the first k of its group.  A block with no
-    open query skips all three.
+    each query's k nearest are the first k of its group.  On distinct rows
+    each candidate gives the sort its first ``min(members, k)`` member
+    rows, at its exact distance: equal rows tie, so the lower ones win, and
+    the sort's last key is the training row.  A block with no open query
+    skips all three.
 
     Memory held: the training columns, which are the table itself for
     ``mask=None`` on a C-ordered table and one copy otherwise; ``[t, |t|^2]``,
@@ -239,6 +276,12 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     ``_BLOCK_CELLS`` differences.  A block's group minima, 1/slabs of its
     key, are kept for the count and released before either scan, and its
     key after it, so no two keys are held at once and the re-rank holds none.
+    The grouping releases the block's key first, and holds two float64
+    copies of the used columns (``+ 0.0`` and its rows sorted), then at most
+    eight int64 values a row, briefly.
+    After it a call on distinct rows holds their columns and ``[t, |t|^2]``
+    in place of the rows', one int64 member row a training row, and three
+    values a distinct row; its keys span the distinct rows.
     A float64 key makes ``[t, |t|^2]`` a second float64 copy of the training
     columns beside ``train_x``, which the re-rank reads contiguous; a copied
     table then holds about twice its used columns, where a float32 key holds
@@ -256,8 +299,6 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     n_train = train.n_rows
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
-    block = max(_BLOCK_CELLS // n_train, _MIN_BLOCK)  # queries per block of keys
-    stop = block if first_block is None else min(block, first_block)
     train_x = _used_columns(train.features, mask)
     query_x = _used_columns(query_rows, mask)
     width = train_x.shape[1]
@@ -285,10 +326,12 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     query_aug[:, width] = 1.0
     # the shortlist slack of each query; see the comment below
     query_slack = 5.0 * (width + 2) * (info.eps * (query_sq + train_max) + info.smallest_subnormal)
-    slabs = _slab_count(n_train, k)
-    slab_rows = n_train // slabs
-    span = slabs * slab_rows  # training rows in whole slabs; the rest stand alone
+    block, slabs, slab_rows, span = _layout(n_train, k)  # span: training rows in whole slabs; the rest stand alone
+    stop = block if first_block is None else min(block, first_block)
     step = max(1, _BLOCK_CELLS // max(1, width))  # candidates per slice of the exact re-rank
+    # The rows the key ranks: the training rows, or once collapsed the
+    # distinct ones, each with its member count, label-1 count and members.
+    row_ones, mult, members, grouped = train.labels, None, None, False
     start = 0
     while start < query_x.shape[0]:
         key = key_aug @ query_aug[start:stop].T  # |t|^2 - 2q.t: |q - t|^2 less the column-constant |q|^2
@@ -340,6 +383,11 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
         # rows.  It also holds every row whose exact distance is at most the
         # exact k-th one, and there are at least k of those.  So it holds the
         # k nearest, whichever rows the tie rule picks at the k-th distance.
+        # On distinct rows, let every member row have its distinct row's key,
+        # one within E of their common exact distance: the k distinct rows
+        # behind the k smallest group minima hold at least k member rows, so
+        # bound is at least the k-th smallest of those keys, and all of the
+        # above holds for the member rows of the candidates.
         limit = np.nextafter((bound + query_slack[start:stop]).astype(dtype), dtype(np.inf))
         del groups, bound
         # "not greater" also keeps rows whose float64 terms overflowed to inf
@@ -354,22 +402,39 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
         # ascend.  Each query passes at least k groups, so where a slab holds
         # fewer than _SPARSE_SCAN * k rows the pairs could pass the share only
         # if remainder rows were among those k, and they are not counted.
-        sparse = slab_rows >= _SPARSE_SCAN * k
-        if sparse:
+        counted = sparse = slab_rows >= _SPARSE_SCAN * k
+        if counted:
             passing = np.flatnonzero(~(minima > limit))
             sparse = passing.size * _SPARSE_SCAN <= minima.size
         del minima
+        if not grouped and _tie_heavy(counted, sparse):
+            # Score this block again: on the distinct rows where at least k
+            # of them merge some rows, otherwise as before.  The key goes
+            # first, so that the grouping's copies do not join it.
+            del key, slabs_view
+            grouped = True
+            first, inverse = _first_rows(train_x)
+            if k <= first.size < train_x.shape[0]:
+                train_x, key_aug = train_x[first], key_aug[first]
+                mult = np.bincount(inverse)
+                row_ones = np.bincount(inverse, weights=train.labels)
+                # by distinct row, then ascending; ids of at most 16 bits sort by radix
+                members = np.argsort(inverse.astype(np.min_scalar_type(first.size)), kind="stable")
+                member_starts = np.cumsum(mult) - mult
+                block, slabs, slab_rows, span = _layout(first.size, k)
+            del first, inverse
+            continue
         if sparse:
             cells = passing + np.arange(0, span * n_query, slab_rows * n_query)[:, None]
             flat = cells[~(key.ravel()[cells] > limit[passing % n_query])]
             del cells
         else:
             flat = np.flatnonzero(~(slabs_view > np.tile(limit, slab_rows)))
-        if span < n_train:
+        if span < key.shape[0]:
             flat = np.concatenate([flat, span * n_query + np.flatnonzero(~(key[span:] > limit))])
         del key, slabs_view
         train_ids, query_ids = np.divmod(flat, n_query)
-        ones = np.bincount(query_ids, weights=train.labels[train_ids], minlength=n_query)
+        ones = np.bincount(query_ids, weights=row_ones[train_ids], minlength=n_query)
         # A query's k nearest are k of its c >= k candidates, so they hold x
         # attack rows, max(0, k - zeros) <= x <= min(k, ones), where ones and
         # zeros count its candidates' labels.  Its vote, 2x >= k, is open
@@ -378,7 +443,7 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
         # vote, and so does 2 ones >= k over all candidates: ones is at least
         # the lower end, and is the upper end where that votes 0.  With c = k
         # the ends meet, so the vote is never open.
-        counts = np.bincount(query_ids, minlength=n_query)
+        counts = np.bincount(query_ids, weights=None if mult is None else mult[train_ids], minlength=n_query)
         undecided = (2 * ones >= k) & (2 * (counts - ones) > k)
         if undecided.any():  # re-rank the open queries alone
             keep = undecided[query_ids]
@@ -398,12 +463,26 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
             for at in range(0, query_ids.size, step):
                 r, c = query_ids[at : at + step], train_ids[at : at + step]
                 exact[at : at + step] = ((np.take(q, r, axis=0) - np.take(train_x, c, axis=0)) ** 2).sum(axis=1)
-            # Per query by exact distance, lower training row first on ties:
-            # each query's training rows come ascending and lexsort is stable.
+            if members is None:
+                # Per query by exact distance, lower training row first on
+                # ties: each query's training rows come ascending and lexsort
+                # is stable.
+                order = np.lexsort((exact, query_ids))
+                sizes = counts[undecided]
+            else:
+                # Each distinct row stands for its members, all at its exact
+                # distance, so the lower ones win: at most its first k can be
+                # among a query's k nearest, and only those are taken.
+                # Members of rows at one distance interleave, so the training
+                # row is the last key.
+                taken = np.minimum(mult[train_ids], k)
+                ends = np.cumsum(taken)
+                at = np.arange(ends[-1]) + np.repeat(member_starts[train_ids] - (ends - taken), taken)
+                query_ids, exact, train_ids = np.repeat(query_ids, taken), np.repeat(exact, taken), members[at]
+                order = np.lexsort((train_ids, exact, query_ids))
+                sizes = np.bincount(query_ids, minlength=n_query)[undecided]
             # So the open queries' groups follow in query order, and the k
             # nearest of each are the first k of its group.
-            order = np.lexsort((exact, query_ids))
-            sizes = counts[undecided]
             firsts = (np.cumsum(sizes) - sizes)[:, None] + np.arange(k)
             ones[undecided] = train.labels[train_ids[order[firsts]]].sum(axis=1)
         yield (2 * ones >= k).astype(int)

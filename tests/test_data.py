@@ -20,7 +20,7 @@ from peafowl import (
     make_folds,
     min_max_normalize,
 )
-from peafowl.data import binarize_labels
+from peafowl.data import _first_rows, binarize_labels
 
 from conftest import NSL_SCHEMA_YAML, traced_peak, write_nsl_fixture, write_toy_csv
 
@@ -724,3 +724,34 @@ class TestFolds:
             make_folds(5, 1, seed=0)
         with pytest.raises(ValueError):
             make_folds(5, 6, seed=0)
+
+    @pytest.mark.parametrize(("n_rows", "k", "name"), [
+        (10, 2.5, "k"), (10, 3.0, "k"), (10, True, "k"), (10, "3", "k"),
+        (10.0, 3, "n_rows"), (np.float64(10), 3, "n_rows"), (True, 1, "n_rows"),
+    ])
+    def test_counts_must_be_ints(self, n_rows, k, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(k if name == 'k' else n_rows))}$"):
+            make_folds(n_rows, k, seed=0)
+
+    def test_numpy_integers_are_accepted(self):
+        plan = make_folds(np.int64(10), np.int32(3), seed=0)
+        assert type(plan.k) is int and plan.k == 3
+        assert np.array_equal(plan.assignments, make_folds(10, 3, seed=0).assignments)
+
+
+class TestFirstRows:
+    """The row grouping behind drop_duplicates and KNN's distinct training rows."""
+
+    def test_first_occurrences_and_inverse(self):
+        values = np.array([[2.0, 1.0], [0.0, 5.0], [2.0, 1.0], [-0.0, 5.0], [7.0, -0.0], [7.0, 0.0], [0.0, 5.0]])
+        first, inverse = _first_rows(values)
+        assert first.tolist() == [0, 1, 4]  # -0.0 and 0.0 are one value
+        assert inverse.tolist() == [0, 1, 0, 1, 2, 2, 1]
+        assert np.array_equal(values[first][inverse] + 0.0, values + 0.0)
+
+    def test_no_rows_and_no_repeats(self):
+        first, inverse = _first_rows(np.empty((0, 3)))
+        assert first.size == 0 and inverse.size == 0
+        values = np.random.default_rng(3).random((50, 4))
+        first, inverse = _first_rows(values)
+        assert first.tolist() == list(range(50)) and inverse.tolist() == list(range(50))

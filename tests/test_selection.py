@@ -281,14 +281,15 @@ class _SlabSpy:
     ``np.divmod`` splits into training rows and queries.  A block's scan is
     "full" or "sparse" (only the passing groups' rows), "counted " first
     where the passing groups were counted: the count is the block's first
-    ``np.flatnonzero``, where the full scan calls ``np.tile`` first.
-    ``force(count)`` makes ``_slab_count`` return ``count(n_train, k)`` in
-    place of the rule's."""
+    ``np.flatnonzero``, where the full scan calls ``np.tile`` first.  A
+    block that groups the training rows records "grouped" in place of a
+    scan, and is scored again.  ``force(count)`` makes ``_slab_count``
+    return ``count(n_train, k)`` in place of the rule's."""
 
     def __init__(self, monkeypatch):
         self.calls, self.lengths, self.scans, self.candidates = [], [], [], []
         self._count, self._events = selection._slab_count, []
-        tile, flatnonzero, divmod_ = np.tile, np.flatnonzero, np.divmod
+        tile, flatnonzero, divmod_, first_rows = np.tile, np.flatnonzero, np.divmod, selection._first_rows
 
         def slab_count(n_train, k):
             self.calls.append((n_train, k, self._count(n_train, k)))
@@ -311,7 +312,13 @@ class _SlabSpy:
             self._events = []
             return divmod_(flat, n_query)
 
+        def spy_first_rows(values):
+            self.scans.append("grouped")
+            self._events = []
+            return first_rows(values)
+
         monkeypatch.setattr(selection, "_slab_count", slab_count)
+        monkeypatch.setattr(selection, "_first_rows", spy_first_rows)
         monkeypatch.setattr(np, "tile", spy_tile)
         monkeypatch.setattr(np, "flatnonzero", spy_flatnonzero)
         monkeypatch.setattr(np, "divmod", spy_divmod)
@@ -356,11 +363,19 @@ class TestKnnSlabs:
         most_slabs = _knn_answers(knn_data)
         assert one_slab == default and most_slabs == default
         # 60 training rows for k = 3, 4 and 5, then 90 in each of 4 folds for k = 3: the
-        # rule's 4 slabs, then each forced count, and one block a call scanned in slabs of it
+        # rule's 4 slabs, then each forced count, and one block a call scanned in slabs of it.
+        # One slab of 90 rows is counted and takes the full scan, so each fold's call turns
+        # to its distinct rows, 88, 86, 86 and 86 (one slab again), and scans those; no two
+        # of the 60 rows are equal.
         trains = [(60, 3), (60, 4), (60, 5)] + [(90, 3)] * 4
         counts = [4] * 7 + [1] * 7 + [n // k for n, k in trains]
-        assert slabs.calls == [(n, k, c) for (n, k), c in zip(trains * 3, counts)]
-        assert slabs.lengths == [n // c for (n, _), c in zip(trains * 3, counts)]
+        calls = [(n, k, c) for (n, k), c in zip(trains * 3, counts)]
+        lengths = [n // c for (n, _), c in zip(trains * 3, counts)]
+        distinct = [(88, 3, 1), (86, 3, 1), (86, 3, 1), (86, 3, 1)]
+        calls[10:14] = [call for pair in zip(calls[10:14], distinct) for call in pair]
+        lengths[10:14] = [n for n, _, _ in distinct]
+        assert slabs.calls == calls
+        assert slabs.lengths == lengths
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("shape", ["k-groups", "remainder", "overflow"])
@@ -768,10 +783,53 @@ class TestKnnGroupStarts:
         assert all((part == k + 1).all() for part in candidates)
 
 
+def _interleaved_case(k, near, labels):
+    """Query 0 sits at distance 1 from point A, rows 3 and 10, and from point
+    B, rows 5 and 7, with ``near`` rows (11 on) nearer: a tie at the k-th
+    distance whose lower rows interleave the two points.  ``labels`` are
+    those of rows 3, 5, 7 and 10; the other rows are far, and query 1 sits
+    on A."""
+    train_x = 100.0 + np.arange(11 + near)[:, None] * np.ones(3)  # far, one point each
+    train_x[[3, 10]], train_x[[5, 7]] = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    train_x[11:] = 0.5 * np.eye(3)[np.arange(near) % 3] * (1.0 - 0.25 * (np.arange(near) // 3))[:, None]
+    train_y = np.arange(11 + near) % 2
+    train_y[[3, 5, 7, 10]] = labels
+    return train_x, train_y, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), k
+
+
+def _repeat_cases():
+    """Cases whose training rows repeat: interleaved ties at the k-th distance,
+    points held by at least k rows, fewer than k distinct rows, and rows
+    equal but for the sign of a zero."""
+    for k in range(1, 6):
+        for near in range(max(0, k - 4), k):
+            for bits in range(16):
+                labels = [(bits >> i) & 1 for i in range(4)]
+                yield (f"interleaved k={k} near={near} labels={labels}", *_interleaved_case(k, near, labels))
+    rng = np.random.default_rng(17)
+    for k in (1, 3, 5):
+        points = rng.random((6, 3))
+        # each point held by 2k + 1 rows, with labels in runs, and queries on and between the points
+        train_x = np.repeat(points, 2 * k + 1, axis=0)[rng.permutation(6 * (2 * k + 1))]
+        queries = np.vstack([points, (points[:-1] + points[1:]) / 2, rng.random((6, 3))])
+        yield (f"{2 * k + 1} rows a point k={k}", train_x, (np.arange(train_x.shape[0]) // 3) % 2, queries, k)
+        if k > 1:  # fewer than k distinct rows: nothing to turn to, the call keeps its rows
+            few = np.repeat(points[: k - 1], 6, axis=0)
+            yield (f"{k - 1} distinct rows k={k}", few, rng.integers(0, 2, few.shape[0]), queries, k)
+    for k in (1, 2, 4):
+        # a grid of -0.5, 0 and 0.5 with each zero's sign drawn: equal rows, other bytes
+        signed = rng.integers(-1, 2, (60, 3)) * 0.5
+        signed[rng.random(signed.shape) < 0.5] *= -1.0
+        yield (f"signed zeros k={k}", signed[:40], rng.integers(0, 2, 40), signed[40:], k)
+
+
 def _scan_cases(family):
     """``(name, train_x, train_y, queries, k)`` cases: the random corpus,
-    ``_slab_case``'s shapes, or the tie cases of TestKnnShortlistShapes."""
-    if family == "corpus":
+    ``_slab_case``'s shapes, the tie cases of TestKnnShortlistShapes, or
+    ``_repeat_cases``."""
+    if family == "repeats":
+        yield from _repeat_cases()
+    elif family == "corpus":
         for kind in _CORPUS_KINDS:
             for seed in range(134):
                 yield (f"{kind} {seed}", *_corpus_case(kind, seed))
@@ -854,8 +912,11 @@ class TestScanChoice:
         expected = knn_exact_reference(train_x, train_y, queries, 5)
         for got in _votes_in_blocks(Dataset.from_arrays(train_x, train_y), queries, 5):
             assert np.array_equal(got, expected)
-        assert slabs.calls == [(20_000, 5, 64)] * 2
-        assert slabs.scans == ["counted full"] * (1 + 15) and slabs.lengths == [312] * (1 + 15)
+        # Each call's first block counts, would take the full scan, and turns the call to
+        # the 479 distinct rows: 8 slabs of 59 rows, too short to count.  It is scored
+        # again there, and the 93 queries after 7 fit one block (a budget of 7 x 20,000 cells).
+        assert slabs.calls == [(20_000, 5, 64), (479, 5, 8)] * 2
+        assert slabs.scans == ["grouped", "full"] + ["grouped", "full", "full"] and slabs.lengths == [59] * 3
 
     def test_select_sized_fit_table_is_not_counted(self, slabs):
         # select's 800 fit rows: 16 slabs of 50 rows, fewer than _SPARSE_SCAN * k
@@ -868,6 +929,63 @@ class TestScanChoice:
         assert slabs.scans == ["full"] * 3 and slabs.lengths == [50] * 3
 
 
+class TestKnnCollapse:
+    """A call that turns to the distinct training rows weighs each by its
+    member count and label-1 count, and re-ranks an open query on member
+    rows: no answer changes.  _tie_heavy is forced to turn every call at its
+    first block (True) or none (False)."""
+
+    @pytest.mark.parametrize("family", ["corpus", "slab", "ties", "repeats"])
+    def test_both_forcings_match_exact_reference(self, family, monkeypatch, slabs):
+        wrong, collapsed = [], 0
+        for name, train_x, train_y, queries, k in _scan_cases(family):
+            n_distinct = np.unique(train_x + 0.0, axis=0).shape[0]
+            collapses = k <= n_distinct < train_x.shape[0]
+            with np.errstate(over="ignore", invalid="ignore"):  # the overflow shape's inf and NaN keys
+                expected = knn_exact_reference(train_x, train_y, queries, k)
+                for force in (True, False):
+                    monkeypatch.setattr(selection, "_tie_heavy", lambda counted, sparse, force=force: force)
+                    slabs.calls.clear()
+                    slabs.scans.clear()
+                    got = knn_classify(Dataset.from_arrays(train_x, train_y), queries, k)
+                    if not np.array_equal(got, expected):
+                        wrong.append((name, force))
+                    # grouped at the first block, then a second layout where rows merge
+                    if slabs.scans.count("grouped") != force or len(slabs.calls) != 1 + (force and collapses):
+                        wrong.append((name, force, "schedule"))
+            collapsed += collapses
+        assert wrong == []
+        assert collapsed >= {"corpus": 141, "slab": 8, "ties": 27, "repeats": 230}[family]
+
+    def test_cutoff_fitness_on_collapsed_blocks(self, monkeypatch, slabs):
+        # TestEarlyAbandoning's shape, its values quantized to 1/4 so that rows repeat
+        ds = planted_dataset(n_rows=600, n_features=10, seed=3)
+        ds = Dataset.from_arrays(np.round(ds.features * 4) / 4, ds.labels)
+        monkeypatch.setattr(selection, "_tie_heavy", lambda counted, sparse: True)
+        spec = WrapperFitnessSpec(split_seed=4)
+        split = selection._holdout_split(ds, spec)
+        rng = np.random.default_rng(8)
+        abandoned = 0
+        for _ in range(40):
+            bits = rng.random(10) < 0.3
+            bits[rng.integers(0, 10)] = True
+            mask = FeatureSubset(bits.astype(float))
+            cols = mask.columns
+            fit, held = split.fit.features[:, cols], split.held.features[:, cols]
+            preds = knn_exact_reference(fit, split.fit.labels, held, spec.k_neighbors)
+            exact = subset_fitness(mask, split, spec)
+            assert exact == float(np.mean(preds == split.held.labels))
+            for cutoff in (rng.uniform(0.5, 1.0), exact, np.nextafter(exact, 0.0), 1.0):
+                got = subset_fitness(mask, split, spec, cutoff)
+                assert got == exact or (got <= cutoff and exact <= cutoff)
+                abandoned += got != exact
+            split = split.hardest_first()
+        assert abandoned > 0
+        # every call grouped its 480 fit rows at its first block, and most masks merged some
+        assert slabs.scans.count("grouped") == 40 * 5
+        assert sum(n < 480 for n, _, _ in slabs.calls) > 40 * 5 // 2
+
+
 @pytest.fixture(scope="module")
 def wide_table():
     """A 50,000 x 41 table (16.4 MB of float64) and 30 queries."""
@@ -875,22 +993,27 @@ def wide_table():
     return rng.random((50_000, 41)), rng.integers(0, 2, 50_000), rng.random((30, 41))
 
 
-def _knn_budget(n_rows, n_queries, used, key, copied):
+def _knn_budget(n_rows, n_queries, used, key, copied, grouped=False):
     """Bytes one KNN call may hold, counted as _knn_predict's docstring does:
     a float64 copy of the used columns unless the table is used as it is,
     their |t|^2 in float64, [t, |t|^2] in the key's dtype, and one block of
     keys (each is released after its scan) with the scan's two boolean
     arrays.  A block holds the queries that the cell budget allows, at least
     the floor's: at 50,000 rows both give 40, so the 30 queries make one
-    block of 1.5M cells."""
+    block of 1.5M cells.  A call that groups its rows may hold the grouping
+    in place of the block: two float64 copies of the used columns and eight
+    int64 values a row."""
     item = np.dtype(key).itemsize
     block = max(selection._BLOCK_CELLS // n_rows, selection._MIN_BLOCK)
     cells = min(n_queries, block) * n_rows
-    return copied * n_rows * used * 8 + n_rows * 8 + n_rows * (used + 1) * item + cells * (item + 2)
+    scan = cells * (item + 2)
+    if grouped:
+        scan = max(scan, n_rows * (2 * used + 8) * 8)
+    return copied * n_rows * used * 8 + n_rows * 8 + n_rows * (used + 1) * item + scan
 
 
 class TestKnnMemory:
-    """The memory one knn_classify call holds (k = 5, 30 queries).  Before
+    """The memory one knn_classify call holds (k = 5, 30 queries or one).  Before
     the key buffer took [t, |t|^2] straight from the table, a float64 copy of
     the table came first: 31.9 MB at its peak without a mask and 10.3 MB with
     a 5-feature one, in either memory order."""
@@ -923,6 +1046,31 @@ class TestKnnMemory:
         copied = columns is not None  # from_arrays stores either order C-ordered, used as it is
         budget = _knn_budget(x.shape[0], queries.shape[0], used, key, copied)
         assert traced_peak(lambda: knn_classify(train, queries, 5, mask)) <= budget
+
+    @pytest.mark.parametrize("case", ["mask5", "wide", "wide distinct", "one query"])
+    def test_grouped_peak_within_budget(self, wide_table, case, monkeypatch):
+        # Values on a 1/4 grid tie often, so the count ends in the full scan
+        # and the call groups its rows.  "wide" keeps 3 such columns of 41
+        # and sets the rest to 1/2: its grouping holds more than a block of
+        # keys.  "wide distinct" gives column 41 distinct values too small for
+        # the float32 key, so nothing merges: the sorted copy is widest.
+        grouped, first_rows = [], selection._first_rows
+        monkeypatch.setattr(selection, "_first_rows", lambda values: grouped.append(1) or first_rows(values))
+        x, y, queries = wide_table
+        x, queries = np.round(x * 4) / 4, np.round(queries * 4) / 4
+        if case == "mask5":
+            mask, used = FeatureSubset.from_indices([1, 2, 3, 4, 5], 41), 5
+        else:
+            mask, used = None, 41
+            x[:, 3:] = 0.5
+            if case == "wide distinct":
+                x[:, 40] = np.random.default_rng(2).permutation(x.shape[0]) * 2.0**-30
+            if case == "one query":
+                queries = queries[:1]
+        train = Dataset.from_arrays(x, y)
+        budget = _knn_budget(x.shape[0], queries.shape[0], used, np.float32, mask is not None, grouped=True)
+        assert traced_peak(lambda: knn_classify(train, queries, 5, mask)) <= budget
+        assert grouped == [1]
 
 
 _WRONG_MASKS = {"short": [1.0, 0.0, 1.0], "long": [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]}
