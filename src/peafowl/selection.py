@@ -42,12 +42,16 @@ its candidates' labels alone (a classifier needs the majority, not the
 ranking; Liu, Moore & Gray 2006).  So the key's precision never decides a
 neighbor, and predictions do not depend on it.  Every KNN call runs through
 ``_knn_predict``, which alone checks its inputs and sizes its query blocks.
-Besides its blocks of keys, a call holds the used training columns,
-C-ordered and in float64 (a C-ordered table without a mask is used as it
-is), and ``[t, |t|^2]`` in the key's dtype; once it turns to the distinct
-rows, those and their member rows instead.
+Besides its blocks of keys, a call holds the used training columns in
+float64 (a C-ordered table without a mask is used as it is), and
+``[t, |t|^2]`` in the key's dtype; once it turns to the distinct rows,
+those and their member rows instead.
 :func:`select_features` splits the table into fit and holdout rows once per
-run and scores every mask on that split.
+run and scores every mask on that split.  The split keeps column-major
+copies of both sides, so a mask's columns are contiguous rows of them: 31
+of 41 columns of 800 rows took 6.8 us that way against 31 us from the
+row-major table (timeit), and that gather was most of a fitness call's
+set-up.
 
 Each season the optimizer hands the fitness its cutoff, the worst parent's
 fitness: a newborn that does not beat it is always dropped.  So
@@ -77,7 +81,7 @@ import numpy as np
 from .data import Dataset, FoldPlan, _first_rows
 from .errors import DataError
 from .metrics import ConfusionCounts, MetricsReport, compute_metrics
-from .optimizer import Binary, PfmParams, Problem, RunTrace, optimize
+from .optimizer import Binary, PfmParams, Problem, RunTrace, _is_real, optimize
 
 __all__ = [
     "FeatureSubset",
@@ -123,6 +127,9 @@ class FeatureSubset:
     def from_indices(cls, indices_1based, n_features: int) -> "FeatureSubset":
         mask = np.zeros(n_features)
         for i in indices_1based:
+            # a bool is not an index, nor is 2.0 (NumPy would truncate 1.5); NumPy integers are
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ValueError(f"feature index must be an int, got {i!r}")
             if not 1 <= i <= n_features:
                 raise ValueError(f"feature index {i} outside 1..{n_features}")
             mask[i - 1] = 1.0
@@ -147,6 +154,8 @@ class WrapperFitnessSpec:
             raise ValueError(f"k_neighbors must be an int, got {self.k_neighbors!r}")
         if self.split_seed is not None and type(self.split_seed) is not int:
             raise ValueError(f"split_seed must be an int or None, got {self.split_seed!r}")
+        if not _is_real(self.holdout_fraction):
+            raise ValueError(f"holdout_fraction must be a real number, got {self.holdout_fraction!r}")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
         if not 0.0 < self.holdout_fraction <= 0.5:
@@ -224,7 +233,25 @@ def _used_columns(x: np.ndarray, mask) -> np.ndarray:
     return np.take(x, mask.columns, axis=1).astype(float, copy=False)
 
 
-def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_block: Optional[int] = None):
+def _take_rows(x: np.ndarray, rows: np.ndarray, columns) -> np.ndarray:
+    """``rows`` of ``x``, then their ``columns`` (None: all), C-ordered: each ``np.take`` returns one."""
+    taken = np.take(x, rows, axis=0)
+    return taken if columns is None else np.take(taken, columns, axis=1)
+
+
+def _by_column(x: np.ndarray) -> np.ndarray:
+    """A C-ordered float64 copy of ``x`` transposed: one contiguous row per column."""
+    return np.ascontiguousarray(x.T, dtype=float)
+
+
+def _knn_predict(
+    train: Dataset,
+    query_rows: np.ndarray,
+    k: int,
+    mask,
+    first_block: Optional[int] = None,
+    columns: Optional[tuple[np.ndarray, np.ndarray]] = None,
+):
     """Yield the KNN votes (0 or 1) of ``query_rows`` on ``mask``'s columns (None: all), block by block.
 
     It checks the query width, mask length, ``k`` and finiteness of the used
@@ -233,13 +260,18 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     floor so that a large training table does not pay the per-block cost
     for every few queries (at 100,779 training rows the budget alone gives
     19).  Once per call it takes the used columns of the training and query
-    rows as C-ordered float64 arrays, checks the values, picks the key's
-    dtype, writes ``[t, |t|^2]`` into a buffer of that dtype and builds every
-    query's ``[-2q, 1]`` and slack, so a caller may stop after any block at
-    the cost of the blocks it drew.  Per block it forms the key, training
-    rows by queries, then the bound over ``_slab_count(n_train, k)`` slabs
-    and the shortlist, whose candidates come ordered by training row, then
-    query.  The shortlist scan takes one of two paths.  Where a slab holds
+    rows in float64, checks the values, picks the key's dtype, writes
+    ``[t, |t|^2]`` into a buffer of that dtype and builds every query's
+    ``[-2q, 1]`` and slack, so a caller may stop after any block at the cost
+    of the blocks it drew.  Without ``columns`` the used columns are
+    C-ordered copies of the rows' (``_used_columns``).  ``columns`` is a
+    split's column-major copies of the training and query rows
+    (``_Holdout``): the used columns are then contiguous rows of them, and
+    both buffers are column-major, so every fill reads contiguous memory
+    and the product reads their transposes.  Per block it forms the key,
+    training rows by queries, then the bound over ``_slab_count(n_train,
+    k)`` slabs and the shortlist, whose candidates come ordered by training
+    row, then query.  The shortlist scan takes one of two paths.  Where a slab holds
     at least ``_SPARSE_SCAN * k`` rows, it counts the (group, query) pairs
     whose group minimum is not greater than the query's limit, and if their
     rows are at most ``1/_SPARSE_SCAN`` of the whole-slab cells it tests
@@ -257,15 +289,19 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     A query whose candidates' labels settle the vote, as exactly k
     candidates always do, votes with them as they are; only the shortlists
     whose labels leave the vote open are grouped by query, get exact
-    distances from rows that ``np.take`` gathers, and a sort, after which
-    each query's k nearest are the first k of its group.  On distinct rows
-    each candidate gives the sort its first ``min(members, k)`` member
-    rows, at its exact distance: equal rows tie, so the lower ones win, and
+    distances from rows that ``np.take`` gathers (``_take_rows``: on a
+    split, whole rows of the row-major tables, then the used columns, so
+    the differences are C-ordered rows on either path and their sums keep
+    NumPy's order), and a sort, after which each query's k nearest are the
+    first k of its group.  On distinct rows each candidate gives the sort
+    its first ``min(members, k)`` member rows, at its exact distance: equal rows tie, so the lower ones win, and
     the sort's last key is the training row.  A block with no open query
     skips all three.
 
     Memory held: the training columns, which are the table itself for
-    ``mask=None`` on a C-ordered table and one copy otherwise; ``[t, |t|^2]``,
+    ``mask=None`` on a C-ordered table or on a split, and one copy
+    otherwise (on a split, of the split's column-major copies, which the
+    split holds once per run, not the call); ``[t, |t|^2]``,
     one column wider, in the key's dtype (4 bytes a value in float32); and
     per block a key of at most ``max(_BLOCK_CELLS, _MIN_BLOCK * n_train)``
     cells (the floor passes the budget above 50,000 training rows: 16 MB of
@@ -273,19 +309,20 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     its size, or the sparse scan's int64 indices of the cells it tests, at
     most ``1/_SPARSE_SCAN`` of the key's cells (half a byte a cell), with
     their keys and a boolean mask; or re-rank slices of at most
-    ``_BLOCK_CELLS`` differences.  A block's group minima, 1/slabs of its
+    ``_BLOCK_CELLS`` gathered values (on a split, whole rows, gathered before
+    their used columns).  A block's group minima, 1/slabs of its
     key, are kept for the count and released before either scan, and its
     key after it, so no two keys are held at once and the re-rank holds none.
     The grouping releases the block's key first, and holds two float64
     copies of the used columns (``+ 0.0`` and its rows sorted), then at most
     eight int64 values a row, briefly.
-    After it a call on distinct rows holds their columns and ``[t, |t|^2]``
-    in place of the rows', one int64 member row a training row, and three
-    values a distinct row; its keys span the distinct rows.
+    After it a call on distinct rows holds their rows for the re-rank (on a
+    split, whole rows) and ``[t, |t|^2]`` in place of the rows', one int64
+    member row a training row, and three values a distinct row; its keys
+    span the distinct rows.
     A float64 key makes ``[t, |t|^2]`` a second float64 copy of the training
-    columns beside ``train_x``, which the re-rank reads contiguous; a copied
-    table then holds about twice its used columns, where a float32 key holds
-    one and a half times.
+    columns beside ``train_x``; a copied table then holds about twice its
+    used columns, where a float32 key holds one and a half times.
     """
     if query_rows.shape[1] != train.n_features:
         raise ValueError(f"feature counts differ: {query_rows.shape[1]} in queries, {train.n_features} in training")
@@ -299,36 +336,48 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
     n_train = train.n_rows
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training rows")
-    train_x = _used_columns(train.features, mask)
-    query_x = _used_columns(query_rows, mask)
+    if columns is None:
+        train_x, query_x = _used_columns(train.features, mask), _used_columns(query_rows, mask)
+        # the re-rank's rows, C-ordered, and the columns it takes of them (None: all)
+        rank_train, rank_query, used = train_x, query_x, None
+    else:
+        used = None if mask is None else mask.columns  # once: each access runs flatnonzero, about 2 us
+        # (n, width) views of the mask's columns, taken as contiguous rows of the copies
+        train_x, query_x = (c.T if used is None else np.take(c, used, axis=0).T for c in columns)
+        rank_train, rank_query = train.features, query_rows
+    order = "C" if columns is None else "F"  # so filling [t, |t|^2] and [-2q, 1] reads contiguous memory
     width = train_x.shape[1]
     train_sq = np.einsum("ij,ij->i", train_x, train_x)
     query_sq = np.einsum("ij,ij->i", query_x, query_x)
-    # A NaN or inf value makes its row's sum of squares non-finite, so only
-    # then are the cells scanned; a finite row may also overflow, and passes.
-    for side, values, sq in (("training", train_x, train_sq), ("query", query_x, query_sq)):
-        if not np.isfinite(sq).all():
-            bad = np.argwhere(~np.isfinite(values))
-            if bad.size:
-                row, col = bad[0]
-                feature = (col if mask is None else mask.columns[col]) + 1
-                raise DataError(
-                    f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
-                )
     train_max = train_sq.max()
-    dtype = _key_dtype(width, query_sq.max(initial=0.0) + train_max)
+    scale = query_sq.max(initial=0.0) + train_max
+    # A NaN or inf value makes its row's sum of squares non-finite, and so
+    # the sum of the largest ones, so only then are the cells scanned; a
+    # finite row may also overflow, and passes.  ``argwhere`` finds the first
+    # bad cell in row-major order in either memory order.
+    if not np.isfinite(scale):
+        for side, values, sq in (("training", train_x, train_sq), ("query", query_x, query_sq)):
+            if not np.isfinite(sq).all():
+                bad = np.argwhere(~np.isfinite(values))
+                if bad.size:
+                    row, col = bad[0]
+                    feature = (col if mask is None else mask.columns[col]) + 1
+                    raise DataError(
+                        f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
+                    )
+    dtype = _key_dtype(width, scale)
     info = np.finfo(dtype)
-    key_aug = np.empty((n_train, width + 1), dtype)  # [t, |t|^2]
+    key_aug = np.empty((n_train, width + 1), dtype, order)  # [t, |t|^2]
     key_aug[:, :width] = train_x
     key_aug[:, width] = train_sq
-    query_aug = np.empty((query_x.shape[0], width + 1), dtype)  # [-2q, 1]
+    query_aug = np.empty((query_x.shape[0], width + 1), dtype, order)  # [-2q, 1]
     np.multiply(query_x, -2.0, out=query_aug[:, :width])
     query_aug[:, width] = 1.0
     # the shortlist slack of each query; see the comment below
     query_slack = 5.0 * (width + 2) * (info.eps * (query_sq + train_max) + info.smallest_subnormal)
     block, slabs, slab_rows, span = _layout(n_train, k)  # span: training rows in whole slabs; the rest stand alone
     stop = block if first_block is None else min(block, first_block)
-    step = max(1, _BLOCK_CELLS // max(1, width))  # candidates per slice of the exact re-rank
+    step = max(1, _BLOCK_CELLS // max(1, rank_train.shape[1]))  # candidates per slice of the exact re-rank
     # The rows the key ranks: the training rows, or once collapsed the
     # distinct ones, each with its member count, label-1 count and members.
     row_ones, mult, members, grouped = train.labels, None, None, False
@@ -414,8 +463,9 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
             del key, slabs_view
             grouped = True
             first, inverse = _first_rows(train_x)
-            if k <= first.size < train_x.shape[0]:
-                train_x, key_aug = train_x[first], key_aug[first]
+            del train_x  # only the re-rank reads training values from here on
+            if k <= first.size < n_train:
+                rank_train, key_aug = rank_train[first], key_aug[first]
                 mult = np.bincount(inverse)
                 row_ones = np.bincount(inverse, weights=train.labels)
                 # by distinct row, then ascending; ids of at most 16 bits sort by radix
@@ -453,16 +503,18 @@ def _knn_predict(train: Dataset, query_rows: np.ndarray, k: int, mask, first_blo
             # two queries of a block over 65,535 into one group.
             order = np.argsort(query_ids.astype(np.uint16), kind="stable")
             query_ids, train_ids = query_ids[order], train_ids[order]
-            q = query_x[start:stop]
-            # Exact distances in slices of at most _BLOCK_CELLS differences, so a
-            # shortlist swollen by ties (identical rows) keeps memory bounded.
+            q = rank_query[start:stop]
+            # Exact distances in slices of at most _BLOCK_CELLS gathered values, so
+            # a shortlist swollen by ties (identical rows) keeps memory bounded.
             # ``.sum(axis=1)`` keeps NumPy's own order: a column-by-column sum
             # would be faster on narrow masks, but to give the same bits it
             # would have to copy NumPy's 8-way order for rows of 8 or more.
+            # So the differences are C-ordered rows, gathered from C-ordered
+            # rows on either path.
             exact = np.empty(query_ids.size)
             for at in range(0, query_ids.size, step):
                 r, c = query_ids[at : at + step], train_ids[at : at + step]
-                exact[at : at + step] = ((np.take(q, r, axis=0) - np.take(train_x, c, axis=0)) ** 2).sum(axis=1)
+                exact[at : at + step] = ((_take_rows(q, r, used) - _take_rows(rank_train, c, used)) ** 2).sum(axis=1)
             if members is None:
                 # Per query by exact distance, lower training row first on
                 # ties: each query's training rows come ascending and lexsort
@@ -512,19 +564,29 @@ class _Holdout:
 
     ``misses[i]`` counts the masks scored to the end that got held-out row i
     wrong; it only orders the rows that an abandoned mask scores.
+    ``fit_columns`` and ``held_columns`` are column-major float64 copies of
+    the two sides' features (``_by_column``), so that each mask's columns
+    are contiguous rows of them.  The fit side's copy is made once per run
+    and each reordering makes the held-out side's.  Together they hold one
+    more copy of the table: about 0.3 MB at perfbench ``select`` size and
+    41 MB at NSL-KDD's 125,973 x 41 rows.
     """
 
     fit: Dataset
     held: Dataset
     misses: np.ndarray
+    fit_columns: np.ndarray
+    held_columns: np.ndarray
 
     def hardest_first(self) -> "_Holdout":
         """The same split, held-out rows reordered by misses, most first, ties kept in order."""
         order = np.argsort(-self.misses, kind="stable")
-        return _Holdout(self.fit, self.held.take(order), self.misses[order])
+        held = self.held.take(order)
+        return _Holdout(self.fit, held, self.misses[order], self.fit_columns, _by_column(held.features))
 
 
-def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
+def _holdout_sides(train: Dataset, spec: WrapperFitnessSpec) -> tuple[Dataset, Dataset]:
+    """``train``'s fit and held-out rows, ``spec.holdout_fraction`` of each label's rows held out."""
     rng = np.random.default_rng(0 if spec.split_seed is None else spec.split_seed)
     held = []
     for cls in np.unique(train.labels):
@@ -537,7 +599,12 @@ def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
     fit = np.flatnonzero(keep)
     if fit.size == 0 or held.size == 0:
         raise DataError("degenerate holdout split: one side is empty")
-    return _Holdout(train.take(fit), train.take(held), np.zeros(held.size, dtype=int))
+    return train.take(fit), train.take(held)
+
+
+def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
+    fit, held = _holdout_sides(train, spec)
+    return _Holdout(fit, held, np.zeros(held.n_rows, dtype=int), _by_column(fit.features), _by_column(held.features))
 
 
 def subset_fitness(
@@ -549,24 +616,31 @@ def subset_fitness(
     """Holdout accuracy in [0, 1] of KNN restricted to the masked columns (None: all).
 
     ``train`` is a :class:`Dataset`, split by ``spec``, or the split that
-    :func:`select_features` makes once per run.  With a ``cutoff``, scoring
-    stops once the errors so far bound the accuracy at or below it, and that
-    bound is returned: a value at most ``cutoff``, as is the exact accuracy.
+    :func:`select_features` makes once per run.  On a split, each mask's
+    columns come from the split's column-major copies; a Dataset's one call
+    has nothing to amortize them over, so it takes ``knn_classify``'s
+    per-call set-up.  With a ``cutoff``, scoring stops once the errors so
+    far bound the accuracy at or below it, and that bound is returned: a
+    value at most ``cutoff``, as is the exact accuracy.
     """
-    split = train if isinstance(train, _Holdout) else _holdout_split(train, spec)
-    labels, n = split.held.labels, split.held.n_rows
+    if isinstance(train, _Holdout):
+        fit, held, misses, columns = train.fit, train.held, train.misses, (train.fit_columns, train.held_columns)
+    else:  # no copies to amortize, and no later mask whose rows misses would order
+        (fit, held), misses, columns = _holdout_sides(train, spec), None, None
+    labels, n = held.labels, held.n_rows
     wrong = np.empty(n, dtype=bool)
     errors, start = 0, 0
     # Without a cutoff nothing can stop early, so the first block takes its full size too.
     first_block = None if cutoff is None else _FITNESS_ROWS
-    for votes in _knn_predict(split.fit, split.held.features, spec.k_neighbors, mask, first_block):
+    for votes in _knn_predict(fit, held.features, spec.k_neighbors, mask, first_block, columns):
         stop = start + votes.size
         errors += int(np.count_nonzero(np.not_equal(votes, labels[start:stop], out=wrong[start:stop])))
         start = stop
         if cutoff is not None and start < n and (n - errors) / n <= cutoff:
             break
     else:  # scored to the end: only such masks count misses
-        split.misses[wrong] += 1
+        if misses is not None:
+            misses[wrong] += 1
     return (n - errors) / n
 
 

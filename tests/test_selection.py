@@ -52,6 +52,16 @@ class TestFeatureSubset:
         with pytest.raises(ValueError, match="outside"):
             FeatureSubset.from_indices([7], 6)
 
+    @pytest.mark.parametrize("bad", [True, 1.5, 2.0, np.float64(2.0), "2"], ids=["True", "1.5", "2.0", "np.float64", "str"])
+    def test_from_indices_rejects_a_non_integer(self, bad):
+        # True once marked feature 1 and 1.5 raised a bare IndexError
+        with pytest.raises(ValueError, match=re.escape(f"feature index must be an int, got {bad!r}")):
+            FeatureSubset.from_indices([bad, 3], 5)
+
+    def test_from_indices_takes_numpy_integers(self):
+        assert FeatureSubset.from_indices(np.array([2, 5]), 6).indices == [2, 5]
+        assert FeatureSubset.from_indices([np.int32(1), 3], 6).indices == [1, 3]
+
 
 class TestKnnClassify:
     def test_exact_match_wins_with_k1(self):
@@ -986,6 +996,111 @@ class TestKnnCollapse:
         assert sum(n < 480 for n, _, _ in slabs.calls) > 40 * 5 // 2
 
 
+def _both_paths(split, spec, mask):
+    """subset_fitness on the split, which reads its column-major copies, and
+    the accuracy of knn_classify's per-call set-up on the same rows."""
+    preds = knn_classify(split.fit, split.held.features, spec.k_neighbors, mask)
+    return subset_fitness(mask, split, spec), float(np.mean(preds == split.held.labels))
+
+
+def _random_mask(rng, width):
+    bits = rng.random(width) < 0.5
+    bits[rng.integers(0, width)] = True
+    return FeatureSubset(bits.astype(float))
+
+
+class TestSplitPath:
+    """subset_fitness on a split takes each mask's columns from the split's
+    column-major copies; it scores as knn_classify does from the rows."""
+
+    @pytest.mark.parametrize("kind", _CORPUS_KINDS)
+    def test_corpus_matches_knn_classify(self, kind):
+        wrong = []
+        for seed in range(40):
+            train_x, train_y, queries, k = _corpus_case(kind, seed)
+            labels = np.concatenate([train_y, np.random.default_rng(seed).integers(0, 2, queries.shape[0])])
+            table = Dataset.from_arrays(np.vstack([train_x, queries]), labels)
+            split = selection._holdout_split(table, WrapperFitnessSpec(holdout_fraction=0.3, split_seed=seed))
+            spec = WrapperFitnessSpec(k_neighbors=min(k, split.fit.n_rows), holdout_fraction=0.3)
+            rng = np.random.default_rng([seed, 2])
+            for mask in (None, _random_mask(rng, table.n_features), _random_mask(rng, table.n_features)):
+                on_split, per_call = _both_paths(split, spec, mask)
+                if on_split != per_call:
+                    wrong.append((seed, None if mask is None else mask.indices))
+        assert wrong == []
+
+    def test_float64_key_matches_knn_classify(self):
+        ds = planted_dataset(n_rows=600, n_features=10, seed=3)
+        ds = Dataset.from_arrays(ds.features * 1e19, ds.labels)  # squares overflow float32
+        spec = WrapperFitnessSpec(split_seed=4)
+        split = selection._holdout_split(ds, spec)
+        rng = np.random.default_rng(9)
+        for mask in [None] + [_random_mask(rng, 10) for _ in range(10)]:
+            columns = range(10) if mask is None else mask.columns
+            scale = sum((x[:, columns] ** 2).sum(axis=1).max() for x in (split.fit.features, split.held.features))
+            assert selection._key_dtype(len(columns), scale) is np.float64
+            on_split, per_call = _both_paths(split, spec, mask)
+            assert on_split == per_call
+
+    @pytest.mark.parametrize("side", ["fit", "held"])
+    def test_non_finite_used_cell_raises_the_same_error(self, side):
+        # inf at row 3, column 5 and NaN at row 5, column 2 (1-based): the first
+        # bad cell in row-major order is the inf, in column-major the NaN
+        ds = planted_dataset(n_rows=100, n_features=6, seed=2)
+        spec = WrapperFitnessSpec(split_seed=0)
+        split = selection._holdout_split(ds, spec)
+        rows, columns = getattr(split, side).features, getattr(split, f"{side}_columns")
+        for row, col, value in ((2, 4, np.inf), (4, 1, np.nan)):
+            rows[row, col] = columns[col, row] = value
+        mask = FeatureSubset.from_indices([2, 5, 6], 6)
+        with pytest.raises(DataError) as per_call:
+            knn_classify(split.fit, split.held.features, spec.k_neighbors, mask)
+        with pytest.raises(DataError) as on_split:
+            subset_fitness(mask, split, spec)
+        row = "training row 3" if side == "fit" else "query row 3"
+        assert str(on_split.value) == str(per_call.value) == f"{row}, feature 5 is not finite (inf)"
+        # the bad cells lie in columns 2 and 5, which this mask does not use
+        on_split, per_call = _both_paths(split, spec, FeatureSubset.from_indices([1, 3, 4, 6], 6))
+        assert on_split == per_call
+
+    @pytest.mark.parametrize("grouping", ["forced", "natural"])
+    def test_tie_heavy_masks_group_on_both_paths(self, grouping, monkeypatch, slabs):
+        # Values on a 1/4 grid, so rows repeat on the used columns.  "forced" makes every
+        # call group at its first block; "natural" has 6,400 fit rows in 32 slabs of 200,
+        # so a call counts, finds the full scan and groups, as perfbench classify's mask5 does.
+        n_rows, n_masks = (600, 20) if grouping == "forced" else (8000, 3)
+        ds = planted_dataset(n_rows=n_rows, n_features=10, seed=3)
+        ds = Dataset.from_arrays(np.round(ds.features * 4) / 4, ds.labels)
+        if grouping == "forced":
+            monkeypatch.setattr(selection, "_tie_heavy", lambda counted, sparse: True)
+        spec = WrapperFitnessSpec(split_seed=4)
+        split = selection._holdout_split(ds, spec)
+        rng = np.random.default_rng(8)
+        masks = [FeatureSubset.from_indices([1, 2, 3, 4, 5], 10)] + [_random_mask(rng, 10) for _ in range(n_masks - 1)]
+        for mask in masks:
+            slabs.scans.clear()
+            exact, per_call = _both_paths(split, spec, mask)
+            assert exact == per_call
+            assert slabs.scans.count("grouped") == 2  # once on each path
+            for cutoff in (rng.uniform(0.5, 1.0), exact, np.nextafter(exact, 0.0)):
+                got = subset_fitness(mask, split, spec, cutoff)
+                assert got == exact or (got <= cutoff and exact <= cutoff)
+
+    def test_split_after_hardest_first(self):
+        ds = planted_dataset(n_rows=600, n_features=10, seed=3)
+        spec = WrapperFitnessSpec(split_seed=4)
+        split = selection._holdout_split(ds, spec)
+        split.misses[:] = np.random.default_rng(1).integers(0, 4, split.misses.size)
+        ordered = split.hardest_first()
+        assert ordered.fit_columns is split.fit_columns
+        assert np.array_equal(ordered.held_columns, ordered.held.features.T)
+        assert ordered.held_columns.flags.c_contiguous
+        rng = np.random.default_rng(2)
+        for mask in [None] + [_random_mask(rng, 10) for _ in range(10)]:
+            on_split, per_call = _both_paths(ordered, spec, mask)
+            assert on_split == per_call
+
+
 @pytest.fixture(scope="module")
 def wide_table():
     """A 50,000 x 41 table (16.4 MB of float64) and 30 queries."""
@@ -1046,6 +1161,20 @@ class TestKnnMemory:
         copied = columns is not None  # from_arrays stores either order C-ordered, used as it is
         budget = _knn_budget(x.shape[0], queries.shape[0], used, key, copied)
         assert traced_peak(lambda: knn_classify(train, queries, 5, mask)) <= budget
+
+    @pytest.mark.parametrize("columns", [None, [1, 2, 3, 4, 5]], ids=["all", "mask5"])
+    def test_fitness_on_a_split_within_budget(self, wide_table, columns):
+        # The split holds its column-major copies once per run, so one fitness
+        # call on it holds what a knn_classify call does: one copy of a mask's
+        # columns, and none of all columns, which are the copies themselves.
+        # A call that copied the table again would exceed the budget by about 12 MB.
+        x, y, _ = wide_table
+        spec = WrapperFitnessSpec(holdout_fraction=0.05, split_seed=0)
+        split = selection._holdout_split(Dataset.from_arrays(x, y), spec)
+        mask = None if columns is None else FeatureSubset.from_indices(columns, 41)
+        used = x.shape[1] if columns is None else len(columns)
+        budget = _knn_budget(split.fit.n_rows, split.held.n_rows, used, np.float32, columns is not None)
+        assert traced_peak(lambda: subset_fitness(mask, split, spec)) <= budget
 
     @pytest.mark.parametrize("case", ["mask5", "wide", "wide distinct", "one query"])
     def test_grouped_peak_within_budget(self, wide_table, case, monkeypatch):
@@ -1202,6 +1331,15 @@ class TestSubsetFitness:
             with pytest.raises(ValueError):
                 WrapperFitnessSpec(**bad)
 
+    @pytest.mark.parametrize("fraction", ["0.2", None, [0.2], True], ids=["str", "None", "list", "True"])
+    def test_holdout_fraction_must_be_a_real_number(self, fraction):
+        # the first three once failed the range comparison with a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(f"holdout_fraction must be a real number, got {fraction!r}")):
+            WrapperFitnessSpec(holdout_fraction=fraction)
+
+    def test_numpy_holdout_fraction_is_accepted(self):
+        assert WrapperFitnessSpec(holdout_fraction=np.float64(0.25)).holdout_fraction == 0.25
+
 
 def _select_digest(ds, seed):
     best, trace = select_features(ds, PfmParams(population_size=8, max_iterations=5, seed=seed), WrapperFitnessSpec())
@@ -1227,9 +1365,9 @@ class TestEarlyAbandoning:
         ds = planted_dataset(n_rows=400, n_features=12, seed=5)
         scored, predict, fitness = [], selection._knn_predict, selection.subset_fitness
 
-        def counting(train, query_rows, k, columns, size):
+        def counting(train, query_rows, k, columns, size, *copies):
             scored.append(0)
-            for votes in predict(train, query_rows, k, columns, size):
+            for votes in predict(train, query_rows, k, columns, size, *copies):
                 scored[-1] += votes.size
                 yield votes
 
