@@ -95,6 +95,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    # A count or an index: an int or a NumPy integer, not a bool.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FeatureSubset:
     """A nonempty set of feature columns, stored as a 0/1 mask."""
@@ -127,11 +132,12 @@ class FeatureSubset:
     def from_indices(cls, indices_1based, n_features: int) -> "FeatureSubset":
         mask = np.zeros(n_features)
         for i in indices_1based:
-            # a bool is not an index, nor is 2.0 (NumPy would truncate 1.5); NumPy integers are
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            if not _is_int(i):  # nor is 2.0: NumPy would truncate 1.5
                 raise ValueError(f"feature index must be an int, got {i!r}")
             if not 1 <= i <= n_features:
                 raise ValueError(f"feature index {i} outside 1..{n_features}")
+            if mask[i - 1]:
+                raise ValueError(f"feature index {i} is listed more than once")
             mask[i - 1] = 1.0
         return cls(mask)
 
@@ -263,8 +269,9 @@ def _knn_predict(
     rows in float64, checks the values, picks the key's dtype, writes
     ``[t, |t|^2]`` into a buffer of that dtype and builds every query's
     ``[-2q, 1]`` and slack, so a caller may stop after any block at the cost
-    of the blocks it drew.  Without ``columns`` the used columns are
-    C-ordered copies of the rows' (``_used_columns``).  ``columns`` is a
+    of the blocks it drew.  ``knn_classify`` passes no ``columns``: with
+    no later call to amortize copies over, its used columns are C-ordered
+    copies of the rows' (``_used_columns``).  ``subset_fitness`` passes its
     split's column-major copies of the training and query rows
     (``_Holdout``): the used columns are then contiguous rows of them, and
     both buffers are column-major, so every fill reads contiguous memory
@@ -328,8 +335,7 @@ def _knn_predict(
         raise ValueError(f"feature counts differ: {query_rows.shape[1]} in queries, {train.n_features} in training")
     if mask is not None and mask.mask.size != train.n_features:
         raise ValueError("mask length does not match the feature count")
-    # a bool is not a neighbour count; NumPy integers are
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    if not _is_int(k):
         raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -585,7 +591,7 @@ class _Holdout:
         return _Holdout(self.fit, held, self.misses[order], self.fit_columns, _by_column(held.features))
 
 
-def _holdout_sides(train: Dataset, spec: WrapperFitnessSpec) -> tuple[Dataset, Dataset]:
+def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
     """``train``'s fit and held-out rows, ``spec.holdout_fraction`` of each label's rows held out."""
     rng = np.random.default_rng(0 if spec.split_seed is None else spec.split_seed)
     held = []
@@ -594,16 +600,10 @@ def _holdout_sides(train: Dataset, spec: WrapperFitnessSpec) -> tuple[Dataset, D
         perm = rng.permutation(idx)
         held.append(perm[: max(1, int(round(spec.holdout_fraction * idx.size)))])
     held = np.sort(np.concatenate(held))
-    keep = np.ones(train.n_rows, dtype=bool)
-    keep[held] = False
-    fit = np.flatnonzero(keep)
+    fit = np.setdiff1d(np.arange(train.n_rows), held)
     if fit.size == 0 or held.size == 0:
         raise DataError("degenerate holdout split: one side is empty")
-    return train.take(fit), train.take(held)
-
-
-def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
-    fit, held = _holdout_sides(train, spec)
+    fit, held = train.take(fit), train.take(held)
     return _Holdout(fit, held, np.zeros(held.n_rows, dtype=int), _by_column(fit.features), _by_column(held.features))
 
 
@@ -615,32 +615,27 @@ def subset_fitness(
 ) -> float:
     """Holdout accuracy in [0, 1] of KNN restricted to the masked columns (None: all).
 
-    ``train`` is a :class:`Dataset`, split by ``spec``, or the split that
-    :func:`select_features` makes once per run.  On a split, each mask's
-    columns come from the split's column-major copies; a Dataset's one call
-    has nothing to amortize them over, so it takes ``knn_classify``'s
-    per-call set-up.  With a ``cutoff``, scoring stops once the errors so
-    far bound the accuracy at or below it, and that bound is returned: a
-    value at most ``cutoff``, as is the exact accuracy.
+    ``train`` is the split that :func:`select_features` makes once per run,
+    or a :class:`Dataset`, split by ``spec`` the same way.  With a
+    ``cutoff``, scoring stops once the errors so far bound the accuracy at
+    or below it, and that bound is returned: a value at most ``cutoff``, as
+    is the exact accuracy.
     """
-    if isinstance(train, _Holdout):
-        fit, held, misses, columns = train.fit, train.held, train.misses, (train.fit_columns, train.held_columns)
-    else:  # no copies to amortize, and no later mask whose rows misses would order
-        (fit, held), misses, columns = _holdout_sides(train, spec), None, None
-    labels, n = held.labels, held.n_rows
+    split = train if isinstance(train, _Holdout) else _holdout_split(train, spec)
+    labels, n = split.held.labels, split.held.n_rows
     wrong = np.empty(n, dtype=bool)
     errors, start = 0, 0
     # Without a cutoff nothing can stop early, so the first block takes its full size too.
     first_block = None if cutoff is None else _FITNESS_ROWS
-    for votes in _knn_predict(fit, held.features, spec.k_neighbors, mask, first_block, columns):
+    columns = (split.fit_columns, split.held_columns)
+    for votes in _knn_predict(split.fit, split.held.features, spec.k_neighbors, mask, first_block, columns):
         stop = start + votes.size
         errors += int(np.count_nonzero(np.not_equal(votes, labels[start:stop], out=wrong[start:stop])))
         start = stop
         if cutoff is not None and start < n and (n - errors) / n <= cutoff:
             break
     else:  # scored to the end: only such masks count misses
-        if misses is not None:
-            misses[wrong] += 1
+        split.misses[wrong] += 1
     return (n - errors) / n
 
 
@@ -655,7 +650,11 @@ def _repair_empty_mask(position: np.ndarray, rng: np.random.Generator) -> np.nda
 def select_features(
     train: Dataset, params: PfmParams, spec: WrapperFitnessSpec
 ) -> tuple[FeatureSubset, RunTrace]:
-    """Search feature masks maximizing wrapper fitness; returns best + trace."""
+    """Search feature masks maximizing wrapper fitness; returns the best mask and the trace.
+
+    The final population is ranked by ``_best_first``, as in :func:`top_subsets`: fitness
+    ties go to fewer features, then the optimizer's order.  The mask is its row 0.
+    """
     if train.n_features < 2:
         raise DataError("need at least 2 features to select from")
     if np.unique(train.labels).size < 2:
@@ -678,26 +677,26 @@ def select_features(
         repair=_repair_empty_mask,
     )
     trace = optimize(problem, params)
+    trace.final_population = _best_first(trace.final_population)
     return FeatureSubset(trace.best_solution.position), trace
 
 
+def _best_first(population):
+    """A ``(positions, fitness)`` reordered best first: fitness descending, then fewer features, then row order."""
+    positions, fitness = population
+    order = np.lexsort((positions.sum(axis=1), -fitness))  # stable: rows that tie keep their order
+    return positions[order], fitness[order]
+
+
 def top_subsets(population, n: int) -> list[tuple[FeatureSubset, float]]:
-    """Best n distinct masks of a final ``(positions, fitness)`` (fitness desc, then smaller)."""
+    """Best n distinct masks of a final ``(positions, fitness)``: each mask's first row in ``_best_first`` order."""
+    if not _is_int(n):
+        raise ValueError(f"top_subsets must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"top_subsets must be >= 1, got {n}")
-    positions, fitness = population
-    seen = set()
-    out = []
-    # Stable: equal fitness and size keep their population order.
-    for i in np.lexsort((positions.sum(axis=1), -fitness)):
-        key = positions[i].tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((FeatureSubset(positions[i]), float(fitness[i])))
-        if len(out) == n:
-            break
-    return out
+    positions, fitness = _best_first(population)
+    first, _ = _first_rows(positions)
+    return [(FeatureSubset(positions[i]), float(fitness[i])) for i in first[:n]]
 
 
 def evaluate_subset(

@@ -273,6 +273,7 @@ class TestPowers:
         assert [int(v) for v in chain(d.astype(float))] == [int(i) ** power for i in d]
 
 
+@pytest.mark.golden
 class TestRowValueDigests:
     # The SHA-256 of each function's values on 200 seeded rows, uniform in
     # its box.  They must read the same with NumPy's AVX2 and AVX-512 kernels
@@ -365,6 +366,7 @@ def run_trace_digest(trace):
     return hashlib.sha256(positions.tobytes() + fitness.tobytes() + counts.tobytes()).hexdigest()
 
 
+@pytest.mark.golden
 class TestRunTraceDigests:
     # The final population, newborns and survivors of seeded 20-iteration
     # runs.  The bench goldens hold best values only, which a stalled search
@@ -432,6 +434,7 @@ def test_f7_problem_continues_its_noise_stream():
     assert run_trace_digest(optimize(reused, params)) != run_trace_digest(first)
 
 
+@pytest.mark.golden
 class TestSpanBatchesMatchRowsAlone:
     # A box run scores a span of seasons in one objective call.  Every
     # function must give a row the same bits in that batch as alone: the run

@@ -62,6 +62,7 @@ def test_rerun_is_byte_identical(files, command):
     assert primary_bytes(out) == first
 
 
+@pytest.mark.golden
 def test_select_output_is_pinned(files):
     # Digests from before the optimizer handed fitness a cutoff: stopping a
     # mask early must change no byte that select writes.
@@ -89,6 +90,7 @@ def test_select_best_is_the_first_subset(files, caplog):
     assert "holdout score, optimistic by construction" in caplog.text
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize(
     "argv, digests",
     [
@@ -119,6 +121,7 @@ def test_bench_output_is_pinned(files, argv, digests):
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize(
     "command, digest",
     [
@@ -424,6 +427,14 @@ def test_empty_function_list_exits_2(files, functions, caplog):
     assert run("bench", "--functions", functions, "--runs", "1", out=out) == 2
     assert "function list is empty" in caplog.text
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "cv"])
+def test_repeated_feature_exits_2(files, command, caplog):
+    out = files["tmp"] / "out"
+    assert run(*command_argv(files)[command], "--features", "2,2,3", out=out) == 2
+    assert "feature index 2 is listed more than once" in caplog.text
+    assert not out.exists()
 
 
 def test_repeated_function_exits_2(files, caplog):

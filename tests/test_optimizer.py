@@ -71,6 +71,7 @@ class TestAttractiveness:
         assert attractiveness(d, params).tobytes() == expected.tobytes()
 
 
+@pytest.mark.golden
 class TestSplitPopulation:
     @pytest.mark.parametrize(
         "n,r,alpha,expected",
@@ -571,6 +572,7 @@ def windows_match_reference(problem, params, seed, windows=21, seasons=1):
     return got, tally, discarded
 
 
+@pytest.mark.golden
 class TestSeasonMatchesReference:
     @pytest.mark.parametrize("n", [4, 7, 30])
     @pytest.mark.parametrize("case", list(season_cases()))
@@ -680,6 +682,7 @@ def pcg64_carrying_a_half(seed):
     return rng
 
 
+@pytest.mark.golden
 class TestWindowMatchesReference:
     """A call's windows against :func:`reference_window`, which draws each partner and mate
     count with its own scalar ``integers`` call, down to the whole generator state."""

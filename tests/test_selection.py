@@ -8,10 +8,12 @@ from peafowl import (
     Dataset,
     FeatureSubset,
     PfmParams,
+    TableSchema,
     WrapperFitnessSpec,
     cross_validate,
     evaluate_subset,
     knn_classify,
+    load_dataset,
     make_folds,
     select_features,
     subset_fitness,
@@ -57,6 +59,11 @@ class TestFeatureSubset:
         # True once marked feature 1 and 1.5 raised a bare IndexError
         with pytest.raises(ValueError, match=re.escape(f"feature index must be an int, got {bad!r}")):
             FeatureSubset.from_indices([bad, 3], 5)
+
+    def test_from_indices_rejects_a_repeated_index(self):
+        # [2, 2, 3] once became [2, 3]
+        with pytest.raises(ValueError, match="feature index 2 is listed more than once"):
+            FeatureSubset.from_indices([2, 2, 3], 5)
 
     def test_from_indices_takes_numpy_integers(self):
         assert FeatureSubset.from_indices(np.array([2, 5]), 6).indices == [2, 5]
@@ -1469,11 +1476,31 @@ class TestSelectFeatures:
         assert tops[1][0].indices == [1, 2, 3]
         assert tops[2][1] == 0.8
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_top_subsets_needs_a_positive_count(self, n):
+    @pytest.mark.parametrize(
+        "n, message",
+        [(0, ">= 1, got 0"), (-1, ">= 1, got -1"), (2.5, "an int, got 2.5"), (True, "an int, got True"), ("2", "an int, got '2'")],
+        ids=["0", "-1", "2.5", "True", "str"],
+    )
+    def test_top_subsets_needs_a_positive_count(self, n, message):
+        # 2.5 once listed every distinct mask
         population = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.9, 0.8]))
-        with pytest.raises(ValueError, match="top_subsets must be >= 1"):
+        with pytest.raises(ValueError, match=re.escape(f"top_subsets must be {message}")):
             top_subsets(population, n=n)
+
+    def test_top_subsets_takes_a_numpy_integer(self):
+        population = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.9, 0.8]))
+        assert [s.indices for s, _ in top_subsets(population, n=np.int64(1))] == [[1]]
+
+    def test_returned_mask_is_the_ranked_best(self, toy_csv):
+        # Row 0 of the optimizer's population has features 1 and 2 here, and
+        # feature 1 alone ties it: the mask, the trace's best and FSs1 were two.
+        train = load_dataset(toy_csv[0], TableSchema.from_yaml(toy_csv[1]))
+        best, trace = select_features(train, PfmParams(population_size=8, max_iterations=4, seed=2), WrapperFitnessSpec())
+        [(top, fitness)] = top_subsets(trace.final_population, 1)
+        assert best.indices == top.indices == [1]
+        assert np.array_equal(trace.best_solution.position, best.mask)
+        assert trace.best_solution.fitness == fitness
+        assert np.all(np.diff(trace.final_population[1]) <= 0)
 
 
 class TestEvaluateSubset:
