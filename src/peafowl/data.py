@@ -532,10 +532,12 @@ def load_dataset(path, schema: TableSchema, fit_from: Optional[Dataset] = None) 
 
 def make_folds(n_rows: int, k: int, seed: int) -> FoldPlan:
     """Seeded permutation dealt round-robin into k folds (sizes differ by <= 1)."""
-    for name, value in (("n_rows", n_rows), ("k", k)):
-        # a bool is not a count; NumPy integers are
+    for name, value in (("n_rows", n_rows), ("k", k), ("seed", seed)):
+        # a bool is not a count or a seed; NumPy integers are
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an int, got {value!r}")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if k < 2:
         raise ValueError("need at least 2 folds")
     if k > n_rows:

@@ -17,35 +17,39 @@ slack to shortlist anything); then it is float64.  An upper bound on each
 query's k-th smallest key comes from the minima of groups of training rows,
 the elementwise minimum of equal slabs of the query's column (about
 sqrt(n_train / k) slabs: 16 at 800 training rows and k = 5, 128 at
-100,779), and the shortlist is every row within a rounding slack of that bound, derived for
-the key's dtype including the rounding of its inputs and underflow.  It
-holds every row at or below the exact k-th distance, and at least k rows,
-so a query's k nearest, ties included, are among its candidates.  No row
-of a group whose minimum exceeds the limit can pass, so where few groups
-pass, the scan tests only their rows, as the UCR suite's lower-bound
-cascade skips a distance (Rakthanmanon et al. 2012); elsewhere it tests
-every cell.  At perfbench ``classify``'s 20,000 training rows about 2% of
-the cells (all features) and 4% (its cross-validation folds) lie in
-passing groups, against half on its tie-heavy 5-feature mask.  There
-distances tie because rows repeat: those 20,000 rows hold 497 distinct
-ones on the 5 columns (seed 100).  So the first block whose count ends
-in the full scan turns its call to the distinct rows of the used columns,
-once: each is scored once, its votes weighed by its member count and
-label-1 count.  k distinct rows hold at least k rows, so the bound and the
-shortlist keep their proof where there are at least k distinct rows; with
-fewer, or none merged, the call keeps its rows and has paid the grouping
-for nothing.  Only a
-shortlist whose labels leave the vote open is re-ranked by the exact sum:
-one in which the attack rows could make half of k and the normal rows more
-than half.  Any other, such as every shortlist of exactly k rows, votes by
-its candidates' labels alone (a classifier needs the majority, not the
-ranking; Liu, Moore & Gray 2006).  So the key's precision never decides a
-neighbor, and predictions do not depend on it.  Every KNN call runs through
-``_knn_predict``, which alone checks its inputs and sizes its query blocks.
-Besides its blocks of keys, a call holds the used training columns in
-float64 (a C-ordered table without a mask is used as it is), and
-``[t, |t|^2]`` in the key's dtype; once it turns to the distinct rows,
-those and their member rows instead.
+100,779), and the shortlist is every row within a rounding slack of that
+bound, derived for the key's dtype including the rounding of its inputs and
+underflow.  It holds every row at or below the exact k-th distance, and at
+least k rows, so a query's k nearest, ties included, are among its
+candidates.  No row of a group whose minimum exceeds the limit can pass, so
+where few groups pass, the scan tests only their rows, as the UCR suite's
+lower-bound cascade skips a distance (Rakthanmanon et al. 2012); elsewhere
+it tests every cell.  At perfbench ``classify``'s 20,000 training rows
+about 2% of the cells (all features) and 4% (its cross-validation folds)
+lie in passing groups, against half on its tie-heavy 5-feature mask.  There
+distances tie because rows repeat: those 20,000 rows hold 497 distinct ones
+on the 5 columns (seed 100).  So the first block whose count ends in the
+full scan turns its call to the distinct rows of the used columns, once:
+each is scored once, its votes weighed by its member count and label-1
+count.  Only a shortlist whose labels leave the vote open is re-ranked by
+the exact sum: one in which the attack rows could make half of k and the
+normal rows more than half.  Any other, such as every shortlist of exactly
+k rows, votes by its candidates' labels alone (a classifier needs the
+majority, not the ranking; Liu, Moore & Gray 2006).  So the key's precision
+never decides a neighbor, and predictions do not depend on it.
+
+Every KNN call runs through ``_knn_predict``, a short driver over seven
+stages, each a module-level function that it calls through its module name,
+so that a tracer can wrap each one: :func:`_knn_setup` once per call, then
+per block of queries :func:`_key_product`, :func:`_key_bound`,
+:func:`_shortlist`, :func:`_vote_counts` and :func:`_rerank`; the first
+block whose count ends in the full scan runs :func:`_group` after its bound
+instead, and is scored again.  At perfbench sizes: ``select``'s 800 fit
+rows make 16 slabs of 50 rows, too few to count, so its blocks take the
+full scan and never group.  ``classify`` takes the sparse scan on all
+features and on its cross-validation folds; on its 5-feature mask the first
+block counts, ends in the full scan and groups, and the call scores the
+distinct rows.
 :func:`select_features` splits the table into fit and holdout rows once per
 run and scores every mask on that split.  The split keeps column-major
 copies of both sides, so a mask's columns are contiguous rows of them: 31
@@ -74,7 +78,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -217,7 +221,7 @@ def _key_dtype(width: int, scale: float) -> type:
 
     ``scale`` is max|q|^2 + max|t|^2 over the queries q and training rows t.
     The narrow key needs every value it holds to stay finite, and its slack
-    below ``scale``; see the slack comment in :func:`_knn_predict`.
+    below ``scale``; see the slack comment in :func:`_key_bound`.
     """
     info = np.finfo(_NARROW_KEY)
     if 4.0 * scale <= float(info.max) and 5.0 * (width + 2) * float(info.eps) < 1.0:
@@ -250,86 +254,80 @@ def _by_column(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.T, dtype=float)
 
 
-def _knn_predict(
-    train: Dataset,
-    query_rows: np.ndarray,
-    k: int,
-    mask,
-    first_block: Optional[int] = None,
-    columns: Optional[tuple[np.ndarray, np.ndarray]] = None,
-):
-    """Yield the KNN votes (0 or 1) of ``query_rows`` on ``mask``'s columns (None: all), block by block.
+class _Ranked(NamedTuple):
+    """The training rows that a call's key ranks: its training rows, or after
+    :func:`_group`, their distinct rows in first-occurrence order.
+
+    ``aug`` is their ``[t, |t|^2]`` in the key's dtype, ``rows`` the
+    C-ordered rows that the re-rank reads, of which it takes the columns
+    ``used`` (None: all), ``ones`` their label-1 counts and ``layout`` the
+    ``_layout`` of their count.  ``labels`` are the training rows' labels,
+    member rows' on distinct rows.  ``values``, the used training columns in
+    float64, is what :func:`_group` reads, and None once it has run.  On
+    distinct rows ``counts`` holds each one's member count, ``members`` the
+    member rows by distinct row, each one's ascending, and ``starts`` where
+    each one's members begin in ``members``.
+    """
+
+    aug: np.ndarray
+    rows: np.ndarray
+    used: Optional[np.ndarray]
+    ones: np.ndarray
+    labels: np.ndarray
+    layout: tuple[int, int, int, int]
+    values: Optional[np.ndarray]
+    counts: Optional[np.ndarray] = None
+    members: Optional[np.ndarray] = None
+    starts: Optional[np.ndarray] = None
+
+
+class _Queries(NamedTuple):
+    """A call's queries: ``[-2q, 1]`` in the key's dtype, each one's shortlist slack, and the rows the re-rank reads."""
+
+    aug: np.ndarray
+    slack: np.ndarray
+    rows: np.ndarray
+
+
+class _Bound(NamedTuple):
+    """A block's shortlist limit per query, and the scan its shortlist takes.
+
+    ``passing`` holds the flat (group, query) pairs whose group minimum
+    passes the limit where the sparse scan tests only their rows, else None;
+    ``counted`` says whether those pairs were counted.
+    """
+
+    limit: np.ndarray
+    passing: Optional[np.ndarray]
+    counted: bool
+
+
+def _knn_setup(
+    train: Dataset, query_rows: np.ndarray, k: int, mask, columns: Optional[tuple[np.ndarray, np.ndarray]]
+) -> tuple[_Ranked, _Queries]:
+    """Check a call's inputs and build what every block reads: the set-up stage.
 
     It checks the query width, mask length, ``k`` and finiteness of the used
-    columns.  A block holds ``max(_BLOCK_CELLS // n_train, _MIN_BLOCK)``
-    queries, and the first at most ``first_block``: the cell budget, with a
-    floor so that a large training table does not pay the per-block cost
-    for every few queries (at 100,779 training rows the budget alone gives
-    19).  Once per call it takes the used columns of the training and query
-    rows in float64, checks the values, picks the key's dtype, writes
-    ``[t, |t|^2]`` into a buffer of that dtype and builds every query's
-    ``[-2q, 1]`` and slack, so a caller may stop after any block at the cost
-    of the blocks it drew.  ``knn_classify`` passes no ``columns``: with
-    no later call to amortize copies over, its used columns are C-ordered
+    columns.  It takes the used columns of the training and query rows in
+    float64, picks the key's dtype, writes ``[t, |t|^2]`` into a buffer of
+    that dtype and builds every query's ``[-2q, 1]`` and slack (see
+    :func:`_key_bound`).  ``knn_classify`` passes no ``columns``: with no
+    later call to amortize copies over, its used columns are C-ordered
     copies of the rows' (``_used_columns``).  ``subset_fitness`` passes its
     split's column-major copies of the training and query rows
     (``_Holdout``): the used columns are then contiguous rows of them, and
-    both buffers are column-major, so every fill reads contiguous memory
-    and the product reads their transposes.  Per block it forms the key,
-    training rows by queries, then the bound over ``_slab_count(n_train,
-    k)`` slabs and the shortlist, whose candidates come ordered by training
-    row, then query.  The shortlist scan takes one of two paths.  Where a slab holds
-    at least ``_SPARSE_SCAN * k`` rows, it counts the (group, query) pairs
-    whose group minimum is not greater than the query's limit, and if their
-    rows are at most ``1/_SPARSE_SCAN`` of the whole-slab cells it tests
-    only those rows (the sparse scan).  Otherwise it compares every cell
-    with the limit (the full scan).  Both keep the same candidates in the
-    same order, and both test every remainder row.
-    The first block where the count runs and ends in the full scan
-    (``_tie_heavy``) groups the used training columns once with
-    ``data._first_rows``.  Where at least k distinct rows result, fewer than
-    the rows, the call turns to them: the key ranks the distinct rows in
-    first-occurrence order, and that block is scored again with blocks and
-    slabs sized for them.  Each candidate then counts its member rows and
-    their label-1 count in the vote.  Otherwise the block is scored again
-    as before.
-    A query whose candidates' labels settle the vote, as exactly k
-    candidates always do, votes with them as they are; only the shortlists
-    whose labels leave the vote open are grouped by query, get exact
-    distances from rows that ``np.take`` gathers (``_take_rows``: on a
-    split, whole rows of the row-major tables, then the used columns, so
-    the differences are C-ordered rows on either path and their sums keep
-    NumPy's order), and a sort, after which each query's k nearest are the
-    first k of its group.  On distinct rows each candidate gives the sort
-    its first ``min(members, k)`` member rows, at its exact distance: equal rows tie, so the lower ones win, and
-    the sort's last key is the training row.  A block with no open query
-    skips all three.
+    both buffers are column-major, so every fill reads contiguous memory and
+    the product reads their transposes.  The re-rank then reads whole rows
+    of the row-major tables and takes the used columns of them.
 
-    Memory held: the training columns, which are the table itself for
-    ``mask=None`` on a C-ordered table or on a split, and one copy
-    otherwise (on a split, of the split's column-major copies, which the
-    split holds once per run, not the call); ``[t, |t|^2]``,
-    one column wider, in the key's dtype (4 bytes a value in float32); and
-    per block a key of at most ``max(_BLOCK_CELLS, _MIN_BLOCK * n_train)``
-    cells (the floor passes the budget above 50,000 training rows: 16 MB of
-    float32 at 100,779) with either the full scan's two boolean arrays of
-    its size, or the sparse scan's int64 indices of the cells it tests, at
-    most ``1/_SPARSE_SCAN`` of the key's cells (half a byte a cell), with
-    their keys and a boolean mask; or re-rank slices of at most
-    ``_BLOCK_CELLS`` gathered values (on a split, whole rows, gathered before
-    their used columns).  A block's group minima, 1/slabs of its
-    key, are kept for the count and released before either scan, and its
-    key after it, so no two keys are held at once and the re-rank holds none.
-    The grouping releases the block's key first, and holds two float64
-    copies of the used columns (``+ 0.0`` and its rows sorted), then at most
-    eight int64 values a row, briefly.
-    After it a call on distinct rows holds their rows for the re-rank (on a
-    split, whole rows) and ``[t, |t|^2]`` in place of the rows', one int64
-    member row a training row, and three values a distinct row; its keys
-    span the distinct rows.
-    A float64 key makes ``[t, |t|^2]`` a second float64 copy of the training
-    columns beside ``train_x``; a copied table then holds about twice its
-    used columns, where a float32 key holds one and a half times.
+    Memory held by the call from here on: the training columns, which are
+    the table itself for ``mask=None`` on a C-ordered table or on a split,
+    and one copy otherwise (on a split, of the split's column-major copies,
+    which the split holds once per run, not the call); and ``[t, |t|^2]``,
+    one column wider, in the key's dtype (4 bytes a value in float32).  A
+    float64 key makes ``[t, |t|^2]`` a second float64 copy of the training
+    columns; a copied table then holds about twice its used columns, where a
+    float32 key holds one and a half times.
     """
     if query_rows.shape[1] != train.n_features:
         raise ValueError(f"feature counts differ: {query_rows.shape[1]} in queries, {train.n_features} in training")
@@ -339,12 +337,10 @@ def _knn_predict(
         raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_train = train.n_rows
-    if k > n_train:
-        raise ValueError(f"k={k} exceeds the {n_train} training rows")
+    if k > train.n_rows:
+        raise ValueError(f"k={k} exceeds the {train.n_rows} training rows")
     if columns is None:
         train_x, query_x = _used_columns(train.features, mask), _used_columns(query_rows, mask)
-        # the re-rank's rows, C-ordered, and the columns it takes of them (None: all)
         rank_train, rank_query, used = train_x, query_x, None
     else:
         used = None if mask is None else mask.columns  # once: each access runs flatnonzero, about 2 us
@@ -368,183 +364,283 @@ def _knn_predict(
                 if bad.size:
                     row, col = bad[0]
                     feature = (col if mask is None else mask.columns[col]) + 1
-                    raise DataError(
-                        f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})"
-                    )
+                    raise DataError(f"{side} row {row + 1}, feature {feature} is not finite ({values[row, col]})")
     dtype = _key_dtype(width, scale)
     info = np.finfo(dtype)
-    key_aug = np.empty((n_train, width + 1), dtype, order)  # [t, |t|^2]
+    key_aug = np.empty((train.n_rows, width + 1), dtype, order)
     key_aug[:, :width] = train_x
     key_aug[:, width] = train_sq
-    query_aug = np.empty((query_x.shape[0], width + 1), dtype, order)  # [-2q, 1]
+    query_aug = np.empty((query_x.shape[0], width + 1), dtype, order)
     np.multiply(query_x, -2.0, out=query_aug[:, :width])
     query_aug[:, width] = 1.0
-    # the shortlist slack of each query; see the comment below
     query_slack = 5.0 * (width + 2) * (info.eps * (query_sq + train_max) + info.smallest_subnormal)
-    block, slabs, slab_rows, span = _layout(n_train, k)  # span: training rows in whole slabs; the rest stand alone
-    stop = block if first_block is None else min(block, first_block)
-    step = max(1, _BLOCK_CELLS // max(1, rank_train.shape[1]))  # candidates per slice of the exact re-rank
-    # The rows the key ranks: the training rows, or once collapsed the
-    # distinct ones, each with its member count, label-1 count and members.
-    row_ones, mult, members, grouped = train.labels, None, None, False
-    start = 0
-    while start < query_x.shape[0]:
-        key = key_aug @ query_aug[start:stop].T  # |t|^2 - 2q.t: |q - t|^2 less the column-constant |q|^2
-        n_query = key.shape[1]
-        # Upper bound on each query's k-th smallest key: split each query's
-        # column into `slabs` slabs of L = slab_rows rows, take their elementwise
-        # minimum, each remainder row a group of its own, so group j holds
-        # rows j, j + L, ...  The groups are disjoint and there are at least k
-        # of them, so the k smallest group minima are k distinct cells of the
-        # column, all at most the k-th of them.  The slabs are contiguous, so
-        # their minimum runs down whole slabs; the bound partitions a
-        # query-major copy of the groups.
-        slabs_view = key[:span].reshape(slabs, -1)  # slab s: rows s*L to s*L + L - 1, every query
-        minima = slabs_view.min(axis=0).reshape(-1, n_query)  # group j's minimum, every query
-        groups = np.concatenate([minima, key[span:]]).T.copy()
-        groups.partition(k - 1, axis=1)
-        bound = groups[:, k - 1]
-        # Shortlist slack, after the dot-product error bounds of Higham,
-        # "Accuracy and Stability of Numerical Algorithms", ch. 3.  Let eps be
-        # the key dtype's epsilon, u = eps/2 and eta its smallest subnormal;
-        # w = width, S = |q|^2 + max|t|^2, and D = |q - t|^2 <= 2S the true
-        # distance.  A cast, product or fused multiply-add errs by at most u
-        # relative plus, where its result underflows, eta/2 absolute; a sum
-        # that underflows is exact.  So in any summation order, which is the
-        # BLAS kernel's to choose:
-        # - exact, in float64, is within (w + 2)eps64.S + w.eta64/2 of D;
-        # - |t|^2, a float64 sum, is within w.u64.S + w.eta64/2 of its value;
-        # - a float32 key rounds -2q, t and |t|^2 once more, which moves
-        #   |t|^2 - 2q.t by at most u.S (|t|^2) + 2u.S (the relative part of
-        #   the products) + 2u.S (their absolute part: eta/2 times |y|, for y
-        #   = 2q_i or t_i, is at most u.y^2/2 + eta^2/8u) + eta/2 (|t|^2);
-        # - key, a (w + 1)-term dot product of those inputs whose absolute
-        #   terms sum to at most |q|^2 + 2|t|^2 <= 2S, is within
-        #   (w + 1)(eps.S + eta/2) of their exact dot product.
-        # Hence |key + |q|^2 - exact| <= E for every row, with 2E at most
-        # (5w + 6)eps.S + (3w + 1)eta for a float64 key, and (2w + 7)eps.S +
-        # (w + 2)eta, plus float64 terms under 2^-27 of that, for a float32
-        # one.  The k-th smallest of each differ by at most E, bound is at
-        # least the k-th smallest key, and any row whose exact distance is at
-        # most the exact k-th one has key <= bound + 2E.  5(w + 2)(eps.S + eta)
-        # covers both with at least 4eps.S to spare for second-order terms,
-        # and bound + slack, summed in float64, is rounded up to the key's
-        # dtype.  _key_dtype takes float32 only where 4S fits in it and
-        # 5(w + 2)eps < 1, so (w + 1)u < 0.05: every value the key holds
-        # (products <= 1.01S, sums and keys < 3S, bound + slack < 4S) is then
-        # finite, and no kept row's key can overflow past the limit.  Last,
-        # the count: the k cells behind the k smallest group minima have keys
-        # at most bound, so they are kept, and the shortlist holds at least k
-        # rows.  It also holds every row whose exact distance is at most the
-        # exact k-th one, and there are at least k of those.  So it holds the
-        # k nearest, whichever rows the tie rule picks at the k-th distance.
-        # On distinct rows, let every member row have its distinct row's key,
-        # one within E of their common exact distance: the k distinct rows
-        # behind the k smallest group minima hold at least k member rows, so
-        # bound is at least the k-th smallest of those keys, and all of the
-        # above holds for the member rows of the candidates.
-        limit = np.nextafter((bound + query_slack[start:stop]).astype(dtype), dtype(np.inf))
-        del groups, bound
-        # "not greater" also keeps rows whose float64 terms overflowed to inf
-        # or NaN.  A row of a group whose minimum is greater than the limit
-        # is greater too, and a NaN makes its group's minimum NaN, which
-        # passes.  So where the passing (group, query) pairs are few, only
-        # their rows are tested, laid out (slabs, pairs): slab by slab, the
-        # same cells in the same ascending order as the full scan keeps.
-        # Otherwise each slab is compared with the limit tiled to its length.
-        # Either way the remainder rows follow, so candidates come by
-        # training row, then query: within each query the training rows
-        # ascend.  Each query passes at least k groups, so where a slab holds
-        # fewer than _SPARSE_SCAN * k rows the pairs could pass the share only
-        # if remainder rows were among those k, and they are not counted.
-        counted = sparse = slab_rows >= _SPARSE_SCAN * k
-        if counted:
-            passing = np.flatnonzero(~(minima > limit))
-            sparse = passing.size * _SPARSE_SCAN <= minima.size
-        del minima
-        if not grouped and _tie_heavy(counted, sparse):
-            # Score this block again: on the distinct rows where at least k
-            # of them merge some rows, otherwise as before.  The key goes
-            # first, so that the grouping's copies do not join it.
-            del key, slabs_view
-            grouped = True
-            first, inverse = _first_rows(train_x)
-            del train_x  # only the re-rank reads training values from here on
-            if k <= first.size < n_train:
-                rank_train, key_aug = rank_train[first], key_aug[first]
-                mult = np.bincount(inverse)
-                row_ones = np.bincount(inverse, weights=train.labels)
-                # by distinct row, then ascending; ids of at most 16 bits sort by radix
-                members = np.argsort(inverse.astype(np.min_scalar_type(first.size)), kind="stable")
-                member_starts = np.cumsum(mult) - mult
-                block, slabs, slab_rows, span = _layout(first.size, k)
-            del first, inverse
-            continue
-        if sparse:
-            cells = passing + np.arange(0, span * n_query, slab_rows * n_query)[:, None]
-            flat = cells[~(key.ravel()[cells] > limit[passing % n_query])]
-            del cells
+    ranked = _Ranked(key_aug, rank_train, used, train.labels, train.labels, _layout(train.n_rows, k), train_x)
+    return ranked, _Queries(query_aug, query_slack, rank_query)
+
+
+def _key_product(ranked: _Ranked, query_aug: np.ndarray) -> np.ndarray:
+    """A block's key, training rows by queries: ``|t|^2 - 2q.t``, which is ``|q - t|^2`` less the query's ``|q|^2``.
+
+    One BLAS product of ``[t, |t|^2]`` with the block's ``[-2q, 1]``.  It is
+    at most ``max(_BLOCK_CELLS, _MIN_BLOCK * n_train)`` cells (the floor
+    passes the budget above 50,000 training rows: 16 MB of float32 at
+    100,779), and the block holds it through its bound and shortlist only.
+    """
+    return ranked.aug @ query_aug.T
+
+
+def _key_bound(key: np.ndarray, layout: tuple[int, int, int, int], slack: np.ndarray, k: int) -> _Bound:
+    """Each query's shortlist limit, an upper bound on its k-th smallest key plus its slack, and the count.
+
+    Split each query's column of the key into ``slabs`` slabs of L =
+    ``slab_rows`` rows and take their elementwise minimum, each remainder
+    row a group of its own, so group j holds rows j, j + L, ...  The groups
+    are disjoint and there are at least k of them (``_slab_count``), so the
+    k smallest group minima are k distinct cells of the column, all at most
+    the k-th of them.  The slabs are contiguous, so their minimum runs down
+    whole slabs; the bound partitions a query-major copy of the groups.
+
+    No row of a group whose minimum exceeds the limit can pass it, and a NaN
+    makes its group's minimum NaN, which passes.  So where a slab holds at
+    least ``_SPARSE_SCAN * k`` rows, the (group, query) pairs whose group
+    minimum is not greater than the limit are counted, and if their rows are
+    at most ``1/_SPARSE_SCAN`` of the whole-slab cells, the shortlist tests
+    only those rows (the sparse scan).  Each query passes at least k groups,
+    so where a slab holds fewer rows the pairs could pass the share only if
+    remainder rows were among those k, and they are not counted.  The group
+    minima, 1/slabs of the key, are released at the return, before either
+    scan.
+    """
+    _, slabs, slab_rows, span = layout
+    n_query = key.shape[1]
+    minima = key[:span].reshape(slabs, -1).min(axis=0).reshape(-1, n_query)  # group j's minimum, every query
+    groups = np.concatenate([minima, key[span:]]).T.copy()
+    groups.partition(k - 1, axis=1)
+    # Shortlist slack, after the dot-product error bounds of Higham,
+    # "Accuracy and Stability of Numerical Algorithms", ch. 3.  Let eps be
+    # the key dtype's epsilon, u = eps/2 and eta its smallest subnormal;
+    # w = width, S = |q|^2 + max|t|^2, and D = |q - t|^2 <= 2S the true
+    # distance.  A cast, product or fused multiply-add errs by at most u
+    # relative plus, where its result underflows, eta/2 absolute; a sum
+    # that underflows is exact.  So in any summation order, which is the
+    # BLAS kernel's to choose:
+    # - exact, in float64, is within (w + 2)eps64.S + w.eta64/2 of D;
+    # - |t|^2, a float64 sum, is within w.u64.S + w.eta64/2 of its value;
+    # - a float32 key rounds -2q, t and |t|^2 once more, which moves
+    #   |t|^2 - 2q.t by at most u.S (|t|^2) + 2u.S (the relative part of
+    #   the products) + 2u.S (their absolute part: eta/2 times |y|, for y
+    #   = 2q_i or t_i, is at most u.y^2/2 + eta^2/8u) + eta/2 (|t|^2);
+    # - key, a (w + 1)-term dot product of those inputs whose absolute
+    #   terms sum to at most |q|^2 + 2|t|^2 <= 2S, is within
+    #   (w + 1)(eps.S + eta/2) of their exact dot product.
+    # Hence |key + |q|^2 - exact| <= E for every row, with 2E at most
+    # (5w + 6)eps.S + (3w + 1)eta for a float64 key, and (2w + 7)eps.S +
+    # (w + 2)eta, plus float64 terms under 2^-27 of that, for a float32
+    # one.  The k-th smallest of each differ by at most E, the bound is at
+    # least the k-th smallest key, and any row whose exact distance is at
+    # most the exact k-th one has key <= bound + 2E.  5(w + 2)(eps.S + eta)
+    # covers both with at least 4eps.S to spare for second-order terms,
+    # and bound + slack, summed in float64, is rounded up to the key's
+    # dtype.  _key_dtype takes float32 only where 4S fits in it and
+    # 5(w + 2)eps < 1, so (w + 1)u < 0.05: every value the key holds
+    # (products <= 1.01S, sums and keys < 3S, bound + slack < 4S) is then
+    # finite, and no kept row's key can overflow past the limit.  Last,
+    # the count: the k cells behind the k smallest group minima have keys
+    # at most bound, so they are kept, and the shortlist holds at least k
+    # rows.  It also holds every row whose exact distance is at most the
+    # exact k-th one, and there are at least k of those.  So it holds the
+    # k nearest, whichever rows the tie rule picks at the k-th distance.
+    # On distinct rows, let every member row have its distinct row's key,
+    # one within E of their common exact distance: the k distinct rows
+    # behind the k smallest group minima hold at least k member rows, so
+    # bound is at least the k-th smallest of those keys, and all of the
+    # above holds for the member rows of the candidates.
+    limit = np.nextafter((groups[:, k - 1] + slack).astype(key.dtype), key.dtype.type(np.inf))
+    del groups
+    counted = slab_rows >= _SPARSE_SCAN * k
+    passing = np.flatnonzero(~(minima > limit)) if counted else None
+    sparse = counted and passing.size * _SPARSE_SCAN <= minima.size
+    return _Bound(limit, passing if sparse else None, counted)
+
+
+def _shortlist(key: np.ndarray, bound: _Bound, layout: tuple[int, int, int, int]) -> np.ndarray:
+    """A block's candidates, the cells whose key is not greater than the query's limit, as flat indices of the key.
+
+    "Not greater" also keeps rows whose float64 terms overflowed to inf or
+    NaN.  The sparse scan tests only the rows of the passing groups, laid
+    out (slabs, pairs): slab by slab, the same cells in the same ascending
+    order as the full scan, which compares each slab with the limit tiled to
+    its length.  Either way the remainder rows follow, so candidates come by
+    training row, then query: within each query the training rows ascend.
+
+    The full scan holds two boolean arrays of the key's size; the sparse
+    scan the int64 indices of the cells it tests, at most ``1/_SPARSE_SCAN``
+    of the key's cells (half a byte a cell), with their keys and a boolean
+    mask.  The driver releases the key after it, before
+    :func:`_vote_counts` splits the indices into training rows and queries.
+    """
+    _, slabs, slab_rows, span = layout
+    n_query, passing = key.shape[1], bound.passing
+    if passing is not None:
+        cells = passing + np.arange(0, span * n_query, slab_rows * n_query)[:, None]
+        flat = cells[~(key.ravel()[cells] > bound.limit[passing % n_query])]
+        del cells
+    else:
+        flat = np.flatnonzero(~(key[:span].reshape(slabs, -1) > np.tile(bound.limit, slab_rows)))
+    if span < key.shape[0]:
+        flat = np.concatenate([flat, span * n_query + np.flatnonzero(~(key[span:] > bound.limit))])
+    return flat
+
+
+def _group(ranked: _Ranked, k: int) -> _Ranked:
+    """The rows for the key to rank once a block reads tie-heavy: the distinct rows of the used columns, or the same.
+
+    It groups the used training columns with ``data._first_rows``.  Where
+    at least k distinct rows result, fewer than the rows, the key ranks them
+    from here on: each counts its member rows and their label-1 count in the
+    vote, and blocks and slabs are sized for them.  k distinct rows hold at
+    least k rows, so the bound and the shortlist keep their proof.
+    Otherwise the rows stay as they were, and the grouping was paid for
+    nothing.  Either way a call groups once: the record returned holds no
+    ``values``.
+
+    The block's key is released first.  The grouping holds two float64
+    copies of the used columns (``+ 0.0`` and its rows sorted), then at most
+    eight int64 values a row, briefly.  After it a call on distinct rows
+    holds their rows for the re-rank (on a split, whole rows) and
+    ``[t, |t|^2]`` in place of the rows', one int64 member row a training
+    row, and three values a distinct row; its keys span the distinct rows.
+    """
+    first, inverse = _first_rows(ranked.values)
+    if not k <= first.size < ranked.values.shape[0]:
+        return ranked._replace(values=None)
+    rows, aug = ranked.rows[first], ranked.aug[first]
+    counts = np.bincount(inverse)
+    ones = np.bincount(inverse, weights=ranked.labels)
+    # by distinct row, then ascending; ids of at most 16 bits sort by radix
+    members = np.argsort(inverse.astype(np.min_scalar_type(first.size)), kind="stable")
+    starts = np.cumsum(counts) - counts
+    return _Ranked(aug, rows, ranked.used, ones, ranked.labels, _layout(first.size, k), None, counts, members, starts)
+
+
+def _vote_counts(ranked: _Ranked, flat: np.ndarray, n_query: int, k: int) -> tuple:
+    """Each query's label-1 and total candidate rows, which queries those leave open, and the open ones' candidates.
+
+    A query's k nearest are k of its c >= k candidates, so they hold x
+    attack rows, max(0, k - zeros) <= x <= min(k, ones), where ones and
+    zeros count its candidates' labels.  Its vote, 2x >= k, is open exactly
+    when the ends vote apart: 2 max(0, k - zeros) < k <= 2 min(k, ones),
+    that is 2 zeros > k and 2 ones >= k.  Otherwise both ends give the vote,
+    and so does 2 ones >= k over all candidates: ones is at least the lower
+    end, and is the upper end where that votes 0.  With c = k the ends
+    meet, so the vote is never open.  On distinct rows each candidate counts
+    its member rows.  The open queries' candidates come grouped by query,
+    as (queries, training rows), or None where no query is open; the
+    block's whole candidate lists end at the return.
+    """
+    train_ids, query_ids = np.divmod(flat, n_query)
+    ones = np.bincount(query_ids, weights=ranked.ones[train_ids], minlength=n_query)
+    weights = None if ranked.counts is None else ranked.counts[train_ids]
+    counts = np.bincount(query_ids, weights=weights, minlength=n_query)
+    undecided = (2 * ones >= k) & (2 * (counts - ones) > k)
+    if not undecided.any():
+        return ones, counts, undecided, None
+    keep = undecided[query_ids]
+    query_ids, train_ids = query_ids[keep], train_ids[keep]
+    # Group the candidates by query.  The sort is stable, so each query's
+    # training rows stay ascending, also where uint16 wraps two queries of a
+    # block over 65,535 into one group.
+    order = np.argsort(query_ids.astype(np.uint16), kind="stable")
+    return ones, counts, undecided, (query_ids[order], train_ids[order])
+
+
+def _rerank(ranked: _Ranked, query_rows: np.ndarray, tallies: tuple, k: int) -> np.ndarray:
+    """A block's votes: open queries by their k nearest candidates on the exact distance, the rest by their counts.
+
+    Only the open queries' candidates, grouped by query, get exact distances
+    from rows that ``np.take`` gathers (``_take_rows``: on a split, whole
+    rows of the row-major tables, then the used columns, so the differences
+    are C-ordered rows on either path and their sums keep NumPy's order),
+    and a sort, after which each query's k nearest are the first k of its
+    group.  On distinct rows each candidate gives the sort
+    its first ``min(members, k)`` member rows at its exact distance: equal
+    rows tie, so the lower ones win, and the sort's last key is the training
+    row.  A block with no open query skips both and votes by its counts.
+    It holds slices of at most ``_BLOCK_CELLS`` gathered values (on a
+    split, whole rows, gathered before their used columns), so a shortlist
+    swollen by ties keeps memory bounded.
+    """
+    ones, counts, undecided, open_candidates = tallies
+    if open_candidates is not None:
+        query_ids, train_ids = open_candidates
+        # ``.sum(axis=1)`` keeps NumPy's own order: a column-by-column sum
+        # would be faster on narrow masks, but to give the same bits it
+        # would have to copy NumPy's 8-way order for rows of 8 or more.
+        rows, used, step = ranked.rows, ranked.used, max(1, _BLOCK_CELLS // max(1, ranked.rows.shape[1]))
+        exact = np.empty(query_ids.size)
+        for at in range(0, query_ids.size, step):
+            r, c = query_ids[at : at + step], train_ids[at : at + step]
+            exact[at : at + step] = ((_take_rows(query_rows, r, used) - _take_rows(rows, c, used)) ** 2).sum(axis=1)
+        if ranked.members is None:
+            # Per query by exact distance, lower training row first on ties:
+            # each query's training rows come ascending and lexsort is stable.
+            order = np.lexsort((exact, query_ids))
+            sizes = counts[undecided]
         else:
-            flat = np.flatnonzero(~(slabs_view > np.tile(limit, slab_rows)))
-        if span < key.shape[0]:
-            flat = np.concatenate([flat, span * n_query + np.flatnonzero(~(key[span:] > limit))])
-        del key, slabs_view
-        train_ids, query_ids = np.divmod(flat, n_query)
-        ones = np.bincount(query_ids, weights=row_ones[train_ids], minlength=n_query)
-        # A query's k nearest are k of its c >= k candidates, so they hold x
-        # attack rows, max(0, k - zeros) <= x <= min(k, ones), where ones and
-        # zeros count its candidates' labels.  Its vote, 2x >= k, is open
-        # exactly when the ends vote apart: 2 max(0, k - zeros) < k <= 2 min(k, ones),
-        # that is 2 zeros > k and 2 ones >= k.  Otherwise both ends give the
-        # vote, and so does 2 ones >= k over all candidates: ones is at least
-        # the lower end, and is the upper end where that votes 0.  With c = k
-        # the ends meet, so the vote is never open.
-        counts = np.bincount(query_ids, weights=None if mult is None else mult[train_ids], minlength=n_query)
-        undecided = (2 * ones >= k) & (2 * (counts - ones) > k)
-        if undecided.any():  # re-rank the open queries alone
-            keep = undecided[query_ids]
-            query_ids, train_ids = query_ids[keep], train_ids[keep]
-            # Group the candidates by query.  The sort is stable, so each
-            # query's training rows stay ascending, also where uint16 wraps
-            # two queries of a block over 65,535 into one group.
-            order = np.argsort(query_ids.astype(np.uint16), kind="stable")
-            query_ids, train_ids = query_ids[order], train_ids[order]
-            q = rank_query[start:stop]
-            # Exact distances in slices of at most _BLOCK_CELLS gathered values, so
-            # a shortlist swollen by ties (identical rows) keeps memory bounded.
-            # ``.sum(axis=1)`` keeps NumPy's own order: a column-by-column sum
-            # would be faster on narrow masks, but to give the same bits it
-            # would have to copy NumPy's 8-way order for rows of 8 or more.
-            # So the differences are C-ordered rows, gathered from C-ordered
-            # rows on either path.
-            exact = np.empty(query_ids.size)
-            for at in range(0, query_ids.size, step):
-                r, c = query_ids[at : at + step], train_ids[at : at + step]
-                exact[at : at + step] = ((_take_rows(q, r, used) - _take_rows(rank_train, c, used)) ** 2).sum(axis=1)
-            if members is None:
-                # Per query by exact distance, lower training row first on
-                # ties: each query's training rows come ascending and lexsort
-                # is stable.
-                order = np.lexsort((exact, query_ids))
-                sizes = counts[undecided]
-            else:
-                # Each distinct row stands for its members, all at its exact
-                # distance, so the lower ones win: at most its first k can be
-                # among a query's k nearest, and only those are taken.
-                # Members of rows at one distance interleave, so the training
-                # row is the last key.
-                taken = np.minimum(mult[train_ids], k)
-                ends = np.cumsum(taken)
-                at = np.arange(ends[-1]) + np.repeat(member_starts[train_ids] - (ends - taken), taken)
-                query_ids, exact, train_ids = np.repeat(query_ids, taken), np.repeat(exact, taken), members[at]
-                order = np.lexsort((train_ids, exact, query_ids))
-                sizes = np.bincount(query_ids, minlength=n_query)[undecided]
-            # So the open queries' groups follow in query order, and the k
-            # nearest of each are the first k of its group.
-            firsts = (np.cumsum(sizes) - sizes)[:, None] + np.arange(k)
-            ones[undecided] = train.labels[train_ids[order[firsts]]].sum(axis=1)
-        yield (2 * ones >= k).astype(int)
-        start, stop = stop, stop + block
+            # At most the first k members of a distinct row can be among a
+            # query's k nearest, and only those are taken.  Members of rows
+            # at one distance interleave, so the training row is the last key.
+            taken = np.minimum(ranked.counts[train_ids], k)
+            ends = np.cumsum(taken)
+            at = np.arange(ends[-1]) + np.repeat(ranked.starts[train_ids] - (ends - taken), taken)
+            query_ids, exact, train_ids = np.repeat(query_ids, taken), np.repeat(exact, taken), ranked.members[at]
+            order = np.lexsort((train_ids, exact, query_ids))
+            sizes = np.bincount(query_ids, minlength=undecided.size)[undecided]
+        # The open queries' groups follow in query order, so the k nearest
+        # of each are the first k of its group.
+        firsts = (np.cumsum(sizes) - sizes)[:, None] + np.arange(k)
+        ones[undecided] = ranked.labels[train_ids[order[firsts]]].sum(axis=1)
+    return (2 * ones >= k).astype(int)
+
+
+def _knn_predict(
+    train: Dataset,
+    query_rows: np.ndarray,
+    k: int,
+    mask,
+    first_block: Optional[int] = None,
+    columns: Optional[tuple[np.ndarray, np.ndarray]] = None,
+):
+    """Yield the KNN votes (0 or 1) of ``query_rows`` on ``mask``'s columns (None: all), block by block.
+
+    Every KNN call runs through here.  After :func:`_knn_setup`, a block
+    holds ``max(_BLOCK_CELLS // n_train, _MIN_BLOCK)`` queries, and the
+    first at most ``first_block``: the cell budget, with a floor so that a
+    large training table does not pay the per-block cost for every few
+    queries (at 100,779 training rows the budget alone gives 19).  The
+    set-up runs once, so a caller may stop after any block at the cost of
+    the blocks it drew.  Each block runs :func:`_key_product`,
+    :func:`_key_bound`, :func:`_shortlist`, :func:`_vote_counts` and
+    :func:`_rerank`.  The first block whose count ends in the full scan
+    (``_tie_heavy``) runs :func:`_group` after its bound, once per call, and
+    is scored again on the rows it returns.  Each stage is called through
+    its module name.  The key is released before the grouping and after the
+    shortlist, so no two keys are held at once and neither the vote counts
+    nor the re-rank hold one.
+    """
+    ranked, queries = _knn_setup(train, query_rows, k, mask, columns)
+    start, stop = 0, ranked.layout[0] if first_block is None else min(ranked.layout[0], first_block)
+    while start < queries.slack.size:
+        key = _key_product(ranked, queries.aug[start:stop])
+        bound = _key_bound(key, ranked.layout, queries.slack[start:stop], k)
+        if ranked.values is not None and _tie_heavy(bound.counted, bound.passing is not None):
+            del key  # so that the grouping's copies do not join it
+            ranked = _group(ranked, k)
+            continue
+        flat = _shortlist(key, bound, ranked.layout)
+        del key
+        yield _rerank(ranked, queries.rows[start:stop], _vote_counts(ranked, flat, bound.limit.size, k), k)
+        start, stop = stop, stop + ranked.layout[0]
 
 
 def knn_classify(
@@ -599,7 +695,7 @@ def _holdout_split(train: Dataset, spec: WrapperFitnessSpec) -> _Holdout:
         idx = np.flatnonzero(train.labels == cls)
         perm = rng.permutation(idx)
         held.append(perm[: max(1, int(round(spec.holdout_fraction * idx.size)))])
-    held = np.sort(np.concatenate(held))
+    held = np.sort(np.concatenate(held)) if held else np.empty(0, dtype=int)  # a table without rows has no class
     fit = np.setdiff1d(np.arange(train.n_rows), held)
     if fit.size == 0 or held.size == 0:
         raise DataError("degenerate holdout split: one side is empty")

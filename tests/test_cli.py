@@ -452,6 +452,13 @@ def test_non_finite_coefficient_exits_2(files, flag, value, field, caplog):
     assert not out.exists()
 
 
+def test_cv_negative_seed_exits_2_naming_the_seed(files, caplog):
+    out = files["tmp"] / "out"
+    assert run(*command_argv(files)["cv"], "--seed", "-1", out=out) == 2
+    assert "seed must be a non-negative integer" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, status", [("--config", 2), ("--schema", 3)])
 def test_unreadable_config_exits_2_and_unreadable_schema_exits_3(files, flag, status, caplog):
     unreadable = files["tmp"] / "directory.yaml"

@@ -738,6 +738,19 @@ class TestFolds:
         assert type(plan.k) is int and plan.k == 3
         assert np.array_equal(plan.assignments, make_folds(10, 3, seed=0).assignments)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+    def test_seed_must_be_an_int(self, seed):
+        # 1.5 once reached SeedSequence's bare TypeError, True passed as 1 and None drew fresh entropy
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            make_folds(30, 3, seed)
+
+    def test_seed_must_not_be_negative(self):
+        # once NumPy's "expected non-negative integer", which did not name the setting
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            make_folds(30, 3, -1)
+        assert make_folds(30, 3, 0).seed == 0
+        assert np.array_equal(make_folds(30, 3, np.int64(7)).assignments, make_folds(30, 3, 7).assignments)
+
 
 class TestFirstRows:
     """The row grouping behind drop_duplicates and KNN's distinct training rows."""

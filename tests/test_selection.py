@@ -1003,6 +1003,55 @@ class TestKnnCollapse:
         assert sum(n < 480 for n, _, _ in slabs.calls) > 40 * 5 // 2
 
 
+_KNN_STAGES = ("_knn_setup", "_key_product", "_key_bound", "_shortlist", "_group", "_vote_counts", "_rerank")
+
+
+class TestKnnStages:
+    """_knn_predict reaches each of its stages through its module name, so a
+    wrapper set on ``selection``, as a tracer sets one, sees every call."""
+
+    def test_counting_spies_see_every_stage(self, monkeypatch):
+        ds = planted_dataset(n_rows=600, n_features=10, seed=3)
+        tied = Dataset.from_arrays(np.round(ds.features * 4) / 4, ds.labels)
+        train, queries = Dataset.from_arrays(ds.features[:500], ds.labels[:500]), ds.features[500:]
+        spec = WrapperFitnessSpec(split_seed=4)
+        split = selection._holdout_split(ds, spec)
+        mask = FeatureSubset.from_indices([1, 2, 3], 10)
+
+        def sparse():  # all features, every block counted and scanned sparse
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(selection, "_SPARSE_SCAN", 0)
+                return knn_classify(train, queries, 5)
+
+        def grouped():  # rows repeat on the 3 columns, and the first block groups them
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(selection, "_tie_heavy", lambda counted, sparse: True)
+                return knn_classify(tied, queries, 5, mask)
+
+        def stopped():  # the cutoff stops the fitness after its first block
+            return subset_fitness(mask, split, spec, cutoff=1.0)
+
+        runs = (sparse, grouped, stopped)
+        expected = [run() for run in runs]
+        calls = {}
+        for name in _KNN_STAGES:
+
+            def spy(*args, stage=getattr(selection, name), name=name):
+                calls[name] += 1
+                return stage(*args)
+
+            monkeypatch.setattr(selection, name, spy)
+        seen = []
+        for run, want in zip(runs, expected):
+            calls.update(dict.fromkeys(_KNN_STAGES, 0))
+            assert np.array_equal(run(), want)
+            seen.append(dict(calls))
+        assert all(seen[0][name] >= 1 for name in _KNN_STAGES if name != "_group") and seen[0]["_group"] == 0
+        assert seen[1]["_group"] == 1 and seen[1]["_key_product"] == seen[1]["_rerank"] + 1  # the grouped block twice
+        assert seen[2]["_key_product"] == 1 and 0.0 < expected[2] <= 1.0
+        assert all(any(counts[name] for counts in seen) for name in _KNN_STAGES)
+
+
 def _both_paths(split, spec, mask):
     """subset_fitness on the split, which reads its column-major copies, and
     the accuracy of knn_classify's per-call set-up on the same rows."""
@@ -1324,6 +1373,12 @@ class TestSubsetFitness:
         ds = Dataset.from_arrays(np.array([[0.0], [1.0]]), [0, 1])
         with pytest.raises(DataError, match="degenerate holdout split"):
             selection._holdout_split(ds, WrapperFitnessSpec(split_seed=0))
+
+    def test_table_without_rows_is_a_degenerate_split(self):
+        # no class to hold rows out of: once NumPy's bare "need at least one array to concatenate"
+        empty = Dataset.from_arrays(np.empty((0, 3)), np.empty(0, dtype=int))
+        with pytest.raises(DataError, match="degenerate holdout split"):
+            subset_fitness(None, empty, WrapperFitnessSpec())
 
     def test_bad_spec_rejected(self):
         bad_specs = [
